@@ -4,13 +4,15 @@ For a full-dimensional polygon the circuits are exactly the edge-parallel
 directions: kernels of single rows of the H-description.  A circuit move
 travels from a feasible point along a circuit direction as far as the polygon
 allows; a monotone walk chains such moves while a fixed cost strictly
-increases.  Everything here is exact; step lengths are rationals computed
-from the binding row.
+increases.  Everything here is exact.  A maximal step is one integer
+min-ratio test: the point is written as (X/D, Y/D), each blocking row's slack
+b*D - a1*X - a2*Y is an integer, and ratios are compared by cross-multiplying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_vertices
 from .ratgeo import Direction2, Point2, Rat, primitive_direction, rat
@@ -24,6 +26,9 @@ __all__ = [
     "INFEASIBLE",
     "CircuitSet",
     "enumerate_circuits",
+    "blocking_rows",
+    "homogeneous_step",
+    "homogeneous",
     "max_step",
     "circuit_move",
     "monotone_directions",
@@ -95,22 +100,56 @@ def enumerate_circuits(h: HPolygon) -> CircuitSet:
     return CircuitSet(tuple(sorted(dirs)))
 
 
+def blocking_rows(h: HPolygon, g: Direction2) -> tuple[tuple[int, int, int, int], ...]:
+    """Rows (a1, a2, b, a.g) of h with a.g > 0: the rows that can stop a move along g.
+
+    Raises UnboundedDirection when no row blocks g (impossible for a valid
+    bounded polygon, kept for defensive callers).
+    """
+    rows = []
+    for a1, a2, b in h.rows:
+        ag = a1 * g.dx + a2 * g.dy
+        if ag > 0:
+            rows.append((a1, a2, b, ag))
+    if not rows:
+        raise UnboundedDirection(f"nothing blocks ({g.dx}, {g.dy})")
+    return tuple(rows)
+
+
+def homogeneous_step(rows, X: int, Y: int, D: int) -> tuple[int, int]:
+    """Maximal step from the point (X/D, Y/D), D > 0, along the blocked direction.
+
+    rows come from blocking_rows.  Returns (slack, ag) of a binding row, where
+    slack = b*D - a1*X - a2*Y; the step length is slack / (D * ag).  Ratios
+    are compared by cross-multiplication, so everything stays in integers.
+    Requires the point inside the polygon.
+    """
+    rows = iter(rows)
+    a1, a2, b, best_ag = next(rows)
+    best = b * D - a1 * X - a2 * Y
+    for a1, a2, b, ag in rows:
+        slack = b * D - a1 * X - a2 * Y
+        if slack * best_ag < best * ag:
+            best, best_ag = slack, ag
+    return best, best_ag
+
+
+def homogeneous(p: Point2) -> tuple[int, int, int]:
+    """The point as integers (X, Y, D) with p == (X/D, Y/D), D > 0 and gcd 1."""
+    x, y = p.x, p.y
+    D = lcm(x.denominator, y.denominator)
+    return (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D)
+
+
 def max_step(h: HPolygon, p: Point2, g: Direction2) -> Rat:
     """Largest lam >= 0 with p + lam*g still inside h.  Requires p inside h.
 
     Raises UnboundedDirection when no row blocks g (impossible for a valid
     bounded polygon, kept for defensive callers).
     """
-    best: Rat | None = None
-    for a1, a2, b in h.rows:
-        ag = a1 * g.dx + a2 * g.dy
-        if ag > 0:
-            t = (b - (a1 * p.x + a2 * p.y)) / ag
-            if best is None or t < best:
-                best = t
-    if best is None:
-        raise UnboundedDirection(f"nothing blocks ({g.dx}, {g.dy})")
-    return best
+    X, Y, D = homogeneous(p)
+    slack, ag = homogeneous_step(blocking_rows(h, g), X, Y, D)
+    return rat(slack, D * ag)
 
 
 def circuit_move(h: HPolygon, p: Point2, g: Direction2) -> Point2 | Infeasible:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .circuits import enumerate_circuits, enumerate_lifted_circuits
+from .circuits import enumerate_circuits, enumerate_lifted_circuits, optimal_value
 from .constructions import (
     ConstructionError,
     Feasible,
@@ -205,7 +205,11 @@ def cmd_solve(args) -> int:
             _emit(args, write_walk(walk), args.output)
         return EXIT_OK
     if isinstance(result, NodeCapExceeded):
-        _say(args, f"gave up after discovering {result.discovered} states")
+        _say(
+            args,
+            f"gave up after discovering {result.discovered} states; no monotone walk "
+            f"of at most {result.completed_depth} steps reaches the optimum",
+        )
         return EXIT_NODE_CAP
     _say(args, f"no monotone walk of at most {result.depth} steps reaches the optimum")
     return EXIT_NOT_FOUND
@@ -259,6 +263,11 @@ def _verify_certificate(args, rep: _Report) -> None:
     )
     if inst.target is not None:
         rep.check(walk.end == inst.target, "walk ends at the instance target")
+    c, end = inst.cost, walk.end
+    rep.check(
+        c.dx * end.x + c.dy * end.y == optimal_value(inst.polygon, c)[0],
+        "walk ends at a cost-maximal point",
+    )
     rep.info(f"walk length {walk.length}")
 
 

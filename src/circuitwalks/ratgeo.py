@@ -2,8 +2,9 @@
 
 All geometry in this package is exact: scalars are arbitrary-precision
 rationals, never floats.  Two interchangeable backends provide them: gmpy2's
-``mpq`` when importable (noticeably faster on walk searches, where coordinates
-grow deep denominators), and the stdlib ``fractions.Fraction`` otherwise.
+``mpq`` when importable, and the stdlib ``fractions.Fraction`` otherwise.  The
+planar walk search runs on Python integers, not on these scalars; the backend
+affects constructions, file formats, walk validation and the lifted search.
 Set ``CIRCUITWALKS_RATIONAL_BACKEND=fractions`` to force the fallback, or
 ``=gmpy2`` to make a missing gmpy2 a hard error.  Equal values hash and
 compare identically under both backends, so polygons, walks and search state

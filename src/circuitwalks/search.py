@@ -1,7 +1,13 @@
 """Shortest monotone circuit walks by exact breadth-first search.
 
-States are exact points, deduplicated on their rational coordinates.  The
-frontier is expanded in lexicographic direction order with first-discovery
+A planar search state is a homogeneous integer triple (X, Y, D) standing for
+the point (X/D, Y/D), kept canonical (D > 0, gcd 1) so the triple itself is
+the deduplication key.  Each monotone direction's blocking rows are computed
+once per search; a move is one integer min-ratio test plus one gcd, the goal
+test is an integer comparison, and points are only built for the returned
+walk.  Lifted searches keep exact lifted points as states.
+
+The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
 lexicographically smallest sequence of step directions; reruns and backends
 cannot change the answer.
@@ -10,14 +16,18 @@ cannot change the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Union
 
 from .circuits import (
     AmbiguousOptimum,
     LiftedCost,
     NotAVertex,
+    blocking_rows,
     enumerate_circuits,
     enumerate_lifted_circuits,
+    homogeneous,
+    homogeneous_step,
     lifted_max_step,
     lifted_move,
     lifted_optimal_value,
@@ -29,7 +39,7 @@ from .circuits import (
     optimal_value,
 )
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_contains
-from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction
+from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
 
 __all__ = [
     "Walk",
@@ -99,32 +109,57 @@ class NotFoundWithinDepth:
 
 @dataclass(frozen=True)
 class NodeCapExceeded:
-    """Aborted after discovering more states than allowed; certifies nothing."""
+    """Aborted after discovering more states than allowed.
+
+    The first completed_depth layers were fully expanded before the cap
+    tripped, so no walk of at most completed_depth steps reaches the optimum;
+    nothing is certified beyond that.
+    """
 
     discovered: int
+    completed_depth: int
 
 
 DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
 class _PlanarSpace:
+    """States are homogeneous integer triples (X, Y, D) for the point (X/D, Y/D)."""
+
     def __init__(self, h: HPolygon, c: Direction2):
         self.h = h
-        self.c = c
-        self.dirs = monotone_directions(enumerate_circuits(h), c)
-        self.opt = optimal_value(h, c)[0]
+        self.moves = tuple(
+            (g, blocking_rows(h, g))
+            for g in monotone_directions(enumerate_circuits(h), c)
+        )
+        opt = optimal_value(h, c)[0]
+        # c.p == opt  <=>  (cx*X + cy*Y) * opt_den == opt_num * D
+        self.goal = (c.dx * opt.denominator, c.dy * opt.denominator, opt.numerator)
 
     def contains(self, p) -> bool:
         return self.h.contains(p)
 
-    def value(self, p):
-        return self.c.dx * p.x + self.c.dy * p.y
+    def state(self, p):
+        return homogeneous(p)
 
-    def successors(self, p):
-        for g in self.dirs:
-            lam = max_step(self.h, p, g)
-            if lam > 0:
-                yield g, Point2(p.x + lam * g.dx, p.y + lam * g.dy)
+    def point(self, state):
+        X, Y, D = state
+        return Point2(rat(X, D), rat(Y, D))
+
+    def is_goal(self, state) -> bool:
+        X, Y, D = state
+        cx, cy, opt = self.goal
+        return cx * X + cy * Y == opt * D
+
+    def successors(self, state):
+        X, Y, D = state
+        for g, rows in self.moves:
+            slack, ag = homogeneous_step(rows, X, Y, D)
+            if slack > 0:
+                # p + slack/(D*ag) * g over the common denominator D*ag
+                nx, ny, nd = X * ag + slack * g.dx, Y * ag + slack * g.dy, D * ag
+                k = gcd(nx, ny, nd)
+                yield g, (nx // k, ny // k, nd // k)
 
 
 class _LiftedSpace:
@@ -139,8 +174,14 @@ class _LiftedSpace:
     def contains(self, p) -> bool:
         return lifted_contains(self.lp, p)
 
-    def value(self, p):
-        return lifted_value(self.c, p)
+    def state(self, p):
+        return p
+
+    def point(self, state):
+        return state
+
+    def is_goal(self, state) -> bool:
+        return lifted_value(self.c, state) == self.opt
 
     def successors(self, p):
         for circ in self.dirs:
@@ -165,11 +206,12 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
         space = _PlanarSpace(h, c)
     if not space.contains(s):
         raise ValueError("start point is outside the polytope")
-    if space.value(s) == space.opt:
+    root = space.state(s)
+    if space.is_goal(root):
         return Found(Walk((s,), ()))
-    parent: dict = {s: None}
-    frontier = [s]
-    for _ in range(cfg.max_depth):
+    parent: dict = {root: None}
+    frontier = [root]
+    for depth in range(cfg.max_depth):
         nxt = []
         for p in frontier:
             for g, q in space.successors(p):
@@ -177,9 +219,9 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
                     continue
                 parent[q] = (p, g)
                 if len(parent) > cfg.node_cap:
-                    return NodeCapExceeded(discovered=len(parent))
-                if space.value(q) == space.opt:
-                    return Found(_reconstruct(parent, q))
+                    return NodeCapExceeded(discovered=len(parent), completed_depth=depth)
+                if space.is_goal(q):
+                    return Found(_reconstruct(space, parent, s, q))
                 nxt.append(q)
         if not nxt:
             break
@@ -187,16 +229,18 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     return NotFoundWithinDepth(cfg.max_depth)
 
 
-def _reconstruct(parent: dict, goal) -> Walk:
-    points = [goal]
+def _reconstruct(space, parent: dict, s, goal) -> Walk:
+    """Walk from s to goal along the parent links; states become points here."""
+    states = [goal]
     steps = []
     link = parent[goal]
     while link is not None:
         p, g = link
-        points.append(p)
+        states.append(p)
         steps.append(g)
         link = parent[p]
-    return Walk(tuple(reversed(points)), tuple(reversed(steps)))
+    points = [s] + [space.point(q) for q in reversed(states[:-1])]
+    return Walk(tuple(points), tuple(reversed(steps)))
 
 
 def transform_walk(m: AffineMap2, w: Walk) -> Walk:

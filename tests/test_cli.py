@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from circuitwalks.cli import main, read_essr, write_essr
 from circuitwalks.constructions import SubsetSumInstance
-from circuitwalks.formats import ParseError, read_instance, read_walk
+from circuitwalks.formats import ParseError, read_instance, read_walk, write_instance, write_walk
+from circuitwalks.search import Walk
 
 
 def run(*argv):
@@ -43,8 +46,10 @@ class TestSolve:
     def test_depth_exhausted_is_10(self, pell3):
         assert run("solve", str(pell3), "--max-depth", "2", "--quiet") == 10
 
-    def test_node_cap_is_11(self, pell3):
+    def test_node_cap_is_11(self, pell3, capsys):
         assert run("solve", str(pell3), "--max-depth", "3", "--node-cap", "2", "--quiet") == 11
+        assert run("solve", str(pell3), "--max-depth", "3", "--node-cap", "4") == 11
+        assert "of at most 1 steps" in capsys.readouterr().out
 
     def test_unparseable_is_2(self, tmp_path):
         bad = tmp_path / "bad.cwi"
@@ -77,6 +82,15 @@ class TestVerifyCertificate:
         cert.write_text("\n".join(lines) + "\n")
         assert run("verify", str(pell3), "--certificate", str(cert)) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_non_optimal_end_fails_without_target(self, pell3, tmp_path, capsys):
+        inst = read_instance(pell3.read_text())
+        bare = tmp_path / "bare.cwi"
+        bare.write_text(write_instance(replace(inst, target=None)))
+        cert = tmp_path / "stay.cww"
+        cert.write_text(write_walk(Walk((inst.start,), ())))
+        assert run("verify", str(bare), "--certificate", str(cert)) == 1
+        assert "[FAIL] walk ends at a cost-maximal point" in capsys.readouterr().out
 
     def test_quiet_hides_ok_lines(self, pell3, tmp_path, capsys):
         cert = tmp_path / "walk.cww"

@@ -2,10 +2,20 @@ import random
 
 import pytest
 
-from circuitwalks.circuits import enumerate_circuits, monotone_directions
-from circuitwalks.constructions import build_p_ell, lift_instance
-from circuitwalks.polytope import v_to_h
-from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, rat
+from circuitwalks.circuits import (
+    enumerate_circuits,
+    max_step,
+    monotone_directions,
+    optimal_value,
+)
+from circuitwalks.constructions import (
+    SubsetSumInstance,
+    build_p_ell,
+    build_reduction,
+    lift_instance,
+)
+from circuitwalks.polytope import h_to_v, v_to_h
+from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
 from circuitwalks.search import (
     Found,
     NodeCapExceeded,
@@ -84,6 +94,14 @@ class TestShortestWalk:
         art = build_p_ell(2)
         r = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(2, node_cap=2))
         assert isinstance(r, NodeCapExceeded) and r.discovered == 3
+        assert r.completed_depth == 0
+        # the start and its two successors fit; the first second-layer state trips
+        r = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(2, node_cap=3))
+        assert isinstance(r, NodeCapExceeded) and r.discovered == 4
+        assert r.completed_depth == 1
+        assert isinstance(
+            shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(1)), NotFoundWithinDepth
+        )
 
     def test_interior_start_allowed(self):
         art = build_p_ell(1)
@@ -210,3 +228,125 @@ class TestRandomPolygons:
         r = shortest_monotone_walk(h, start, c, SearchConfig(len(ring.vertices)))
         assert isinstance(r, Found)
         assert set(r.walk.steps) <= allowed
+
+
+# -- differential check against the rational search ---------------------------
+
+
+def _rational_step(h, p, g):
+    """Plain rational min-ratio over the rows that block g."""
+    return min(
+        (b - a1 * p.x - a2 * p.y) / rat(a1 * g.dx + a2 * g.dy)
+        for a1, a2, b in h.rows
+        if a1 * g.dx + a2 * g.dy > 0
+    )
+
+
+def reference_walk(h, s, c, cfg):
+    """Breadth-first search over exact rational points, one rational min-ratio
+    per move: the reference the integer search must reproduce exactly."""
+    dirs = monotone_directions(enumerate_circuits(h), c)
+    opt = optimal_value(h, c)[0]
+
+    def value(p):
+        return c.dx * p.x + c.dy * p.y
+
+    if value(s) == opt:
+        return Found(Walk((s,), ()))
+    parent = {s: None}
+    frontier = [s]
+    for depth in range(cfg.max_depth):
+        nxt = []
+        for p in frontier:
+            for g in dirs:
+                lam = _rational_step(h, p, g)
+                if lam <= 0:
+                    continue
+                q = Point2(p.x + lam * g.dx, p.y + lam * g.dy)
+                if q in parent:
+                    continue
+                parent[q] = (p, g)
+                if len(parent) > cfg.node_cap:
+                    return NodeCapExceeded(len(parent), depth)
+                if value(q) == opt:
+                    points, steps = [q], []
+                    while parent[points[-1]] is not None:
+                        prev, step = parent[points[-1]]
+                        points.append(prev)
+                        steps.append(step)
+                    return Found(Walk(tuple(reversed(points)), tuple(reversed(steps))))
+                nxt.append(q)
+        if not nxt:
+            break
+        frontier = nxt
+    return NotFoundWithinDepth(cfg.max_depth)
+
+
+def assert_same_search(h, s, c, cfg):
+    got = shortest_monotone_walk(h, s, c, cfg)
+    want = reference_walk(h, s, c, cfg)
+    assert got == want
+    return got
+
+
+class TestDifferential:
+    def test_family_levels(self):
+        for ell in range(1, 6):
+            art = build_p_ell(ell)
+            for start in (art.u, art.w):
+                for depth in (ell - 1, ell, ell + 1):
+                    assert_same_search(art.h, start, art.c0, SearchConfig(depth))
+                assert_same_search(art.h, start, art.c0, SearchConfig(ell, node_cap=3 * ell))
+
+    def test_reductions(self):
+        for a, S, k in (((2, 3), 5, 2), ((2, 4), 5, 2), ((1, 2), 3, 2), ((15,), 15, 1)):
+            red = build_reduction(SubsetSumInstance(a=a, S=S, k=k), 2)
+            for start in (red.s, red.corner.u_image, red.corner.w_image):
+                for depth in (red.ck - 1, red.ck):
+                    assert_same_search(red.h, start, red.c, SearchConfig(depth))
+
+    def test_random_hulls(self):
+        rng = random.Random(2510)
+        outcomes = set()
+        for trial in range(300):
+            ring = random_hull(rng, max_points=8, bound=30)
+            h = v_to_h(ring)
+            verts = h_to_v(h).vertices
+            i = rng.randrange(len(verts))
+            p, q = verts[i], verts[(i + 1) % len(verts)]
+            midpoint = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+            c = primitive_direction(rng.choice([1, 2, 3, -1]), rng.choice([-2, -1, 0, 1, 5]))
+            cap = rng.choice([2, 3, 5]) if trial % 5 == 0 else 10_000
+            for start in (p, midpoint):
+                depth = rng.randint(0, len(verts))
+                r = assert_same_search(h, start, c, SearchConfig(depth, node_cap=cap))
+                outcomes.add(type(r))
+        assert outcomes == {Found, NotFoundWithinDepth, NodeCapExceeded}
+
+
+class TestMaxStepReference:
+    def test_matches_rational_min_ratio(self):
+        rng = random.Random(916)
+        zero = 0
+        for _ in range(60):
+            h = v_to_h(random_hull(rng, max_points=8, bound=40))
+            verts = h_to_v(h).vertices
+            dirs = list(enumerate_circuits(h))
+            for _ in range(5):
+                # convex combination of three vertices: inside, often on an edge
+                w = [rng.choice([0, 0, 1, 2, 5]) for _ in range(3)]
+                if not any(w):
+                    w[0] = 1
+                picks = rng.sample(verts, 3)
+                total = sum(w)
+                p = Point2(
+                    sum(wi * v.x for wi, v in zip(w, picks)) / total,
+                    sum(wi * v.y for wi, v in zip(w, picks)) / total,
+                )
+                assert h.contains(p)
+                for g in dirs:
+                    for d in (g, g.flipped()):
+                        want = _rational_step(h, p, d)
+                        assert max_step(h, p, d) == want
+                        zero += want == 0
+        assert zero > 0
