@@ -1,18 +1,22 @@
 """Circuit directions of polygons and lifted polytopes, and exact moves along them.
 
 For a full-dimensional polygon the circuits are exactly the edge-parallel
-directions: kernels of single rows of the H-description.  A circuit move
-travels from a feasible point along a circuit direction as far as the polygon
-allows; a monotone walk chains such moves while a fixed cost strictly
-increases.  Everything here is exact.  A maximal step is one integer
-min-ratio test: the point is written as (X/D, Y/D), each blocking row's slack
-b*D - a1*X - a2*Y is an integer, and ratios are compared by cross-multiplying.
+directions: kernels of single rows of the H-description.  A product with a
+simplex adds the simplex's axis directions and axis differences.  A circuit
+move travels from a feasible point along a circuit direction as far as the
+polytope allows; a monotone walk chains such moves while a fixed cost strictly
+increases.  Everything here is exact, and one integer kernel computes every
+maximal step, in any dimension d: rows are integer pairs (a, b) for a.x <= b,
+a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0, gcd 1),
+each row's slack b*D - a.x is an integer, ratios are compared by
+cross-multiplying, and the moved state costs one gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_vertices
 from .ratgeo import Direction2, Point2, Rat, primitive_direction, rat
@@ -26,9 +30,11 @@ __all__ = [
     "INFEASIBLE",
     "CircuitSet",
     "enumerate_circuits",
-    "blocking_rows",
-    "homogeneous_step",
     "homogeneous",
+    "dehomogenize",
+    "blocking_rows",
+    "maximal_moves",
+    "maximal_step",
     "max_step",
     "circuit_move",
     "monotone_directions",
@@ -100,45 +106,72 @@ def enumerate_circuits(h: HPolygon) -> CircuitSet:
     return CircuitSet(tuple(sorted(dirs)))
 
 
-def blocking_rows(h: HPolygon, g: Direction2) -> tuple[tuple[int, int, int, int], ...]:
-    """Rows (a1, a2, b, a.g) of h with a.g > 0: the rows that can stop a move along g.
+def homogeneous(coords) -> tuple[int, ...]:
+    """Rational coordinates as the state (x_1, .., x_d, D) for x/D, D > 0 and gcd 1."""
+    D = lcm(*(q.denominator for q in coords))
+    return tuple(q.numerator * (D // q.denominator) for q in coords) + (D,)
+
+
+def dehomogenize(state) -> tuple[Rat, ...]:
+    """Rational coordinates of the state (x_1, .., x_d, D)."""
+    D = state[-1]
+    return tuple(rat(x, D) for x in state[:-1])
+
+
+def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:
+    """(index, a.g) of each row (a, b) with a.g > 0: the rows that can stop a move along g.
 
     Raises UnboundedDirection when no row blocks g (impossible for a valid
-    bounded polygon, kept for defensive callers).
+    bounded polytope, kept for defensive callers).
     """
-    rows = []
-    for a1, a2, b in h.rows:
-        ag = a1 * g.dx + a2 * g.dy
+    blocking = []
+    for i, (a, _) in enumerate(rows):
+        ag = sum(map(mul, a, g))
         if ag > 0:
-            rows.append((a1, a2, b, ag))
-    if not rows:
-        raise UnboundedDirection(f"nothing blocks ({g.dx}, {g.dy})")
-    return tuple(rows)
+            blocking.append((i, ag))
+    if not blocking:
+        raise UnboundedDirection(f"nothing blocks {tuple(g)}")
+    return tuple(blocking)
 
 
-def homogeneous_step(rows, X: int, Y: int, D: int) -> tuple[int, int]:
-    """Maximal step from the point (X/D, Y/D), D > 0, along the blocked direction.
+def maximal_moves(rows, state, moves):
+    """Maximal move from the state (x, D) along each (label, g, blocking) of moves.
 
-    rows come from blocking_rows.  Returns (slack, ag) of a binding row, where
-    slack = b*D - a1*X - a2*Y; the step length is slack / (D * ag).  Ratios
-    are compared by cross-multiplication, so everything stays in integers.
-    Requires the point inside the polygon.
+    rows are the (a, b) pairs, the state must lie inside them, g is an
+    integer vector and blocking its blocking_rows.  Every row's slack
+    b*D - a.x is computed once; the step along g is slack / (D * ag) for the
+    binding row, found by comparing ratios by cross-multiplication.  Yields
+    (label, slack, ag, successor) per move, in order, where successor is the
+    state of the moved point, or None when the step has length zero.
     """
-    rows = iter(rows)
-    a1, a2, b, best_ag = next(rows)
-    best = b * D - a1 * X - a2 * Y
-    for a1, a2, b, ag in rows:
-        slack = b * D - a1 * X - a2 * Y
-        if slack * best_ag < best * ag:
-            best, best_ag = slack, ag
-    return best, best_ag
+    *x, D = state
+    slacks = [b * D - sum(map(mul, a, x)) for a, b in rows]
+    for label, g, blocking in moves:
+        candidates = iter(blocking)
+        i, ag = next(candidates)
+        slack = slacks[i]
+        for i, a in candidates:
+            if slacks[i] * ag < slack * a:
+                slack, ag = slacks[i], a
+        if not slack:
+            yield label, slack, ag, None
+            continue
+        # x/D + slack/(D*ag) * g over the common denominator D*ag
+        moved = [xi * ag + slack * gi for xi, gi in zip(x, g)]
+        moved.append(D * ag)
+        k = gcd(*moved)
+        yield label, slack, ag, tuple([v // k for v in moved])
 
 
-def homogeneous(p: Point2) -> tuple[int, int, int]:
-    """The point as integers (X, Y, D) with p == (X/D, Y/D), D > 0 and gcd 1."""
-    x, y = p.x, p.y
-    D = lcm(x.denominator, y.denominator)
-    return (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D)
+def maximal_step(rows, coords, g) -> tuple[Rat, tuple[Rat, ...] | None]:
+    """Length and end coordinates of the maximal move from a point along g.
+
+    rows are (a, b) pairs of a bounded polytope containing the point; the end
+    is None when the step has length zero.
+    """
+    state = homogeneous(coords)
+    _, slack, ag, moved = next(maximal_moves(rows, state, ((g, g, blocking_rows(rows, g)),)))
+    return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
 def max_step(h: HPolygon, p: Point2, g: Direction2) -> Rat:
@@ -147,19 +180,15 @@ def max_step(h: HPolygon, p: Point2, g: Direction2) -> Rat:
     Raises UnboundedDirection when no row blocks g (impossible for a valid
     bounded polygon, kept for defensive callers).
     """
-    X, Y, D = homogeneous(p)
-    slack, ag = homogeneous_step(blocking_rows(h, g), X, Y, D)
-    return rat(slack, D * ag)
+    return maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[0]
 
 
 def circuit_move(h: HPolygon, p: Point2, g: Direction2) -> Point2 | Infeasible:
     """Maximal move from p along circuit g; INFEASIBLE when it has length zero."""
-    if all(a1 * g.dx + a2 * g.dy != 0 for a1, a2, _ in h.rows):
+    if g not in enumerate_circuits(h):
         raise NotACircuit(f"({g.dx}, {g.dy}) is not parallel to any edge")
-    lam = max_step(h, p, g)
-    if lam == 0:
-        return INFEASIBLE
-    return Point2(p.x + lam * g.dx, p.y + lam * g.dy)
+    end = maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[1]
+    return INFEASIBLE if end is None else h.point(end)
 
 
 def monotone_directions(cs: CircuitSet, c) -> tuple[Direction2, ...]:
@@ -316,40 +345,21 @@ def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
     return tuple(out)
 
 
-def _check_lifted(lp: LiftedPolytope, circ: LiftedCircuit) -> None:
-    if circ.kind == "base":
-        if all(a1 * circ.g.dx + a2 * circ.g.dy != 0 for a1, a2, _ in lp.base.rows):
-            raise NotACircuit(f"({circ.g.dx}, {circ.g.dy}) is not parallel to any base edge")
-    elif max(circ.i, circ.j) >= lp.extra_dims:
-        raise NotACircuit(f"simplex index out of range for extra_dims={lp.extra_dims}")
+def _lifted_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit):
+    if circ.canonical() not in enumerate_lifted_circuits(lp):
+        raise NotACircuit(f"{circ} is not a circuit of the lift with extra_dims={lp.extra_dims}")
+    return maximal_step(lp.inequality_rows(), lp.coordinates(p), circ.vector(lp.extra_dims))
 
 
 def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Rat:
     """Largest feasible step length from p along the directed lifted circuit."""
-    _check_lifted(lp, circ)
-    if circ.kind == "base":
-        return max_step(lp.base, p.base, circ.g)
-    if circ.kind == "axis":
-        if circ.sign > 0:
-            return rat(1) - sum(p.simplex)
-        return p.simplex[circ.i]
-    return p.simplex[circ.j]
+    return _lifted_step(lp, p, circ)[0]
 
 
 def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> LiftedPoint | Infeasible:
-    lam = lifted_max_step(lp, p, circ)
-    if lam == 0:
-        return INFEASIBLE
-    if circ.kind == "base":
-        base = Point2(p.base.x + lam * circ.g.dx, p.base.y + lam * circ.g.dy)
-        return LiftedPoint(base, p.simplex)
-    y = list(p.simplex)
-    if circ.kind == "axis":
-        y[circ.i] += circ.sign * lam
-    else:
-        y[circ.i] += lam
-        y[circ.j] -= lam
-    return LiftedPoint(p.base, tuple(y))
+    """Maximal move from p along the lifted circuit; INFEASIBLE when it has length zero."""
+    end = _lifted_step(lp, p, circ)[1]
+    return INFEASIBLE if end is None else lp.point(end)
 
 
 def monotone_lifted_directions(

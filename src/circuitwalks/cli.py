@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / walk found; 10 no walk within the depth bound;
 11 node cap exceeded; 2 unreadable input; 1 failed check or bad parameters.
-Every command accepts --quiet (suppress informational output) and --seed
-(fix the RNG for anything sampled; the built-in commands are deterministic).
+Every command accepts --quiet (suppress informational output); every command
+is deterministic.
 """
 
 from __future__ import annotations
@@ -108,9 +108,13 @@ def read_three_dm(text: str) -> ThreeDMInstance:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "3dm 1":
         raise ParseError(1, "not a '3dm 1' file")
-    if len(lines) < 2 or lines[1].split()[:1] != ["n"]:
+    header = lines[1].split() if len(lines) > 1 else []
+    if len(header) < 2 or header[0] != "n":
         raise ParseError(2, "expected 'n <elements>'")
-    n = int(lines[1].split()[1])
+    try:
+        n = int(header[1])
+    except ValueError:
+        raise ParseError(2, f"non-integer element count {header[1]!r}") from None
     triples = []
     for no, line in enumerate(lines[2:], start=3):
         parts = line.split()
@@ -463,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed for sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-pell", parents=[common], help="emit a family polygon instance")

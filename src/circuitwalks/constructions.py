@@ -144,7 +144,7 @@ def build_p_ell(ell: int) -> PellArtifact:
             grown.append((scale * a1, 2 * a2, b + scale * a1))
         grown += [(1, 2, 2), (1, -2, 2)]
         rows = grown
-        t = Point2(t.x / scale + 1, t.y / 2)
+        t = family_step_map(level).apply(t)
     h = HPolygon(tuple(rows))
     v = h_to_v(h)
     u, w = Point2(rat(0), rat(1)), Point2(rat(0), rat(-1))

@@ -24,7 +24,6 @@ __all__ = [
     "hull2d",
     "v_to_h",
     "h_to_v",
-    "contains",
     "remove_redundant",
     "transform_polygon",
     "LiftedPolytope",
@@ -154,6 +153,16 @@ class HPolygon:
     def contains(self, p: Point2) -> bool:
         return all(a1 * p.x + a2 * p.y <= b for a1, a2, b in self.rows)
 
+    def inequality_rows(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The rows as (coefficients, bound) pairs."""
+        return tuple(((a1, a2), b) for a1, a2, b in self.rows)
+
+    def coordinates(self, p: Point2) -> tuple[Rat, Rat]:
+        return (p.x, p.y)
+
+    def point(self, coords) -> Point2:
+        return Point2(*coords)
+
 
 @dataclass(frozen=True)
 class VPolygon:
@@ -220,10 +229,6 @@ def h_to_v(h: HPolygon) -> VPolygon:
     return h._hull  # noqa: SLF001 - cache owned by this module
 
 
-def contains(h: HPolygon, p: Point2) -> bool:
-    return h.contains(p)
-
-
 def remove_redundant(rows) -> HPolygon:
     """Minimal HPolygon from arbitrary rows of a bounded full-dim region.
 
@@ -288,9 +293,7 @@ class LiftedPolytope:
     def inequality_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Full-dimensional H-description as (coefficients, bound) pairs."""
         e = self.extra_dims
-        rows: list[tuple[tuple[int, ...], int]] = []
-        for a1, a2, b in self.base.rows:
-            rows.append(((a1, a2) + (0,) * e, b))
+        rows = [(a + (0,) * e, b) for a, b in self.base.inequality_rows()]
         for i in range(e):
             coeff = [0, 0] + [0] * e
             coeff[2 + i] = -1
@@ -301,6 +304,12 @@ class LiftedPolytope:
 
     def contains(self, p: LiftedPoint) -> bool:
         return lifted_contains(self, p)
+
+    def coordinates(self, p: LiftedPoint) -> tuple[Rat, ...]:
+        return (p.base.x, p.base.y) + p.simplex
+
+    def point(self, coords) -> LiftedPoint:
+        return LiftedPoint(Point2(coords[0], coords[1]), tuple(coords[2:]))
 
 
 def product_with_simplex(h: HPolygon, d: int) -> LiftedPolytope:

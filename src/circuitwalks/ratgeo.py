@@ -3,8 +3,9 @@
 All geometry in this package is exact: scalars are arbitrary-precision
 rationals, never floats.  Two interchangeable backends provide them: gmpy2's
 ``mpq`` when importable, and the stdlib ``fractions.Fraction`` otherwise.  The
-planar walk search runs on Python integers, not on these scalars; the backend
-affects constructions, file formats, walk validation and the lifted search.
+walk search and every maximal step, in any dimension, run on Python integers,
+not on these scalars; the backend affects constructions, file formats and the
+points that walks carry.
 Set ``CIRCUITWALKS_RATIONAL_BACKEND=fractions`` to force the fallback, or
 ``=gmpy2`` to make a missing gmpy2 a hard error.  Equal values hash and
 compare identically under both backends, so polygons, walks and search state

@@ -1,11 +1,13 @@
 """Shortest monotone circuit walks by exact breadth-first search.
 
-A planar search state is a homogeneous integer triple (X, Y, D) standing for
-the point (X/D, Y/D), kept canonical (D > 0, gcd 1) so the triple itself is
-the deduplication key.  Each monotone direction's blocking rows are computed
-once per search; a move is one integer min-ratio test plus one gcd, the goal
-test is an integer comparison, and points are only built for the returned
-walk.  Lifted searches keep exact lifted points as states.
+One integer kernel serves polygons and their simplex lifts alike.  A search
+state in dimension d is the homogeneous integer vector (x_1, .., x_d, D)
+standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
+is the deduplication key.  The rows are integer (a, b) pairs for a.x <= b;
+each monotone direction's blocking rows are computed once per search, every
+row's slack once per state, and a move is one integer min-ratio test plus one
+gcd.  The goal test is an integer comparison, and points are only built for
+the returned walk.  The walk validator runs on the same kernel.
 
 The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
@@ -16,30 +18,29 @@ cannot change the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import mul
 from typing import Union
 
 from .circuits import (
     AmbiguousOptimum,
-    LiftedCost,
     NotAVertex,
     blocking_rows,
+    dehomogenize,
     enumerate_circuits,
     enumerate_lifted_circuits,
     homogeneous,
-    homogeneous_step,
-    lifted_max_step,
-    lifted_move,
     lifted_optimal_value,
-    lifted_value,
-    max_step,
+    maximal_moves,
+    maximal_step,
     monotone_directions,
     monotone_edge_walk,
     monotone_lifted_directions,
     optimal_value,
 )
-from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_contains
-from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
+# Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
+from .circuits import lifted_max_step, lifted_move, max_step  # noqa: F401
+from .polytope import HPolygon, LiftedPolytope, h_to_v
+from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction
 
 __all__ = [
     "Walk",
@@ -123,72 +124,23 @@ class NodeCapExceeded:
 DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
-class _PlanarSpace:
-    """States are homogeneous integer triples (X, Y, D) for the point (X/D, Y/D)."""
+def _circuits(h, c):
+    """The circuits of h and the cost c in integer form.
 
-    def __init__(self, h: HPolygon, c: Direction2):
-        self.h = h
-        self.moves = tuple(
-            (g, blocking_rows(h, g))
-            for g in monotone_directions(enumerate_circuits(h), c)
-        )
-        opt = optimal_value(h, c)[0]
-        # c.p == opt  <=>  (cx*X + cy*Y) * opt_den == opt_num * D
-        self.goal = (c.dx * opt.denominator, c.dy * opt.denominator, opt.numerator)
-
-    def contains(self, p) -> bool:
-        return self.h.contains(p)
-
-    def state(self, p):
-        return homogeneous(p)
-
-    def point(self, state):
-        X, Y, D = state
-        return Point2(rat(X, D), rat(Y, D))
-
-    def is_goal(self, state) -> bool:
-        X, Y, D = state
-        cx, cy, opt = self.goal
-        return cx * X + cy * Y == opt * D
-
-    def successors(self, state):
-        X, Y, D = state
-        for g, rows in self.moves:
-            slack, ag = homogeneous_step(rows, X, Y, D)
-            if slack > 0:
-                # p + slack/(D*ag) * g over the common denominator D*ag
-                nx, ny, nd = X * ag + slack * g.dx, Y * ag + slack * g.dy, D * ag
-                k = gcd(nx, ny, nd)
-                yield g, (nx // k, ny // k, nd // k)
-
-
-class _LiftedSpace:
-    def __init__(self, lp: LiftedPolytope, c: LiftedCost):
-        self.lp = lp
-        self.c = c
-        self.dirs = monotone_lifted_directions(
-            enumerate_lifted_circuits(lp), c, lp.extra_dims
-        )
-        self.opt = lifted_optimal_value(lp, c)[0]
-
-    def contains(self, p) -> bool:
-        return lifted_contains(self.lp, p)
-
-    def state(self, p):
-        return p
-
-    def point(self, state):
-        return state
-
-    def is_goal(self, state) -> bool:
-        return lifted_value(self.c, state) == self.opt
-
-    def successors(self, p):
-        for circ in self.dirs:
-            lam = lifted_max_step(self.lp, p, circ)
-            if lam > 0:
-                q = lifted_move(self.lp, p, circ)
-                yield circ, q
+    Returns the canonical circuits of h, the function giving a directed
+    circuit's integer vector, the strictly c-increasing directed circuits in
+    search order, c as a rational vector, and the function giving c's
+    maximum over h.
+    """
+    if isinstance(h, LiftedPolytope):
+        e = h.extra_dims
+        circuits = enumerate_lifted_circuits(h)
+        monotone = monotone_lifted_directions(circuits, c, e)
+        cost = (c.base.dx, c.base.dy) + c.simplex
+        return circuits, lambda g: g.vector(e), monotone, cost, lifted_optimal_value
+    circuits = enumerate_circuits(h)
+    monotone = monotone_directions(circuits, c)
+    return circuits, lambda g: (g.dx, g.dy), monotone, (c.dx, c.dy), optimal_value
 
 
 def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
@@ -200,28 +152,29 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     completed search proves the distance exceeds cfg.max_depth, or
     NodeCapExceeded when it gave up early.
     """
-    if isinstance(h, LiftedPolytope):
-        space = _LiftedSpace(h, c)
-    else:
-        space = _PlanarSpace(h, c)
-    if not space.contains(s):
+    if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    root = space.state(s)
-    if space.is_goal(root):
+    _, vector, monotone, cost, optimum = _circuits(h, c)
+    rows = h.inequality_rows()
+    moves = tuple((g, vector(g), blocking_rows(rows, vector(g))) for g in monotone)
+    # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
+    goal = homogeneous(cost + (-optimum(h, c)[0],))[:-1]
+    root = homogeneous(h.coordinates(s))
+    if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
     parent: dict = {root: None}
     frontier = [root]
     for depth in range(cfg.max_depth):
         nxt = []
         for p in frontier:
-            for g, q in space.successors(p):
-                if q in parent:
+            for g, _, _, q in maximal_moves(rows, p, moves):
+                if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
                 if len(parent) > cfg.node_cap:
                     return NodeCapExceeded(discovered=len(parent), completed_depth=depth)
-                if space.is_goal(q):
-                    return Found(_reconstruct(space, parent, s, q))
+                if sum(map(mul, goal, q)) == 0:
+                    return Found(_reconstruct(h, parent, s, q))
                 nxt.append(q)
         if not nxt:
             break
@@ -229,7 +182,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     return NotFoundWithinDepth(cfg.max_depth)
 
 
-def _reconstruct(space, parent: dict, s, goal) -> Walk:
+def _reconstruct(h, parent: dict, s, goal) -> Walk:
     """Walk from s to goal along the parent links; states become points here."""
     states = [goal]
     steps = []
@@ -239,7 +192,7 @@ def _reconstruct(space, parent: dict, s, goal) -> Walk:
         states.append(p)
         steps.append(g)
         link = parent[p]
-    points = [s] + [space.point(q) for q in reversed(states[:-1])]
+    points = [s] + [h.point(dehomogenize(q)) for q in reversed(states[:-1])]
     return Walk(tuple(points), tuple(reversed(steps)))
 
 
@@ -268,36 +221,25 @@ class ValidationReport:
 def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """Check a walk exactly: containment, circuit steps, maximality, monotonicity.
 
-    Accepts the same (h, c) pairings as shortest_monotone_walk.  The first
-    violated condition is reported with its step index.
+    Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
+    circuit when its canonical form is one of the enumerated circuits.  The
+    first violated condition is reported with its step index.
     """
-    lifted = isinstance(h, LiftedPolytope)
-    if lifted:
-        inside = lambda p: lifted_contains(h, p)  # noqa: E731
-        value = lambda p: lifted_value(c, p)  # noqa: E731
-    else:
-        inside = h.contains
-        value = lambda p: c.dx * p.x + c.dy * p.y  # noqa: E731
-    if not inside(w.points[0]):
+    if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
+    circuits, vector, _, cost, _ = _circuits(h, c)
+    circuits = set(circuits)
+    rows = h.inequality_rows()
     for idx, g in enumerate(w.steps):
-        p, q = w.points[idx], w.points[idx + 1]
-        if lifted:
-            try:
-                lam = lifted_max_step(h, p, g)
-            except Exception as exc:
-                return ValidationReport(False, idx, str(exc))
-            moved = lifted_move(h, p, g) if lam > 0 else None
-        else:
-            if all(a1 * g.dx + a2 * g.dy != 0 for a1, a2, _ in h.rows):
-                return ValidationReport(False, idx, "step is not a circuit direction")
-            lam = max_step(h, p, g)
-            moved = Point2(p.x + lam * g.dx, p.y + lam * g.dy) if lam > 0 else None
-        if lam == 0:
+        if g.canonical() not in circuits:
+            return ValidationReport(False, idx, "step is not a circuit direction")
+        vec = vector(g)
+        end = maximal_step(rows, h.coordinates(w.points[idx]), vec)[1]
+        if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
-        if q != moved:
+        if h.coordinates(w.points[idx + 1]) != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
-        if value(q) <= value(p):
+        if sum(map(mul, cost, vec)) <= 0:
             return ValidationReport(False, idx, "step does not strictly increase the cost")
     return ValidationReport(True)
 

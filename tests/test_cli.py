@@ -188,6 +188,18 @@ class TestThreeDMCommand:
         source.write_text("3dm 1\nn 1\n0 0\n")
         assert run("gen-3dm", str(source), "--quiet") == 2
 
+    def test_element_count_missing_is_2(self, tmp_path, capsys):
+        source = tmp_path / "m.3dm"
+        source.write_text("3dm 1\nn\n0 0 0\n")
+        assert run("gen-3dm", str(source), "--quiet") == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_element_count_not_an_integer_is_2(self, tmp_path, capsys):
+        source = tmp_path / "m.3dm"
+        source.write_text("3dm 1\nn x\n0 0 0\n")
+        assert run("gen-3dm", str(source), "--quiet") == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_too_few_triples_is_an_error(self, tmp_path):
         source = tmp_path / "m.3dm"
         source.write_text("3dm 1\nn 2\n0 0 0\n")

@@ -31,7 +31,7 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import contains, lifted_contains
+from circuitwalks.polytope import lifted_contains
 from circuitwalks.ratgeo import Direction2, Point2, rat
 from circuitwalks.search import is_valid_monotone_walk
 
@@ -84,7 +84,7 @@ class TestFamily:
         for ell in (1, 2, 3):
             art, nxt = build_p_ell(ell), build_p_ell(ell + 1)
             m = family_step_map(ell)
-            assert all(contains(nxt.h, m.apply(v)) for v in art.v.vertices)
+            assert all(nxt.h.contains(m.apply(v)) for v in art.v.vertices)
             assert m.apply(art.t) == nxt.t
             assert m.apply(art.u) == P(1, rat(1, 2))
 

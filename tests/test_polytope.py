@@ -12,7 +12,6 @@ from circuitwalks.polytope import (
     UnboundedOrEmpty,
     VPolygon,
     canonical_row,
-    contains,
     h_to_v,
     hull2d,
     lifted_contains,
@@ -85,7 +84,7 @@ class TestHull2d:
         except DegenerateHull:
             return
         h = v_to_h(ring)
-        assert all(contains(h, p) for p in pts)
+        assert all(h.contains(p) for p in pts)
         assert hull2d(list(ring.vertices)).vertices == ring.vertices
 
 
@@ -118,9 +117,9 @@ class TestHVConversion:
 
     def test_contains_boundary_and_interior(self):
         h = v_to_h(VPolygon(SQUARE))
-        assert contains(h, P(0, 0))
-        assert contains(h, P(rat(1, 2), rat(1, 3)))
-        assert not contains(h, P(2, 0))
+        assert h.contains(P(0, 0))
+        assert h.contains(P(rat(1, 2), rat(1, 3)))
+        assert not h.contains(P(2, 0))
 
     @settings(max_examples=40)
     @given(st.randoms(use_true_random=False))

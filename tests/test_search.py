@@ -3,9 +3,14 @@ import random
 import pytest
 
 from circuitwalks.circuits import (
+    LiftedCircuit,
+    LiftedCost,
     enumerate_circuits,
+    enumerate_lifted_circuits,
+    lifted_optimal_value,
     max_step,
     monotone_directions,
+    monotone_lifted_directions,
     optimal_value,
 )
 from circuitwalks.constructions import (
@@ -14,7 +19,14 @@ from circuitwalks.constructions import (
     build_reduction,
     lift_instance,
 )
-from circuitwalks.polytope import h_to_v, v_to_h
+from circuitwalks.polytope import (
+    LiftedPoint,
+    LiftedPolytope,
+    h_to_v,
+    product_with_simplex,
+    simplex_vertices,
+    v_to_h,
+)
 from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
 from circuitwalks.search import (
     Found,
@@ -167,6 +179,51 @@ class TestValidation:
         assert not report and "circuit" in report.reason
 
 
+class TestLiftedValidation:
+    """The validator on a lift of P_2 to d = 4, cost x plus simplex weights (1, 2)."""
+
+    def setup_method(self):
+        art = build_p_ell(2)
+        self.lp = product_with_simplex(art.h, 4)
+        self.c = LiftedCost(art.c0, (rat(1), rat(2)))
+        self.u = art.u
+
+    def at(self, y0, y1):
+        return LiftedPoint(self.u, (rat(y0), rat(y1)))
+
+    def check(self, points, steps):
+        return is_valid_monotone_walk(self.lp, self.c, Walk(tuple(points), tuple(steps)))
+
+    def test_accepts_axis_diff_and_base_steps(self):
+        up, shift = LiftedCircuit("axis", i=0), LiftedCircuit("diff", i=1, j=0)
+        walk = shortest_monotone_walk(self.lp, self.at(0, 1), self.c, SearchConfig(2)).walk
+        report = self.check(
+            (self.at(0, 0), self.at(1, 0), self.at(0, 1)) + walk.points[1:],
+            (up, shift) + walk.steps,
+        )
+        assert report and report.reason is None
+        assert {step.kind for step in walk.steps} == {"base"}
+
+    def test_rejects_non_circuit_steps(self):
+        for step in (LiftedCircuit("axis", i=2), LiftedCircuit("base", g=Direction2(1, 2))):
+            report = self.check((self.at(0, 0), self.at(1, 0)), (step,))
+            assert not report and report.step == 0 and "circuit" in report.reason
+
+    def test_rejects_short_step(self):
+        report = self.check((self.at(0, 0), self.at(rat(1, 2), 0)), (LiftedCircuit("axis", i=0),))
+        assert not report and report.step == 0 and "maximal" in report.reason
+
+    def test_rejects_zero_length_step(self):
+        up = LiftedCircuit("axis", i=0)
+        report = self.check((self.at(0, 0), self.at(1, 0), self.at(1, 0)), (up, up))
+        assert not report and report.step == 1 and "zero length" in report.reason
+
+    def test_rejects_non_increasing_step(self):
+        down = LiftedCircuit("axis", i=0, sign=-1)
+        report = self.check((self.at(1, 0), self.at(0, 0)), (down,))
+        assert not report and report.step == 0 and "increase" in report.reason
+
+
 class TestTransformWalk:
     def test_scaling_keeps_validity(self):
         from circuitwalks.polytope import transform_polygon
@@ -233,49 +290,77 @@ class TestRandomPolygons:
 # -- differential check against the rational search ---------------------------
 
 
-def _rational_step(h, p, g):
-    """Plain rational min-ratio over the rows that block g."""
-    return min(
-        (b - a1 * p.x - a2 * p.y) / rat(a1 * g.dx + a2 * g.dy)
-        for a1, a2, b in h.rows
-        if a1 * g.dx + a2 * g.dy > 0
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _rational_step(rows, x, g):
+    """Plain rational min-ratio over the rows (a, b) that block the vector g."""
+    return min((b - _dot(a, x)) / rat(_dot(a, g)) for a, b in rows if _dot(a, g) > 0)
+
+
+def _planar_rows(h):
+    return [((a1, a2), b) for a1, a2, b in h.rows]
+
+
+def _rational_problem(h, c):
+    """Rows, monotone (label, vector) pairs, cost vector, optimum and the
+    point <-> coordinates maps of a polygon or a lift, in rational terms."""
+    if isinstance(h, LiftedPolytope):
+        e = h.extra_dims
+        dirs = monotone_lifted_directions(enumerate_lifted_circuits(h), c, e)
+        return (
+            h.inequality_rows(),
+            [(g, g.vector(e)) for g in dirs],
+            (c.base.dx, c.base.dy) + tuple(c.simplex),
+            lifted_optimal_value(h, c)[0],
+            lambda p: (p.base.x, p.base.y) + tuple(p.simplex),
+            lambda x: LiftedPoint(Point2(x[0], x[1]), x[2:]),
+        )
+    dirs = monotone_directions(enumerate_circuits(h), c)
+    return (
+        _planar_rows(h),
+        [(g, (g.dx, g.dy)) for g in dirs],
+        (c.dx, c.dy),
+        optimal_value(h, c)[0],
+        lambda p: (p.x, p.y),
+        lambda x: Point2(*x),
     )
 
 
 def reference_walk(h, s, c, cfg):
     """Breadth-first search over exact rational points, one rational min-ratio
-    per move: the reference the integer search must reproduce exactly."""
-    dirs = monotone_directions(enumerate_circuits(h), c)
-    opt = optimal_value(h, c)[0]
-
-    def value(p):
-        return c.dx * p.x + c.dy * p.y
-
-    if value(s) == opt:
+    per move: the reference the integer search must reproduce exactly.  h is
+    a polygon or a lift; lifted rows come from inequality_rows() and lifted
+    steps from the LiftedCircuit vectors."""
+    rows, dirs, cost, opt, coords, point = _rational_problem(h, c)
+    start = coords(s)
+    if _dot(cost, start) == opt:
         return Found(Walk((s,), ()))
-    parent = {s: None}
-    frontier = [s]
+    parent = {start: None}
+    frontier = [start]
     for depth in range(cfg.max_depth):
         nxt = []
-        for p in frontier:
-            for g in dirs:
-                lam = _rational_step(h, p, g)
+        for x in frontier:
+            for g, vec in dirs:
+                lam = _rational_step(rows, x, vec)
                 if lam <= 0:
                     continue
-                q = Point2(p.x + lam * g.dx, p.y + lam * g.dy)
-                if q in parent:
+                y = tuple(xi + lam * gi for xi, gi in zip(x, vec))
+                if y in parent:
                     continue
-                parent[q] = (p, g)
+                parent[y] = (x, g)
                 if len(parent) > cfg.node_cap:
                     return NodeCapExceeded(len(parent), depth)
-                if value(q) == opt:
-                    points, steps = [q], []
-                    while parent[points[-1]] is not None:
-                        prev, step = parent[points[-1]]
-                        points.append(prev)
+                if _dot(cost, y) == opt:
+                    states, steps = [y], []
+                    while parent[states[-1]] is not None:
+                        prev, step = parent[states[-1]]
+                        states.append(prev)
                         steps.append(step)
-                    return Found(Walk(tuple(reversed(points)), tuple(reversed(steps))))
-                nxt.append(q)
+                    points = [s] + [point(z) for z in reversed(states[:-1])]
+                    return Found(Walk(tuple(points), tuple(reversed(steps))))
+                nxt.append(y)
         if not nxt:
             break
         frontier = nxt
@@ -323,6 +408,49 @@ class TestDifferential:
                 outcomes.add(type(r))
         assert outcomes == {Found, NotFoundWithinDepth, NodeCapExceeded}
 
+    def test_family_lifts(self):
+        for ell in range(1, 5):
+            art = build_p_ell(ell)
+            for d in range(2, 9):
+                for start in (art.u, art.w):
+                    lp, s, c = lift_instance(art.h, start, art.c0, d)
+                    for depth in (ell - 1, ell):
+                        assert_same_search(lp, s, c, SearchConfig(depth))
+
+    def test_random_lifts(self):
+        rng = random.Random(4242)
+        weights = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
+        outcomes = set()
+        kinds = set()
+        for trial in range(160):
+            h = v_to_h(random_hull(rng, max_points=6, bound=20))
+            d = rng.randint(2, 5)
+            lp = product_with_simplex(h, d)
+            e = lp.extra_dims
+            verts = h_to_v(h).vertices
+            i = rng.randrange(len(verts))
+            p, q = verts[i], verts[(i + 1) % len(verts)]
+            base = rng.choice([p, Point2((p.x + q.x) / 2, (p.y + q.y) / 2)])
+            corners = simplex_vertices(e)
+            y0, y1 = rng.sample(corners, 2) if e else ((), ())
+            simplex = rng.choice([
+                tuple(rat(y) for y in y0),  # a vertex of the simplex
+                tuple(rat(a + b, 2) for a, b in zip(y0, y1)),  # an edge midpoint
+                tuple(rat(1, e + 2) for _ in range(e)),  # an interior point
+            ])
+            c = LiftedCost(
+                primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
+                tuple(rng.choice(weights) for _ in range(e)),
+            )
+            cap = rng.choice([2, 5, 20]) if trial % 5 == 0 else 3000
+            depth = rng.randint(0, 4)
+            r = assert_same_search(lp, LiftedPoint(base, simplex), c, SearchConfig(depth, node_cap=cap))
+            outcomes.add(type(r))
+            if isinstance(r, Found):
+                kinds |= {step.kind for step in r.walk.steps}
+        assert outcomes == {Found, NotFoundWithinDepth, NodeCapExceeded}
+        assert kinds == {"base", "axis", "diff"}
+
 
 class TestMaxStepReference:
     def test_matches_rational_min_ratio(self):
@@ -346,7 +474,7 @@ class TestMaxStepReference:
                 assert h.contains(p)
                 for g in dirs:
                     for d in (g, g.flipped()):
-                        want = _rational_step(h, p, d)
+                        want = _rational_step(_planar_rows(h), (p.x, p.y), (d.dx, d.dy))
                         assert max_step(h, p, d) == want
                         zero += want == 0
         assert zero > 0
