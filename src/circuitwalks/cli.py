@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success / walk found; 10 no walk within the depth bound;
-11 node cap exceeded; 2 unreadable input; 1 failed check or bad parameters.
+11 node cap exceeded; 2 a missing file, or a malformed file of any format
+(the message names its physical line); 1 failed check or bad parameters.
 Every command accepts --quiet (suppress informational output); every command
 is deterministic.
 """
@@ -29,7 +30,8 @@ from .constructions import (
     reduction_witness_walk,
     three_dm_has_perfect_matching,
 )
-from .formats import InstanceFile, ParseError, read_instance, read_walk, write_instance, write_walk
+from .formats import (InstanceFile, ParseError, read_essr, read_instance, read_three_dm,
+                      read_walk, write_essr, write_instance, write_walk)
 from .polytope import h_to_v
 from .ratgeo import format_rational
 from .render import lp_document, svg_document
@@ -67,64 +69,6 @@ def _emit(args, text: str, path: str | None) -> None:
 def _read_file(path: str) -> str:
     with open(path) as fh:
         return fh.read()
-
-
-# -- small text format for exact-sum instances ---------------------------------
-
-
-def write_essr(inst: SubsetSumInstance) -> str:
-    return (
-        "essr 1\n"
-        f"n {inst.n}\n"
-        f"a {' '.join(str(w) for w in inst.a)}\n"
-        f"S {inst.S}\n"
-        f"k {inst.k}\n"
-    )
-
-
-def read_essr(text: str) -> SubsetSumInstance:
-    lines = text.splitlines()
-    if len(lines) < 5 or lines[0].strip() != "essr 1":
-        raise ParseError(1, "not an 'essr 1' file")
-    fields = {}
-    for no, line in enumerate(lines[1:5], start=2):
-        parts = line.split()
-        if len(parts) < 2:
-            raise ParseError(no, f"expected '<key> <numbers>', got {line!r}")
-        fields[parts[0]] = parts[1:]
-    try:
-        n = int(fields["n"][0])
-        a = tuple(int(x) for x in fields["a"])
-        S = int(fields["S"][0])
-        k = int(fields["k"][0])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(2, f"bad essr fields: {exc}") from None
-    if len(a) != n:
-        raise ParseError(3, f"'a' lists {len(a)} weights, header says {n}")
-    return SubsetSumInstance(a=a, S=S, k=k)
-
-
-def read_three_dm(text: str) -> ThreeDMInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "3dm 1":
-        raise ParseError(1, "not a '3dm 1' file")
-    header = lines[1].split() if len(lines) > 1 else []
-    if len(header) < 2 or header[0] != "n":
-        raise ParseError(2, "expected 'n <elements>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ParseError(2, f"non-integer element count {header[1]!r}") from None
-    triples = []
-    for no, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(no, f"expected 'i j h', got {line!r}")
-        try:
-            triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ParseError(no, f"non-integer triple {line!r}") from None
-    return ThreeDMInstance(n_elements=n, triples=tuple(triples))
 
 
 # -- generation commands ---------------------------------------------------------

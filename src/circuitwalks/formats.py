@@ -1,21 +1,27 @@
-"""Line-based text formats for instances ("cwi 1") and walks ("cww 1").
+"""Line-based text formats: instances ("cwi 1"), walks ("cww 1"), exact-sum
+instances ("essr 1") and three-dimensional matching instances ("3dm 1").
 
 Rationals are always written as 'p' or 'p/q', never as decimals, so files
 round-trip exactly.  Writers emit canonical form (integer rows, primitive
 cost and steps); reading a canonical file and writing it again reproduces it
 byte for byte.
+
+Every reader reads through one line reader and raises ParseError, and
+nothing else, on a malformed file.  Its line number is the physical line of
+the text (the first is 1), or one past the last line when the file ends early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .constructions import SubsetSumInstance, ThreeDMInstance
 from .polytope import HPolygon
 from .ratgeo import Direction2, Point2, format_rational, parse_rational, primitive_direction
 from .search import Walk
 
 __all__ = ["ParseError", "InstanceFile", "write_instance", "read_instance",
-           "write_walk", "read_walk"]
+           "write_walk", "read_walk", "write_essr", "read_essr", "read_three_dm"]
 
 
 class ParseError(ValueError):
@@ -54,51 +60,61 @@ def write_instance(inst: InstanceFile) -> str:
 
 
 class _Lines:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+    """The physical lines of a text, numbered from 1 and read in order."""
 
-    @property
-    def line_no(self) -> int:
-        return self.pos  # pos already advanced past the reported line
+    def __init__(self, text: str):
+        self.numbered = list(enumerate(text.splitlines(), start=1))
+        self.end = len(self.numbered) + 1
+        self.pos = 0
+        self.line_no = 0  # the line last returned by next()
 
     def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ParseError(len(self.lines) + 1, f"unexpected end of file, wanted {what}")
-        line = self.lines[self.pos]
+        if self.pos >= len(self.numbered):
+            raise ParseError(self.end, f"unexpected end of file, wanted {what}")
+        self.line_no, line = self.numbered[self.pos]
         self.pos += 1
         if not line.strip():
-            raise ParseError(self.pos, "blank line")
+            raise ParseError(self.line_no, "blank line")
         return line
 
     def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        return self.numbered[self.pos][1] if self.pos < len(self.numbered) else None
 
     def done(self) -> None:
-        if self.pos < len(self.lines):
-            raise ParseError(self.pos + 1, f"trailing content: {self.lines[self.pos]!r}")
+        if self.pos < len(self.numbered):
+            no, line = self.numbered[self.pos]
+            raise ParseError(no, f"trailing content: {line!r}")
 
 
-def _rationals(lines: _Lines, line: str, prefix: str, count: int):
+def _numbers(lines: _Lines, line: str, prefix: str, count: int | None,
+             parse=parse_rational) -> list:
+    """The `count` numbers (any number if None) after `prefix` on the line just read."""
     parts = line.split()
     if prefix:
-        if not parts or parts[0] != prefix:
+        if parts[:1] != [prefix]:
             raise ParseError(lines.line_no, f"expected {prefix!r} line, got {line!r}")
         parts = parts[1:]
-    if len(parts) != count:
-        raise ParseError(lines.line_no, f"expected {count} rationals in {line!r}")
+    if count is not None and len(parts) != count:
+        raise ParseError(lines.line_no, f"expected {count} numbers in {line!r}")
     try:
-        return [parse_rational(p) for p in parts]
+        return [parse(p) for p in parts]
     except ValueError as exc:
         raise ParseError(lines.line_no, str(exc)) from None
 
 
-def _int_header(lines: _Lines, keyword: str) -> int:
-    line = lines.next(f"'{keyword} <n>'")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdigit():
-        raise ParseError(lines.line_no, f"expected '{keyword} <count>', got {line!r}")
-    return int(parts[1])
+def _count(text: str) -> int:
+    """A nonnegative count, written in digits only."""
+    if not text.isdigit():
+        raise ValueError(f"expected a count, got {text!r}")
+    return int(text)
+
+
+def _record(line_no: int, build, *args, prefix: str = ""):
+    """build(*args), its ValueError reported as a ParseError at line_no."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(line_no, f"{prefix}{exc}") from None
 
 
 def read_instance(text: str) -> InstanceFile:
@@ -107,37 +123,27 @@ def read_instance(text: str) -> InstanceFile:
         raise ParseError(lines.line_no, "not a 'cwi 1' file")
     if lines.next("dim").strip() != "dim 2":
         raise ParseError(lines.line_no, "only 'dim 2' is supported")
-    m = _int_header(lines, "rows")
+    (m,) = _numbers(lines, lines.next("'rows <n>'"), "rows", 1, _count)
+    rows_at = lines.line_no
     rows = []
     for _ in range(m):
-        rows.append(tuple(_rationals(lines, lines.next("row"), "", 3)))
-    cx, cy = _rationals(lines, lines.next("cost"), "cost", 2)
-    try:
-        cost = primitive_direction(cx, cy)
-    except ValueError as exc:
-        raise ParseError(lines.line_no, str(exc)) from None
-    sx, sy = _rationals(lines, lines.next("start"), "start", 2)
+        rows.append(tuple(_numbers(lines, lines.next("row"), "", 3)))
+    cx, cy = _numbers(lines, lines.next("cost"), "cost", 2)
+    cost = _record(lines.line_no, primitive_direction, cx, cy)
+    sx, sy = _numbers(lines, lines.next("start"), "start", 2)
     target = None
     meta = []
-    nxt = lines.peek()
-    if nxt is not None and nxt.split()[:1] == ["target"]:
-        tx, ty = _rationals(lines, lines.next("target"), "target", 2)
+    if (lines.peek() or "").split()[:1] == ["target"]:
+        tx, ty = _numbers(lines, lines.next("target"), "target", 2)
         target = Point2(tx, ty)
-        nxt = lines.peek()
-    while nxt is not None:
+    while lines.peek() is not None:
         line = lines.next("meta")
         parts = line.split(" ", 2)
         if parts[0] != "meta" or len(parts) < 2:
             raise ParseError(lines.line_no, f"expected 'meta <key> [value]', got {line!r}")
         meta.append((parts[1], parts[2] if len(parts) == 3 else ""))
-        nxt = lines.peek()
-    lines.done()
-    try:
-        polygon = HPolygon(tuple(rows))
-    except ValueError as exc:
-        raise ParseError(3, f"bad polygon: {exc}") from None
     return InstanceFile(
-        polygon=polygon,
+        polygon=_record(rows_at, HPolygon, tuple(rows), prefix="bad polygon: "),
         cost=cost,
         start=Point2(sx, sy),
         target=target,
@@ -158,22 +164,62 @@ def read_walk(text: str) -> Walk:
     lines = _Lines(text)
     if lines.next("header").strip() != "cww 1":
         raise ParseError(lines.line_no, "not a 'cww 1' file")
-    n = _int_header(lines, "points")
-    if n < 1:
-        raise ParseError(lines.line_no, "a walk has at least one point")
+    (n,) = _numbers(lines, lines.next("'points <n>'"), "points", 1, _count)
+    points_at = lines.line_no
     points = []
     for _ in range(n):
-        x, y = _rationals(lines, lines.next("point"), "", 2)
+        x, y = _numbers(lines, lines.next("point"), "", 2)
         points.append(Point2(x, y))
     steps = []
     for _ in range(n - 1):
-        line = lines.next("step")
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "step":
-            raise ParseError(lines.line_no, f"expected 'step <dx> <dy>', got {line!r}")
-        try:
-            steps.append(Direction2(int(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise ParseError(lines.line_no, str(exc)) from None
+        dx, dy = _numbers(lines, lines.next("step"), "step", 2, int)
+        steps.append(_record(lines.line_no, Direction2, dx, dy))
     lines.done()
-    return Walk(tuple(points), tuple(steps))
+    return _record(points_at, Walk, tuple(points), tuple(steps))
+
+
+def write_essr(inst: SubsetSumInstance) -> str:
+    return (
+        "essr 1\n"
+        f"n {inst.n}\n"
+        f"a {' '.join(str(w) for w in inst.a)}\n"
+        f"S {inst.S}\n"
+        f"k {inst.k}\n"
+    )
+
+
+def read_essr(text: str) -> SubsetSumInstance:
+    """The header, then the lines 'n', 'a', 'S' and 'k' once each, in any order."""
+    lines = _Lines(text)
+    if lines.next("header").strip() != "essr 1":
+        raise ParseError(lines.line_no, "not an 'essr 1' file")
+    fields = {}
+    for _ in range(4):
+        line = lines.next("'n', 'a', 'S' or 'k' line")
+        key = line.split()[0]
+        if key not in ("n", "a", "S", "k") or key in fields:
+            raise ParseError(lines.line_no, f"expected each of n, a, S, k once, got {line!r}")
+        values = _numbers(lines, line, key, None if key == "a" else 1, int)
+        fields[key] = (lines.line_no, values)
+    lines.done()
+    (_, (n,)), (a_at, a), (S_at, (S,)), (k_at, (k,)) = (fields[key] for key in "naSk")
+    if len(a) != n:
+        raise ParseError(a_at, f"'a' lists {len(a)} weights, 'n' says {n}")
+    # Build field by field, so each check fails at its own line; S = k = 1 are valid.
+    _record(a_at, SubsetSumInstance, tuple(a), 1, 1)
+    _record(S_at, SubsetSumInstance, tuple(a), S, 1)
+    return _record(k_at, SubsetSumInstance, tuple(a), S, k)
+
+
+def read_three_dm(text: str) -> ThreeDMInstance:
+    """The header, 'n <elements>', then one 'i j h' triple per line; blank lines skipped."""
+    lines = _Lines(text)
+    lines.numbered = [(no, line) for no, line in lines.numbered if line.strip()]
+    if lines.next("header").strip() != "3dm 1":
+        raise ParseError(lines.line_no, "not a '3dm 1' file")
+    (n,) = _numbers(lines, lines.next("'n <elements>'"), "n", 1, int)
+    n_at = lines.line_no
+    triples = []
+    while lines.peek() is not None:
+        triples.append(tuple(_numbers(lines, lines.next("triple"), "", 3, int)))
+    return _record(n_at, ThreeDMInstance, n, tuple(triples))

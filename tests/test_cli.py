@@ -2,9 +2,17 @@ from dataclasses import replace
 
 import pytest
 
-from circuitwalks.cli import main, read_essr, write_essr
+from circuitwalks.cli import main
 from circuitwalks.constructions import SubsetSumInstance
-from circuitwalks.formats import ParseError, read_instance, read_walk, write_instance, write_walk
+from circuitwalks.formats import (
+    ParseError,
+    read_essr,
+    read_instance,
+    read_walk,
+    write_essr,
+    write_instance,
+    write_walk,
+)
 from circuitwalks.search import Walk
 
 
