@@ -15,11 +15,11 @@ cross-multiplying, and the moved state costs one gcd.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_vertices
-from .ratgeo import Direction2, Point2, Rat, primitive_direction, rat
+from .ratgeo import Direction2, Point2, Rat, dehomogenize, homogeneous, primitive_direction, rat
 
 __all__ = [
     "NotACircuit",
@@ -30,8 +30,6 @@ __all__ = [
     "INFEASIBLE",
     "CircuitSet",
     "enumerate_circuits",
-    "homogeneous",
-    "dehomogenize",
     "blocking_rows",
     "maximal_moves",
     "maximal_step",
@@ -104,18 +102,6 @@ def enumerate_circuits(h: HPolygon) -> CircuitSet:
     """All circuit directions of the polygon: one per edge slope."""
     dirs = {primitive_direction(-a2, a1).canonical() for a1, a2, _ in h.rows}
     return CircuitSet(tuple(sorted(dirs)))
-
-
-def homogeneous(coords) -> tuple[int, ...]:
-    """Rational coordinates as the state (x_1, .., x_d, D) for x/D, D > 0 and gcd 1."""
-    D = lcm(*(q.denominator for q in coords))
-    return tuple(q.numerator * (D // q.denominator) for q in coords) + (D,)
-
-
-def dehomogenize(state) -> tuple[Rat, ...]:
-    """Rational coordinates of the state (x_1, .., x_d, D)."""
-    D = state[-1]
-    return tuple(rat(x, D) for x in state[:-1])
 
 
 def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:

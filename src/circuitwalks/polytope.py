@@ -4,6 +4,13 @@ H-form stores rows a1*x + a2*y <= b as primitive integer triples: each row is
 scaled by a positive rational until gcd(|a1|, |a2|, |b|) == 1.  V-form stores
 vertices counterclockwise starting at the lexicographic minimum.  Conversions
 are exact in both directions; nothing here ever touches a float.
+
+Every sign test in building a polygon runs on integers.  A point is the
+homogeneous triple (X, Y, D) for (X/D, Y/D), with D > 0 and gcd 1, so equal
+points are equal triples: two rows meet at one such triple, it lies inside a
+row (e1, e2, f) when e1*X + e2*Y <= f*D, and three points turn
+counterclockwise when the 3x3 determinant of their triples is positive.
+Rationals are built only for the vertices that are kept.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .ratgeo import AffineMap2, Point2, Rat, rat
+from .ratgeo import AffineMap2, Point2, Rat, dehomogenize, homogeneous
 
 __all__ = [
     "DegenerateHull",
@@ -63,8 +70,22 @@ def canonical_row(a1: Rat, a2: Rat, b: Rat) -> tuple[int, int, int]:
     return (int(n1 // g), int(n2 // g), int(nb // g))
 
 
-def _cross(ox: Rat, oy: Rat, ax: Rat, ay: Rat, bx: Rat, by: Rat) -> Rat:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+def _orientation(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
+    """Determinant of the homogeneous points (x, y, w), w > 0, as rows.
+
+    Positive exactly when p, q, r turn counterclockwise, zero when collinear.
+    """
+    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p, q, r
+    return px * (qy * rw - qw * ry) - py * (qx * rw - qw * rx) + pw * (qx * ry - qy * rx)
+
+
+def _lex_order(p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
+    """Compare the points of two homogeneous triples by (x, y)."""
+    for i in (0, 1):
+        d = p[i] * q[2] - q[i] * p[2]
+        if d:
+            return -1 if d < 0 else 1
+    return 0
 
 
 def _sorted_by_angle(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -96,31 +117,33 @@ def _normals_positively_span(rows: tuple[tuple[int, int, int], ...]) -> bool:
     return True
 
 
-def _feasible_intersections(rows: tuple[tuple[int, int, int], ...]) -> list[Point2]:
-    pts: set[Point2] = set()
-    for i in range(len(rows)):
-        a1, a2, b = rows[i]
-        for j in range(i + 1, len(rows)):
-            c1, c2, d = rows[j]
+def _feasible_intersections(rows: tuple[tuple[int, int, int], ...]) -> set[tuple[int, int, int]]:
+    """Canonical homogeneous triples of the pairwise row intersections inside every row."""
+    pts: set[tuple[int, int, int]] = set()
+    for i, (a1, a2, b) in enumerate(rows):
+        for c1, c2, d in rows[i + 1:]:
             det = a1 * c2 - a2 * c1
             if det == 0:
                 continue
-            x = rat(b * c2 - d * a2, det)
-            y = rat(a1 * d - c1 * b, det)
-            if all(e1 * x + e2 * y <= f for e1, e2, f in rows):
-                pts.add(Point2(x, y))
-    return list(pts)
+            x = b * c2 - d * a2
+            y = a1 * d - c1 * b
+            if det < 0:
+                x, y, det = -x, -y, -det
+            if all(e1 * x + e2 * y <= f * det for e1, e2, f in rows):
+                g = gcd(x, y, det)
+                pts.add((x // g, y // g, det // g))
+    return pts
 
 
 def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
     """Vertex polygon of a canonical row system; raises UnboundedOrEmpty."""
     if not _normals_positively_span(rows):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
-    pts = _feasible_intersections(rows)
     try:
-        return hull2d(pts)
+        hull = _hull_of_triples(_feasible_intersections(rows))
     except DegenerateHull:
         raise UnboundedOrEmpty("feasible region is empty or not full-dimensional") from None
+    return VPolygon(tuple(Point2(*dehomogenize(t)) for t in hull))
 
 
 @dataclass(frozen=True)
@@ -174,32 +197,28 @@ class VPolygon:
         v = self.vertices
         if len(v) < 3:
             raise DegenerateHull("a polygon needs at least three vertices")
-        n = len(v)
-        for i in range(n):
-            o, a, b = v[i], v[(i + 1) % n], v[(i + 2) % n]
-            if _cross(o.x, o.y, a.x, a.y, b.x, b.y) <= 0:
-                raise ValueError("vertices not in strictly convex ccw order")
+        t = [homogeneous((p.x, p.y)) for p in v]
+        if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))):
+            raise ValueError("vertices not in strictly convex ccw order")
         if v[0] != min(v):
             raise ValueError("vertex list must start at the lexicographic minimum")
 
 
-def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
-    """Convex hull by monotone chain; collinear points are dropped.
+def _hull_of_triples(points) -> list[tuple[int, int, int]]:
+    """Monotone chain over distinct canonical homogeneous triples.
 
-    Raises DegenerateHull when fewer than three distinct points remain or all
-    of them lie on one line.
+    Returns the hull's corners counterclockwise from the lexicographic
+    minimum; collinear points are dropped.  Raises DegenerateHull when fewer
+    than three points remain or all of them lie on one line.
     """
-    pts = sorted(set(points))
+    pts = sorted(points, key=functools.cmp_to_key(_lex_order))
     if len(pts) < 3:
         raise DegenerateHull("need at least three distinct points")
 
-    def build(seq: list[Point2]) -> list[Point2]:
-        chain: list[Point2] = []
+    def build(seq: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        chain: list[tuple[int, int, int]] = []
         for p in seq:
-            while (
-                len(chain) >= 2
-                and _cross(chain[-2].x, chain[-2].y, chain[-1].x, chain[-1].y, p.x, p.y) <= 0
-            ):
+            while len(chain) >= 2 and _orientation(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         return chain
@@ -209,7 +228,18 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateHull("all points collinear")
-    return VPolygon(tuple(hull))
+    return hull
+
+
+def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
+    """Convex hull by monotone chain; collinear points are dropped.
+
+    Raises DegenerateHull when fewer than three distinct points remain or all
+    of them lie on one line.
+    """
+    # reversed: of equal points the first one given is kept
+    by_triple = {homogeneous((p.x, p.y)): p for p in reversed(points)}
+    return VPolygon(tuple(by_triple[t] for t in _hull_of_triples(by_triple)))
 
 
 def v_to_h(v: VPolygon) -> HPolygon:

@@ -30,6 +30,8 @@ __all__ = [
     "Point2",
     "Direction2",
     "primitive_direction",
+    "homogeneous",
+    "dehomogenize",
     "AffineMap2",
     "SingularMap",
     "pullback_cost",
@@ -135,6 +137,18 @@ def primitive_direction(rx: Rat, ry: Rat) -> Direction2:
     ny = ry.numerator * (m // ry.denominator)
     g = gcd(nx, ny)
     return Direction2(int(nx // g), int(ny // g))
+
+
+def homogeneous(coords) -> tuple[int, ...]:
+    """Rational coordinates as the state (x_1, .., x_d, D) for x/D, D > 0 and gcd 1."""
+    D = lcm(*(q.denominator for q in coords))
+    return tuple(q.numerator * (D // q.denominator) for q in coords) + (D,)
+
+
+def dehomogenize(state) -> tuple[Rat, ...]:
+    """Rational coordinates of the state (x_1, .., x_d, D)."""
+    D = state[-1]
+    return tuple(rat(x, D) for x in state[:-1])
 
 
 class SingularMap(ValueError):

@@ -9,6 +9,15 @@ row's slack once per state, and a move is one integer min-ratio test plus one
 gcd.  The goal test is an integer comparison, and points are only built for
 the returned walk.  The walk validator runs on the same kernel.
 
+The last layer is not expanded when the optimum is a unique vertex t: a
+maximal move from p along a monotone circuit g ends at t exactly when t - p is
+a positive multiple of g (a longer step would raise c above its maximum), so
+each state costs one subtraction, one gcd and one lookup, and the first hit in
+frontier order is the walk the expansion would return.  This runs only while
+len(parent) + len(frontier) * len(moves) <= node_cap, so the cap trips exactly
+where it would have; otherwise, or when the optimum is a face, the layer is
+expanded like the others.
+
 The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
 lexicographically smallest sequence of step directions; reruns and backends
@@ -18,6 +27,7 @@ cannot change the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Union
 
@@ -25,10 +35,8 @@ from .circuits import (
     AmbiguousOptimum,
     NotAVertex,
     blocking_rows,
-    dehomogenize,
     enumerate_circuits,
     enumerate_lifted_circuits,
-    homogeneous,
     lifted_optimal_value,
     maximal_moves,
     maximal_step,
@@ -40,7 +48,7 @@ from .circuits import (
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import lifted_max_step, lifted_move, max_step  # noqa: F401
 from .polytope import HPolygon, LiftedPolytope, h_to_v
-from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction
+from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
     "Walk",
@@ -157,14 +165,26 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     _, vector, monotone, cost, optimum = _circuits(h, c)
     rows = h.inequality_rows()
     moves = tuple((g, vector(g), blocking_rows(rows, vector(g))) for g in monotone)
+    opt, argmax = optimum(h, c)
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
-    goal = homogeneous(cost + (-optimum(h, c)[0],))[:-1]
+    goal = homogeneous(cost + (-opt,))[:-1]
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
+    target = homogeneous(h.coordinates(argmax[0])) if len(argmax) == 1 else None
     parent: dict = {root: None}
     frontier = [root]
     for depth in range(cfg.max_depth):
+        if (
+            target is not None
+            and depth == cfg.max_depth - 1
+            and len(parent) + len(frontier) * len(moves) <= cfg.node_cap
+        ):
+            hit = _last_step(frontier, target, {vec: g for g, vec, _ in moves})
+            if hit is None:
+                break
+            parent[target] = hit
+            return Found(_reconstruct(h, parent, s, target))
         nxt = []
         for p in frontier:
             for g, _, _, q in maximal_moves(rows, p, moves):
@@ -180,6 +200,24 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
             break
         frontier = nxt
     return NotFoundWithinDepth(cfg.max_depth)
+
+
+def _last_step(frontier, target, label):
+    """First (p, g) in frontier order whose maximal move along g ends at target.
+
+    target is the unique c-maximal vertex and label maps each monotone vector
+    to its direction; the move ends at target exactly when target - p is a
+    positive multiple of g.  None when no state of the frontier has one.
+    """
+    *t, T = target
+    for p in frontier:
+        *x, D = p
+        diff = [ti * D - xi * T for ti, xi in zip(t, x)]
+        k = gcd(*diff)
+        g = label.get(tuple([v // k for v in diff]))
+        if g is not None:
+            return p, g
+    return None
 
 
 def _reconstruct(h, parent: dict, s, goal) -> Walk:

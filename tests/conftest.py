@@ -8,7 +8,10 @@ import pytest
 from circuitwalks.polytope import (
     DegenerateHull,
     LiftedPolytope,
+    UnboundedOrEmpty,
     VPolygon,
+    _normals_positively_span,
+    canonical_row,
     hull2d,
     lifted_vertices,
     v_to_h,
@@ -105,3 +108,94 @@ def facet_incidences(lp: LiftedPolytope) -> list[frozenset[int]]:
         if spans == lp.dim - 1:
             facets.append(frozenset(tight))
     return facets
+
+
+# -- polygon construction over Fractions: the reference for the integer one ----
+
+
+def _cross(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def reference_feasible_intersections(rows) -> list[Point2]:
+    """Pairwise row intersections inside every row, as Fraction points."""
+    pts = set()
+    for i in range(len(rows)):
+        a1, a2, b = rows[i]
+        for j in range(i + 1, len(rows)):
+            c1, c2, d = rows[j]
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            x = rat(b * c2 - d * a2, det)
+            y = rat(a1 * d - c1 * b, det)
+            if all(e1 * x + e2 * y <= f for e1, e2, f in rows):
+                pts.add(Point2(x, y))
+    return list(pts)
+
+
+def reference_check_vertices(v) -> None:
+    """The VPolygon validation, by Fraction cross products."""
+    if len(v) < 3:
+        raise DegenerateHull("a polygon needs at least three vertices")
+    n = len(v)
+    for i in range(n):
+        o, a, b = v[i], v[(i + 1) % n], v[(i + 2) % n]
+        if _cross(o.x, o.y, a.x, a.y, b.x, b.y) <= 0:
+            raise ValueError("vertices not in strictly convex ccw order")
+    if v[0] != min(v):
+        raise ValueError("vertex list must start at the lexicographic minimum")
+
+
+def reference_hull2d(points) -> tuple[Point2, ...]:
+    """Vertex tuple of hull2d, by monotone chain over Fraction points."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        raise DegenerateHull("need at least three distinct points")
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while (
+                len(chain) >= 2
+                and _cross(chain[-2].x, chain[-2].y, chain[-1].x, chain[-1].y, p.x, p.y) <= 0
+            ):
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise DegenerateHull("all points collinear")
+    reference_check_vertices(hull)
+    return tuple(hull)
+
+
+def _reference_hull_of_rows(rows) -> tuple[Point2, ...]:
+    if not _normals_positively_span(rows):
+        raise UnboundedOrEmpty("row normals do not positively span the plane")
+    try:
+        return reference_hull2d(reference_feasible_intersections(rows))
+    except DegenerateHull:
+        raise UnboundedOrEmpty("feasible region is empty or not full-dimensional") from None
+
+
+def reference_hpolygon(rows) -> tuple[Point2, ...]:
+    """Vertex tuple of HPolygon(rows), raising what its constructor raises."""
+    rows = tuple(canonical_row(*r) for r in rows)
+    if len(rows) < 3:
+        raise UnboundedOrEmpty("a polygon needs at least three rows")
+    if len(set(rows)) != len(rows):
+        raise ValueError("duplicate halfplane rows")
+    hull = _reference_hull_of_rows(rows)
+    if len(hull) != len(rows):
+        raise ValueError("redundant row; use remove_redundant first")
+    return hull
+
+
+def reference_remove_redundant(rows) -> tuple[Point2, ...]:
+    """Vertex tuple of remove_redundant(rows), raising what it raises."""
+    canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
+    if len(canon) < 3:
+        raise UnboundedOrEmpty("a polygon needs at least three rows")
+    return _reference_hull_of_rows(canon)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitwalks.polytope import (
@@ -23,7 +23,15 @@ from circuitwalks.polytope import (
 )
 from circuitwalks.ratgeo import Point2, rat
 
-from conftest import facet_incidences, random_hpolygon, random_hull
+from conftest import (
+    facet_incidences,
+    random_hpolygon,
+    random_hull,
+    reference_check_vertices,
+    reference_hpolygon,
+    reference_hull2d,
+    reference_remove_redundant,
+)
 
 
 def P(x, y):
@@ -157,6 +165,93 @@ class TestHPolygon:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             HPolygon(((-1, 0, 0), (1, 0, 1)))
+
+
+def _outcome(f, arg):
+    """("ok", result) or (exception type, message) of f(arg)."""
+    try:
+        return ("ok", f(arg))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def row_soups(draw):
+    """Rows of a box, possibly empty or a segment, cut by small random rows
+    near its centre, plus rows derived from those: scaled copies (duplicates
+    once canonical), parallel shifts, opposite rows (a line or an empty strip
+    with the row) and sums of two rows (redundant, and tight where they meet)."""
+    x0, y0 = draw(st.integers(-3, 1)), draw(st.integers(-3, 1))
+    x1 = x0 + draw(st.sampled_from([-1, 0, 1, 2, 2, 3, 3, 3]))
+    y1 = y0 + draw(st.integers(1, 3))
+    box = [(1, 0, x1), (-1, 0, -x0), (0, 1, y1), (0, -1, -y0)]
+    cx, cy = rat(x0 + x1, 2), rat(y0 + y1, 2)
+    small = st.integers(-4, 4)
+    cuts = [
+        (a1, a2, a1 * cx + a2 * cy + rat(draw(st.integers(-2, 6)), 2))
+        for a1, a2 in draw(st.lists(st.tuples(small, small), max_size=4))
+    ]
+    rows = draw(st.sampled_from([box, box, box, box[:3]])) + cuts
+    soup = list(rows)
+    for i, (a1, a2, b) in enumerate(rows):
+        kind = draw(st.sampled_from(["none"] * 4 + ["scaled", "parallel", "opposite", "sum"]))
+        if kind == "scaled":
+            k = rat(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+            soup.append((k * a1, k * a2, k * b))
+        elif kind == "parallel":
+            soup.append((a1, a2, b + draw(st.integers(1, 3))))
+        elif kind == "opposite":
+            soup.append((-a1, -a2, -b + draw(st.integers(-1, 1))))
+        elif kind == "sum":
+            c1, c2, d = rows[(i + 1) % len(rows)]
+            soup.append((a1 + c1, a2 + c2, b + d))
+    return draw(st.permutations(soup))
+
+
+def _intersections(rows):
+    """Every pairwise intersection of the rows, inside them or not."""
+    pts = []
+    for i, (a1, a2, b) in enumerate(rows):
+        for c1, c2, d in rows[i + 1:]:
+            det = a1 * c2 - a2 * c1
+            if det:
+                pts.append(P(rat(b * c2 - d * a2, det), rat(a1 * d - c1 * b, det)))
+    return pts
+
+
+class TestIntegerConstruction:
+    """Polygon construction on integer triples against the Fraction reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_soups())
+    @example([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 0)])  # a segment
+    @example([(1, 0, 0), (-1, 0, -1), (0, 1, 1), (0, -1, 0)])  # empty
+    @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0), (1, 1, 2)])  # tight, redundant
+    @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (1, 1, 5)])  # unbounded
+    def test_same_vertices_or_same_error(self, rows):
+        assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
+            reference_hpolygon, rows
+        )
+        minimal = _outcome(reference_remove_redundant, rows)
+        assert _outcome(lambda r: h_to_v(remove_redundant(r)).vertices, rows) == minimal
+        points = _intersections([r for r in rows if r[0] or r[1]])
+        assert _outcome(lambda p: hull2d(p).vertices, points) == _outcome(
+            reference_hull2d, points
+        )
+        if minimal[0] != "ok":
+            return
+        edges = remove_redundant(rows).rows
+        (a1, a2, b), (c1, c2, d) = edges[:2]
+        for soup in (edges, edges[::-1], edges + ((a1 + c1, a2 + c2, b + d),)):
+            assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, soup) == _outcome(
+                reference_hpolygon, soup
+            )
+        v = minimal[1]
+        first_mid = P((v[0].x + v[1].x) / 2, (v[0].y + v[1].y) / 2)
+        for verts in (v, v[::-1], v[1:] + v[:1], v[:1] + (first_mid,) + v[1:]):
+            assert _outcome(lambda t: VPolygon(t).vertices, verts) == _outcome(
+                lambda t: (reference_check_vertices(t), t)[1], verts
+            )
 
 
 class TestLifting:

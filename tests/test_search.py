@@ -452,6 +452,77 @@ class TestDifferential:
         assert kinds == {"base", "axis", "diff"}
 
 
+def _last_layer(h, s, c, depth):
+    """States discovered before the last of `depth` layers of the rational
+    reference search, its frontier, and the states discovered after it."""
+    rows, dirs, _, _, coords, _ = _rational_problem(h, c)
+    seen = {coords(s)}
+    frontier = [coords(s)]
+    for _ in range(depth):
+        before, last = len(seen), len(frontier)
+        nxt = []
+        for x in frontier:
+            for _, vec in dirs:
+                lam = _rational_step(rows, x, vec)
+                y = tuple(xi + lam * gi for xi, gi in zip(x, vec))
+                if lam > 0 and y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return before, last, len(seen)
+
+
+class TestLastLayer:
+    """The last layer is checked by cross product only when the optimum is a
+    unique vertex and expanding the layer could not trip the node cap."""
+
+    def test_node_cap_around_the_guard(self):
+        tripped = set()
+        for ell in (3, 4):
+            art = build_p_ell(ell)
+            moves = len(monotone_directions(enumerate_circuits(art.h), art.c0))
+            for start in (art.u, art.w):
+                for depth in (ell - 1, ell):
+                    before, frontier, after = _last_layer(art.h, start, art.c0, depth)
+                    guard = before + frontier * moves
+                    for cap in (before, after - 1, guard - 1, guard, guard + 1):
+                        r = assert_same_search(art.h, start, art.c0, SearchConfig(depth, cap))
+                        if isinstance(r, NodeCapExceeded):
+                            tripped.add(r.completed_depth == depth - 1)
+        assert tripped == {True}
+
+    def test_cost_parallel_to_top_edge(self):
+        rng = random.Random(6061)
+        for _ in range(40):
+            ring = random_hull(rng, max_points=8, bound=30)
+            h = v_to_h(ring)
+            a1, a2, _ = rng.choice(h.rows)
+            c = primitive_direction(a1, a2)  # the outward normal: c is maximal on that edge
+            assert len(optimal_value(h, c)[1]) == 2
+            for start in ring.vertices:
+                for depth in range(len(ring.vertices)):
+                    assert_same_search(h, start, c, SearchConfig(depth))
+
+    def test_random_lift_with_a_face_optimum(self):
+        rng = random.Random(7331)
+        found = 0
+        for _ in range(40):
+            h = v_to_h(random_hull(rng, max_points=6, bound=20))
+            e = rng.randint(2, 4)
+            lp = product_with_simplex(h, e + 2)
+            w = rat(rng.randint(1, 5), rng.randint(2, 7))
+            c = LiftedCost(
+                primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
+                (w, w) + tuple(rat(-rng.randint(1, 3), 3) for _ in range(e - 2)),
+            )
+            assert len(lifted_optimal_value(lp, c)[1]) > 1
+            base = rng.choice(h_to_v(h).vertices)
+            s = LiftedPoint(base, tuple(rat(1, e + 1) for _ in range(e)))
+            for depth in range(4):
+                found += isinstance(assert_same_search(lp, s, c, SearchConfig(depth)), Found)
+        assert found
+
+
 class TestMaxStepReference:
     def test_matches_rational_min_ratio(self):
         rng = random.Random(916)
