@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 from operator import mul
 
-from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, lifted_vertices
+from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, simplex_vertices
 from .ratgeo import Direction2, Point2, Rat, dehomogenize, homogeneous, primitive_direction, rat
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "lifted_max_step",
     "lifted_move",
     "monotone_lifted_directions",
-    "lifted_value",
     "lifted_optimal_value",
 ]
 
@@ -312,13 +311,6 @@ class LiftedCost:
     simplex: tuple[Rat, ...]
 
 
-def lifted_value(c: LiftedCost, p: LiftedPoint) -> Rat:
-    v = c.base.dx * p.base.x + c.base.dy * p.base.y
-    for w, y in zip(c.simplex, p.simplex):
-        v += w * y
-    return v
-
-
 def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
     """Canonical circuits of the product: base slopes, axes, axis differences."""
     out = [LiftedCircuit("base", g=g) for g in enumerate_circuits(lp.base)]
@@ -366,8 +358,17 @@ def monotone_lifted_directions(
 
 
 def lifted_optimal_value(lp: LiftedPolytope, c: LiftedCost) -> tuple[Rat, tuple[LiftedPoint, ...]]:
-    """Maximum of c over the product and the vertices attaining it."""
-    verts = lifted_vertices(lp)
-    vals = [lifted_value(c, v) for v in verts]
-    best = max(vals)
-    return best, tuple(v for v, val in zip(verts, vals) if val == best)
+    """Maximum of c over the product and the vertices attaining it.
+
+    The cost is separable over the product, so its maximum is the base
+    optimum plus the largest simplex weight, where the apex 0 weighs 0.  The
+    maximal vertices are the base's maximal vertices times the simplex's,
+    listed in lifted_vertices order: base vertex first, then simplex vertex.
+    """
+    best, base = optimal_value(lp.base, c.base)
+    e = lp.extra_dims
+    # weights of the simplex vertices 0, e_1, .., e_extra; a missing w_i is 0
+    weights = (0,) + c.simplex[:e] + (0,) * (e - len(c.simplex))
+    top = max(weights)
+    corners = [s for s, w in zip(simplex_vertices(e), weights) if w == top]
+    return best + top, tuple(LiftedPoint(v, s) for v in base for s in corners)

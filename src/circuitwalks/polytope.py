@@ -11,6 +11,10 @@ points are equal triples: two rows meet at one such triple, it lies inside a
 row (e1, e2, f) when e1*X + e2*Y <= f*D, and three points turn
 counterclockwise when the 3x3 determinant of their triples is positive.
 Rationals are built only for the vertices that are kept.
+
+Containment is an integer test too, in any dimension: a point becomes its
+homogeneous state (x, D), and it lies in the polytope when a.x <= b*D for
+every row (a, b).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .ratgeo import AffineMap2, Point2, Rat, dehomogenize, homogeneous
 
@@ -106,8 +111,16 @@ def _sorted_by_angle(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _normals_positively_span(rows: tuple[tuple[int, int, int], ...]) -> bool:
-    """True iff the region has no recession direction, i.e. is bounded."""
-    dirs = _sorted_by_angle(list({(a1, a2) for a1, a2, _ in rows}))
+    """True iff the region has no recession direction, i.e. is bounded.
+
+    Normals are reduced to primitive directions first, so parallel rows of
+    different scale (x <= 1 and 2x <= 3) count as one direction.
+    """
+    primitive = set()
+    for a1, a2, _ in rows:
+        g = gcd(a1, a2)
+        primitive.add((a1 // g, a2 // g))
+    dirs = _sorted_by_angle(list(primitive))
     if len(dirs) < 3:
         return False
     for i, a in enumerate(dirs):
@@ -146,6 +159,12 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
     return VPolygon(tuple(Point2(*dehomogenize(t)) for t in hull))
 
 
+def _contains(rows, coords) -> bool:
+    """True when a.x <= b*D for every row (a, b), with (x, D) the coordinates' state."""
+    *x, D = homogeneous(coords)
+    return all(sum(map(mul, a, x)) <= b * D for a, b in rows)
+
+
 @dataclass(frozen=True)
 class HPolygon:
     """Bounded full-dimensional polygon as a minimal halfplane system.
@@ -174,7 +193,7 @@ class HPolygon:
         return len(self.rows)
 
     def contains(self, p: Point2) -> bool:
-        return all(a1 * p.x + a2 * p.y <= b for a1, a2, b in self.rows)
+        return _contains(self.inequality_rows(), self.coordinates(p))
 
     def inequality_rows(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """The rows as (coefficients, bound) pairs."""
@@ -381,8 +400,4 @@ def lifted_contains(lp: LiftedPolytope, p: LiftedPoint) -> bool:
         raise BadDimension(
             f"point has {len(p.simplex)} simplex coordinates, polytope has {lp.extra_dims}"
         )
-    if not lp.base.contains(p.base):
-        return False
-    if any(y < 0 for y in p.simplex):
-        return False
-    return sum(p.simplex) <= 1 if p.simplex else True
+    return _contains(lp.inequality_rows(), lp.coordinates(p))

@@ -199,3 +199,22 @@ def reference_remove_redundant(rows) -> tuple[Point2, ...]:
     if len(canon) < 3:
         raise UnboundedOrEmpty("a polygon needs at least three rows")
     return _reference_hull_of_rows(canon)
+
+
+# -- lifted optimum vertex by vertex: the reference for the separable one -------
+
+
+def reference_lifted_optimal_value(lp: LiftedPolytope, c):
+    """Maximum of the lifted cost c over lifted_vertices(lp) and the vertices
+    attaining it, from the cost's value at every vertex of the product."""
+
+    def value(p):
+        v = c.base.dx * p.base.x + c.base.dy * p.base.y
+        for w, y in zip(c.simplex, p.simplex):
+            v += w * y
+        return v
+
+    verts = lifted_vertices(lp)
+    vals = [value(v) for v in verts]
+    best = max(vals)
+    return best, tuple(v for v, val in zip(verts, vals) if val == best)

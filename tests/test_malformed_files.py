@@ -142,6 +142,18 @@ class TestThreeDMFiles:
         assert plain[0] == 0 and spaced == plain
 
 
+class TestInstanceFiles:
+    def test_scaled_parallel_rows_are_2_at_the_rows_line(self, tmp_path, capsys):
+        # x <= 1 beside 2x <= 3 bounds the unit square; the second row is redundant
+        source = tmp_path / "square.cwi"
+        source.write_text(
+            "cwi 1\ndim 2\nrows 5\n1 0 1\n2 0 3\n-1 0 0\n0 1 1\n0 -1 0\ncost 1 1\nstart 0 0\n"
+        )
+        code = main(["solve", str(source), "--max-depth", "1", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and "line 3:" in err and "redundant row" in err
+
+
 ESSR = "essr 1\nn 2\na 2 3\nS 5\nk 2\n"
 
 

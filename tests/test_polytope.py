@@ -8,6 +8,7 @@ from circuitwalks.polytope import (
     BadDimension,
     DegenerateHull,
     HPolygon,
+    LiftedPoint,
     LiftedPolytope,
     UnboundedOrEmpty,
     VPolygon,
@@ -39,6 +40,8 @@ def P(x, y):
 
 
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+# the unit square with x <= 1 written twice, once as 2x <= 3: parallel normals of different scale
+SCALED_PARALLEL = [(1, 0, 1), (2, 0, 3), (-1, 0, 0), (0, 1, 1), (0, -1, 0)]
 
 
 class TestCanonicalRow:
@@ -153,6 +156,11 @@ class TestHPolygon:
         h = remove_redundant(((-1, 0, 0), (1, 1, 1), (1, -1, 1), (1, 0, 5), (2, 2, 2)))
         assert set(h.rows) == {(-1, 0, 0), (1, 1, 1), (1, -1, 1)}
 
+    def test_scaled_parallel_rows_bound_the_square(self):
+        assert h_to_v(remove_redundant(SCALED_PARALLEL)).vertices == SQUARE
+        with pytest.raises(ValueError, match="redundant row"):
+            HPolygon(tuple(SCALED_PARALLEL))
+
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedOrEmpty):
             remove_redundant(((-1, 0, 0), (0, 1, 1), (0, -1, 0)))
@@ -228,6 +236,7 @@ class TestIntegerConstruction:
     @example([(1, 0, 0), (-1, 0, -1), (0, 1, 1), (0, -1, 0)])  # empty
     @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0), (1, 1, 2)])  # tight, redundant
     @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (1, 1, 5)])  # unbounded
+    @example(SCALED_PARALLEL)  # bounded, with parallel rows of different scale
     def test_same_vertices_or_same_error(self, rows):
         assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
             reference_hpolygon, rows
@@ -252,6 +261,75 @@ class TestIntegerConstruction:
             assert _outcome(lambda t: VPolygon(t).vertices, verts) == _outcome(
                 lambda t: (reference_check_vertices(t), t)[1], verts
             )
+
+
+def reference_contains(h, p):
+    """HPolygon.contains by the Fraction formula a1*x + a2*y <= b."""
+    return all(a1 * p.x + a2 * p.y <= b for a1, a2, b in h.rows)
+
+
+def reference_lifted_contains(lp, p):
+    """lifted_contains by Fractions: the base rows, y >= 0 and sum(y) <= 1."""
+    base = reference_contains(lp.base, p.base)
+    return base and all(y >= 0 for y in p.simplex) and sum(p.simplex) <= 1
+
+
+def _midpoint(p, q):
+    return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def _simplex_points(rng, e, tiny):
+    """Points of conv(0, e_1, .., e_e) (a vertex, an edge midpoint, an interior
+    point) and points a tiny step outside it, as coordinate tuples."""
+    if not e:
+        return [()], []
+    y0, y1 = rng.sample(simplex_vertices(e), 2)
+    vertex = tuple(rat(y) for y in y0)
+    midpoint = tuple(rat(a + b, 2) for a, b in zip(y0, y1))
+    inside = [vertex, midpoint, tuple(rat(1, e + 2) for _ in range(e))]
+    outside = []
+    for y in (vertex, midpoint):
+        if 0 in y:
+            j = y.index(0)
+            outside.append(y[:j] + (-tiny,) + y[j + 1:])
+        if sum(y) == 1:
+            outside.append(tuple(t + tiny for t in y))
+    return inside, outside
+
+
+class TestIntegerContainment:
+    """contains() on homogeneous integer states against the Fraction formula."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_polygon_and_lift_points(self, pyrandom):
+        rng = random.Random(pyrandom.randint(0, 2**30))
+        ring = random_hull(rng, max_points=8, bound=40)
+        h = v_to_h(ring)
+        v = ring.vertices
+        n = len(v)
+        tiny = rat(1, 10**12)
+        p, q, r = rng.sample(v, 3)
+        inside = list(v) + [_midpoint(v[i], v[(i + 1) % n]) for i in range(n)] + [
+            Point2((p.x + q.x + r.x) / 3, (p.y + q.y + r.y) / 3)
+        ]
+        outside = []
+        for i, (a1, a2, _) in enumerate(h.rows):
+            # row i is the edge from v[i] to v[i + 1]; step along its outward normal
+            for p in (v[i], _midpoint(v[i], v[(i + 1) % n])):
+                outside.append(Point2(p.x + tiny * a1, p.y + tiny * a2))
+        for points, expected in ((inside, True), (outside, False)):
+            for p in points:
+                assert h.contains(p) == reference_contains(h, p) == expected
+
+        lp = product_with_simplex(h, rng.randint(2, 7))
+        y_in, y_out = _simplex_points(rng, lp.extra_dims, tiny)
+        cases = [(LiftedPoint(p, y), True) for p in inside for y in y_in]
+        cases += [(LiftedPoint(p, y), False) for p in outside for y in y_in]
+        cases += [(LiftedPoint(p, y), False) for p in inside for y in y_out]
+        for p, expected in cases:
+            assert lifted_contains(lp, p) == reference_lifted_contains(lp, p) == expected
+            assert lp.contains(p) == expected
 
 
 class TestLifting:

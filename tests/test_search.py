@@ -40,7 +40,7 @@ from circuitwalks.search import (
     transform_walk,
 )
 
-from conftest import random_hull
+from conftest import random_hull, reference_lifted_optimal_value
 
 
 def P(x, y):
@@ -313,7 +313,7 @@ def _rational_problem(h, c):
             h.inequality_rows(),
             [(g, g.vector(e)) for g in dirs],
             (c.base.dx, c.base.dy) + tuple(c.simplex),
-            lifted_optimal_value(h, c)[0],
+            reference_lifted_optimal_value(h, c)[0],
             lambda p: (p.base.x, p.base.y) + tuple(p.simplex),
             lambda x: LiftedPoint(Point2(x[0], x[1]), x[2:]),
         )
@@ -365,6 +365,9 @@ def reference_walk(h, s, c, cfg):
             break
         frontier = nxt
     return NotFoundWithinDepth(cfg.max_depth)
+
+
+LIFT_WEIGHTS = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
 
 
 def assert_same_search(h, s, c, cfg):
@@ -419,7 +422,6 @@ class TestDifferential:
 
     def test_random_lifts(self):
         rng = random.Random(4242)
-        weights = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
         outcomes = set()
         kinds = set()
         for trial in range(160):
@@ -440,7 +442,7 @@ class TestDifferential:
             ])
             c = LiftedCost(
                 primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
-                tuple(rng.choice(weights) for _ in range(e)),
+                tuple(rng.choice(LIFT_WEIGHTS) for _ in range(e)),
             )
             cap = rng.choice([2, 5, 20]) if trial % 5 == 0 else 3000
             depth = rng.randint(0, 4)
@@ -450,6 +452,52 @@ class TestDifferential:
                 kinds |= {step.kind for step in r.walk.steps}
         assert outcomes == {Found, NotFoundWithinDepth, NodeCapExceeded}
         assert kinds == {"base", "axis", "diff"}
+
+
+def assert_same_optimum(lp, c):
+    got = lifted_optimal_value(lp, c)
+    want = reference_lifted_optimal_value(lp, c)
+    assert got == want and type(got[0]) is type(want[0])
+    return got
+
+
+class TestLiftedOptimum:
+    """The separable optimum against the cost's value at every vertex."""
+
+    def test_family_lifts(self):
+        for ell in range(1, 5):
+            art = build_p_ell(ell)
+            for d in range(2, 9):
+                lp, _, c = lift_instance(art.h, art.u, art.c0, d)
+                assert_same_optimum(lp, c)
+
+    def test_random_lifts(self):
+        rng = random.Random(1729)
+        faces = set()
+        for _ in range(200):
+            h = v_to_h(random_hull(rng, max_points=6, bound=20))
+            lp = product_with_simplex(h, rng.randint(2, 6))
+            a1, a2, _ = rng.choice(h.rows)
+            base = rng.choice([
+                primitive_direction(a1, a2),  # the outward normal: an edge is maximal
+                primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
+            ])
+            # one weight drawn again and again: ties among the simplex vertices
+            w = rng.choice(LIFT_WEIGHTS)
+            simplex = tuple(
+                rng.choice([w, w, rng.choice(LIFT_WEIGHTS)]) for _ in range(lp.extra_dims)
+            )
+            _, argmax = assert_same_optimum(lp, LiftedCost(base, simplex))
+            faces.add((len({v.base for v in argmax}) > 1, len({v.simplex for v in argmax}) > 1))
+        assert faces == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_missing_weights_count_zero(self):
+        # as in the cost's dot product, simplex coordinates past the weights weigh 0
+        h = build_p_ell(2).h
+        for d in range(3, 7):
+            lp = product_with_simplex(h, d)
+            for simplex in ((), (rat(-1),), (rat(1, 2), rat(-3))):
+                assert_same_optimum(lp, LiftedCost(Direction2(1, 0), simplex))
 
 
 def _last_layer(h, s, c, depth):
