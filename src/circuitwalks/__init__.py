@@ -1,13 +1,10 @@
 """Exact rational toolkit for monotone circuit walks on polygons.
 
 The interesting objects live in the submodules; this namespace re-exports
-the pieces most scripts want. Both result families named ``Infeasible``
-(the zero-length move sentinel in :mod:`circuitwalks.circuits` and the
-exact-sum search outcome in :mod:`circuitwalks.constructions`) stay in
-their own modules to avoid shadowing each other.
+the pieces most scripts want.
 """
 
-from .ratgeo import BACKEND, AffineMap2, Direction2, Point2, primitive_direction, rat
+from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
 from .polytope import HPolygon, LiftedPolytope, VPolygon, h_to_v, v_to_h
 from .circuits import CircuitSet, enumerate_circuits, monotone_directions
 from .search import (
@@ -37,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap2",
-    "BACKEND",
     "CircuitSet",
     "Direction2",
     "Found",

@@ -15,19 +15,25 @@ cross-multiplying, and the moved state costs one gcd.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .polytope import HPolygon, LiftedPoint, LiftedPolytope, h_to_v, simplex_vertices
-from .ratgeo import Direction2, Point2, Rat, dehomogenize, homogeneous, primitive_direction, rat
+from .polytope import (
+    BadDimension,
+    HPolygon,
+    LiftedPoint,
+    LiftedPolytope,
+    h_to_v,
+    simplex_vertices,
+)
+from .ratgeo import Direction2, Point2, dehomogenize, homogeneous, primitive_direction, rat
 
 __all__ = [
     "NotACircuit",
     "NotAVertex",
     "AmbiguousOptimum",
     "UnboundedDirection",
-    "Infeasible",
-    "INFEASIBLE",
     "CircuitSet",
     "enumerate_circuits",
     "blocking_rows",
@@ -40,6 +46,7 @@ __all__ = [
     "monotone_edge_walk",
     "LiftedCircuit",
     "LiftedCost",
+    "check_lifted_cost",
     "enumerate_lifted_circuits",
     "lifted_max_step",
     "lifted_move",
@@ -62,19 +69,6 @@ class AmbiguousOptimum(ValueError):
 
 class UnboundedDirection(ValueError):
     """No row blocks the direction, so the maximal step does not exist."""
-
-
-class Infeasible:
-    """Result of a circuit move whose maximal step length is zero."""
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
-
-
-INFEASIBLE = Infeasible()
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ def maximal_moves(rows, state, moves):
         yield label, slack, ag, tuple([v // k for v in moved])
 
 
-def maximal_step(rows, coords, g) -> tuple[Rat, tuple[Rat, ...] | None]:
+def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None]:
     """Length and end coordinates of the maximal move from a point along g.
 
     rows are (a, b) pairs of a bounded polytope containing the point; the end
@@ -159,7 +153,7 @@ def maximal_step(rows, coords, g) -> tuple[Rat, tuple[Rat, ...] | None]:
     return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
-def max_step(h: HPolygon, p: Point2, g: Direction2) -> Rat:
+def max_step(h: HPolygon, p: Point2, g: Direction2) -> Fraction:
     """Largest lam >= 0 with p + lam*g still inside h.  Requires p inside h.
 
     Raises UnboundedDirection when no row blocks g (impossible for a valid
@@ -168,12 +162,12 @@ def max_step(h: HPolygon, p: Point2, g: Direction2) -> Rat:
     return maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[0]
 
 
-def circuit_move(h: HPolygon, p: Point2, g: Direction2) -> Point2 | Infeasible:
-    """Maximal move from p along circuit g; INFEASIBLE when it has length zero."""
+def circuit_move(h: HPolygon, p: Point2, g: Direction2) -> Point2 | None:
+    """Maximal move from p along circuit g; None when it has length zero."""
     if g not in enumerate_circuits(h):
         raise NotACircuit(f"({g.dx}, {g.dy}) is not parallel to any edge")
     end = maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[1]
-    return INFEASIBLE if end is None else h.point(end)
+    return None if end is None else h.point(end)
 
 
 def monotone_directions(cs: CircuitSet, c) -> tuple[Direction2, ...]:
@@ -193,7 +187,7 @@ def monotone_directions(cs: CircuitSet, c) -> tuple[Direction2, ...]:
     return tuple(sorted(out))
 
 
-def optimal_value(h: HPolygon, c: Direction2) -> tuple[Rat, tuple[Point2, ...]]:
+def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, ...]]:
     """Maximum of c over h and every vertex attaining it, in boundary order."""
     verts = h_to_v(h).vertices
     vals = [c.dx * v.x + c.dy * v.y for v in verts]
@@ -305,10 +299,18 @@ class LiftedCircuit:
 
 @dataclass(frozen=True)
 class LiftedCost:
-    """Linear cost on a lifted polytope: planar part plus simplex weights."""
+    """Linear cost on a lifted polytope: planar part plus one weight per simplex coordinate."""
 
     base: Direction2
-    simplex: tuple[Rat, ...]
+    simplex: tuple[Fraction, ...]
+
+
+def check_lifted_cost(lp: LiftedPolytope, c: LiftedCost) -> None:
+    """Raise BadDimension unless c has one simplex weight per simplex coordinate of lp."""
+    if len(c.simplex) != lp.extra_dims:
+        raise BadDimension(
+            f"cost has {len(c.simplex)} simplex weights, polytope has {lp.extra_dims}"
+        )
 
 
 def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
@@ -329,15 +331,15 @@ def _lifted_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit):
     return maximal_step(lp.inequality_rows(), lp.coordinates(p), circ.vector(lp.extra_dims))
 
 
-def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Rat:
+def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Fraction:
     """Largest feasible step length from p along the directed lifted circuit."""
     return _lifted_step(lp, p, circ)[0]
 
 
-def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> LiftedPoint | Infeasible:
-    """Maximal move from p along the lifted circuit; INFEASIBLE when it has length zero."""
+def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> LiftedPoint | None:
+    """Maximal move from p along the lifted circuit; None when it has length zero."""
     end = _lifted_step(lp, p, circ)[1]
-    return INFEASIBLE if end is None else lp.point(end)
+    return None if end is None else lp.point(end)
 
 
 def monotone_lifted_directions(
@@ -357,18 +359,21 @@ def monotone_lifted_directions(
     return tuple(sorted(out, key=lambda circ: circ.vector(extra_dims)))
 
 
-def lifted_optimal_value(lp: LiftedPolytope, c: LiftedCost) -> tuple[Rat, tuple[LiftedPoint, ...]]:
+def lifted_optimal_value(
+    lp: LiftedPolytope, c: LiftedCost
+) -> tuple[Fraction, tuple[LiftedPoint, ...]]:
     """Maximum of c over the product and the vertices attaining it.
 
     The cost is separable over the product, so its maximum is the base
     optimum plus the largest simplex weight, where the apex 0 weighs 0.  The
     maximal vertices are the base's maximal vertices times the simplex's,
     listed in lifted_vertices order: base vertex first, then simplex vertex.
+    Raises BadDimension unless c has one weight per simplex coordinate.
     """
+    check_lifted_cost(lp, c)
     best, base = optimal_value(lp.base, c.base)
-    e = lp.extra_dims
-    # weights of the simplex vertices 0, e_1, .., e_extra; a missing w_i is 0
-    weights = (0,) + c.simplex[:e] + (0,) * (e - len(c.simplex))
+    # weights of the simplex vertices 0, e_1, .., e_extra
+    weights = (0,) + c.simplex
     top = max(weights)
-    corners = [s for s, w in zip(simplex_vertices(e), weights) if w == top]
+    corners = [s for s, w in zip(simplex_vertices(lp.extra_dims), weights) if w == top]
     return best + top, tuple(LiftedPoint(v, s) for v in base for s in corners)

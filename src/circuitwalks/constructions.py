@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .polytope import (
     HPolygon,
@@ -39,7 +40,6 @@ from .ratgeo import (
     AffineMap2,
     Direction2,
     Point2,
-    Rat,
     primitive_direction,
     pullback_cost,
     rat,
@@ -298,17 +298,15 @@ def reduce_three_dm(inst: ThreeDMInstance) -> SubsetSumInstance:
 
 def _ceil_nth_root(target: int, t: int) -> int:
     """Smallest M >= 1 with M**t >= target, exactly."""
-    if target <= 1:
-        return 1
-    try:
-        m = max(1, int(round(target ** (1.0 / t))))
-    except OverflowError:
-        m = 1 << (target.bit_length() // t + 1)
-    while m > 1 and (m - 1) ** t >= target:
-        m -= 1
-    while m**t < target:
-        m += 1
-    return m
+    # bisect (lo, hi] for the answer; hi**t >= 2**bit_length(target) > target
+    lo, hi = 0, 1 << -(-max(target, 1).bit_length() // t)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**t >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def compute_gap_C(eps_inv: int, n: int, k: int) -> int:
@@ -356,7 +354,7 @@ class SlopeChain:
 
     instance: SubsetSumInstance
     cost: Direction2
-    beta: Rat
+    beta: Fraction
     vertices: tuple[Point2, ...]
     witnesses: tuple[Direction2, ...]
 
@@ -428,13 +426,13 @@ class CornerTransform:
     """
 
     map: AffineMap2
-    alpha: Rat
-    beta: Rat
-    gamma: Rat
-    box: Rat
-    s1: Rat
-    epsilon: Rat
-    chain_slopes: tuple[Rat, ...]
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    box: Fraction
+    s1: Fraction
+    epsilon: Fraction
+    chain_slopes: tuple[Fraction, ...]
     image: HPolygon
     u_image: Point2
     w_image: Point2
@@ -534,7 +532,7 @@ class ReductionInstance:
     s: Point2
     t: Point2
     c: Direction2
-    epsilon: Rat
+    epsilon: Fraction
     corner: CornerTransform
     chain: SlopeChain
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .ratgeo import AffineMap2, Point2, Rat, dehomogenize, homogeneous
+from .ratgeo import AffineMap2, Point2, dehomogenize, homogeneous
 
 __all__ = [
     "DegenerateHull",
@@ -59,7 +60,7 @@ class BadDimension(ValueError):
     """Dimension argument outside the supported range."""
 
 
-def canonical_row(a1: Rat, a2: Rat, b: Rat) -> tuple[int, int, int]:
+def canonical_row(a1: Fraction, a2: Fraction, b: Fraction) -> tuple[int, int, int]:
     """Scale a halfplane row by a positive rational to coprime integers.
 
     The whole triple is reduced together, so integer inputs stay comparable
@@ -72,7 +73,7 @@ def canonical_row(a1: Rat, a2: Rat, b: Rat) -> tuple[int, int, int]:
     n2 = a2.numerator * (m // a2.denominator)
     nb = b.numerator * (m // b.denominator)
     g = gcd(n1, n2, nb)
-    return (int(n1 // g), int(n2 // g), int(nb // g))
+    return (n1 // g, n2 // g, nb // g)
 
 
 def _orientation(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]) -> int:
@@ -199,7 +200,7 @@ class HPolygon:
         """The rows as (coefficients, bound) pairs."""
         return tuple(((a1, a2), b) for a1, a2, b in self.rows)
 
-    def coordinates(self, p: Point2) -> tuple[Rat, Rat]:
+    def coordinates(self, p: Point2) -> tuple[Fraction, Fraction]:
         return (p.x, p.y)
 
     def point(self, coords) -> Point2:
@@ -310,7 +311,7 @@ class LiftedPoint:
     """Point of a lifted polytope: planar part plus simplex coordinates."""
 
     base: Point2
-    simplex: tuple[Rat, ...]
+    simplex: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,7 @@ class LiftedPolytope:
     def contains(self, p: LiftedPoint) -> bool:
         return lifted_contains(self, p)
 
-    def coordinates(self, p: LiftedPoint) -> tuple[Rat, ...]:
+    def coordinates(self, p: LiftedPoint) -> tuple[Fraction, ...]:
         return (p.base.x, p.base.y) + p.simplex
 
     def point(self, coords) -> LiftedPoint:

@@ -1,29 +1,20 @@
 """Exact rational scalars and the small planar types everything else builds on.
 
-All geometry in this package is exact: scalars are arbitrary-precision
-rationals, never floats.  Two interchangeable backends provide them: gmpy2's
-``mpq`` when importable, and the stdlib ``fractions.Fraction`` otherwise.  The
-walk search and every maximal step, in any dimension, run on Python integers,
-not on these scalars; the backend affects constructions, file formats and the
-points that walks carry.
-Set ``CIRCUITWALKS_RATIONAL_BACKEND=fractions`` to force the fallback, or
-``=gmpy2`` to make a missing gmpy2 a hard error.  Equal values hash and
-compare identically under both backends, so polygons, walks and search state
-never depend on which one is active.
+All geometry in this package is exact: scalars are ``fractions.Fraction``,
+never floats.  The walk search and every maximal step, in any dimension, run
+on Python integers instead; rationals serve the constructions, the file
+formats and the points that walks carry.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 __all__ = [
     "BACKEND",
-    "Rat",
     "rat",
     "parse_rational",
     "format_rational",
@@ -37,52 +28,28 @@ __all__ = [
     "pullback_cost",
 ]
 
-_requested = os.environ.get("CIRCUITWALKS_RATIONAL_BACKEND", "").strip().lower()
+# Fixed; kept because the benchmark harness prints it in its banner.
+BACKEND = "fractions"
 
-if _requested not in ("", "gmpy2", "fractions"):
-    raise ImportError(f"unknown rational backend {_requested!r}")
-
-if _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _rational
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        _rational = Fraction
-        BACKEND = "fractions"
-else:
-    _rational = Fraction
-    BACKEND = "fractions"
-
-# Annotation alias.  Both backends register with numbers.Rational; plain ints
-# are fine wherever a Rat is expected.
-Rat = Rational
-
-
-def rat(numerator: int | Rat = 0, denominator: int | Rat = 1) -> Rat:
-    """Exact rational in the active backend."""
-    return _rational(numerator, denominator)
+# The one rational type under its short name; plain ints work wherever one is expected.
+rat = Fraction
 
 
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
-def parse_rational(text: str) -> Rat:
+def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (ASCII, q positive).  Raises ValueError otherwise."""
     if not _RATIONAL_TEXT.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    num, slash, den = text.partition("/")
-    if not slash:
-        return _rational(int(num))
-    d = int(den)
+    num, _, den = text.partition("/")
+    d = int(den or 1)
     if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return _rational(int(num), d)
+    return Fraction(int(num), d)
 
 
-def format_rational(q: Rat) -> str:
+def format_rational(q: Fraction) -> str:
     """Canonical text for a rational: 'p' when integral, else 'p/q'."""
     n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
@@ -92,8 +59,8 @@ def format_rational(q: Rat) -> str:
 class Point2:
     """Exact point in the plane.  Ordering is lexicographic (x, then y)."""
 
-    x: Rat
-    y: Rat
+    x: Fraction
+    y: Fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -124,7 +91,7 @@ class Direction2:
         return Direction2(-self.dx, -self.dy)
 
 
-def primitive_direction(rx: Rat, ry: Rat) -> Direction2:
+def primitive_direction(rx: Fraction, ry: Fraction) -> Direction2:
     """Scale (rx, ry) by a positive rational down to a primitive int pair.
 
     Positive scaling only, so orientation survives; this is what keeps
@@ -136,7 +103,7 @@ def primitive_direction(rx: Rat, ry: Rat) -> Direction2:
     nx = rx.numerator * (m // rx.denominator)
     ny = ry.numerator * (m // ry.denominator)
     g = gcd(nx, ny)
-    return Direction2(int(nx // g), int(ny // g))
+    return Direction2(nx // g, ny // g)
 
 
 def homogeneous(coords) -> tuple[int, ...]:
@@ -145,10 +112,10 @@ def homogeneous(coords) -> tuple[int, ...]:
     return tuple(q.numerator * (D // q.denominator) for q in coords) + (D,)
 
 
-def dehomogenize(state) -> tuple[Rat, ...]:
+def dehomogenize(state) -> tuple[Fraction, ...]:
     """Rational coordinates of the state (x_1, .., x_d, D)."""
     D = state[-1]
-    return tuple(rat(x, D) for x in state[:-1])
+    return tuple(Fraction(x, D) for x in state[:-1])
 
 
 class SingularMap(ValueError):
@@ -159,27 +126,27 @@ class SingularMap(ValueError):
 class AffineMap2:
     """Invertible-or-not affine map x -> H x + t, H = [[m00, m01], [m10, m11]]."""
 
-    m00: Rat
-    m01: Rat
-    m10: Rat
-    m11: Rat
-    tx: Rat = 0
-    ty: Rat = 0
+    m00: Fraction
+    m01: Fraction
+    m10: Fraction
+    m11: Fraction
+    tx: Fraction = 0
+    ty: Fraction = 0
 
     @classmethod
     def identity(cls) -> "AffineMap2":
         return cls(1, 0, 0, 1)
 
     @classmethod
-    def scaling(cls, sx: Rat, sy: Rat) -> "AffineMap2":
+    def scaling(cls, sx: Fraction, sy: Fraction) -> "AffineMap2":
         return cls(sx, 0, 0, sy)
 
     @classmethod
-    def translation(cls, dx: Rat, dy: Rat) -> "AffineMap2":
+    def translation(cls, dx: Fraction, dy: Fraction) -> "AffineMap2":
         return cls(1, 0, 0, 1, dx, dy)
 
     @property
-    def det(self) -> Rat:
+    def det(self) -> Fraction:
         return self.m00 * self.m11 - self.m01 * self.m10
 
     def apply(self, p: Point2) -> Point2:
@@ -188,7 +155,7 @@ class AffineMap2:
             self.m10 * p.x + self.m11 * p.y + self.ty,
         )
 
-    def apply_vector(self, vx: Rat, vy: Rat) -> tuple[Rat, Rat]:
+    def apply_vector(self, vx: Fraction, vy: Fraction) -> tuple[Fraction, Fraction]:
         """Linear part only; translations do not act on directions."""
         return (self.m00 * vx + self.m01 * vy, self.m10 * vx + self.m11 * vy)
 

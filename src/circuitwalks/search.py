@@ -20,8 +20,8 @@ expanded like the others.
 
 The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
-lexicographically smallest sequence of step directions; reruns and backends
-cannot change the answer.
+lexicographically smallest sequence of step directions; reruns cannot change
+the answer.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .circuits import (
     AmbiguousOptimum,
     NotAVertex,
     blocking_rows,
+    check_lifted_cost,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_optimal_value,
@@ -138,9 +139,10 @@ def _circuits(h, c):
     Returns the canonical circuits of h, the function giving a directed
     circuit's integer vector, the strictly c-increasing directed circuits in
     search order, c as a rational vector, and the function giving c's
-    maximum over h.
+    maximum over h.  Raises BadDimension when a lifted cost does not fit h.
     """
     if isinstance(h, LiftedPolytope):
+        check_lifted_cost(h, c)
         e = h.extra_dims
         circuits = enumerate_lifted_circuits(h)
         monotone = monotone_lifted_directions(circuits, c, e)

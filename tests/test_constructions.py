@@ -17,6 +17,7 @@ from circuitwalks.constructions import (
     SubsetSumInstance,
     ThreeDMInstance,
     TriviallyInfeasible,
+    _ceil_nth_root,
     brute_force_essr,
     build_corner_transform,
     build_p_ell,
@@ -227,6 +228,20 @@ class TestGapConstant:
             C = compute_gap_C(2, n, k)
             assert C == expect
             assert sqrt_sum_leq(C * k, n, 4 * k, C * k)
+
+    def test_ceil_nth_root_matches_definition(self):
+        # the smallest M >= 1 with M**t >= target, up to targets past 2**1100
+        rng = random.Random(1100)
+        for t in range(1, 13):
+            bases = list(range(1, 40)) + [rng.randrange(2, 2 ** (1110 // t)) for _ in range(30)]
+            bases.append(2 ** (1101 // t + 1))
+            targets = set(range(1, 300)) | {2**k for k in range(0, 1111, 37)} | {2**1101 + 1}
+            for b in bases:
+                targets |= {b**t - 1, b**t, b**t + 1}
+            for target in targets - {0}:
+                m = _ceil_nth_root(target, t)
+                assert m >= 1 and m**t >= target
+                assert m == 1 or (m - 1) ** t < target
 
     def test_sqrt_predicate(self):
         assert sqrt_sum_leq(4, 9, 1, 5)  # 2 + 3 <= 5

@@ -1,13 +1,24 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circuitwalks
+from circuitwalks.circuits import lifted_optimal_value
+from circuitwalks.constructions import build_p_ell, lift_instance
+from circuitwalks.formats import read_instance
 from circuitwalks.ratgeo import (
     BACKEND,
     AffineMap2,
     Direction2,
     Point2,
     SingularMap,
+    dehomogenize,
     format_rational,
     parse_rational,
     primitive_direction,
@@ -20,7 +31,27 @@ rationals = st.builds(rat, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 
 
 def test_backend_is_selected():
-    assert BACKEND in ("gmpy2", "fractions")
+    assert BACKEND == "fractions"
+    assert rat is Fraction
+    assert type(parse_rational("7")) is Fraction and type(parse_rational("-9/8")) is Fraction
+    assert all(type(q) is Fraction for q in dehomogenize((3, -4, 6)))
+    text = "cwi 1\ndim 2\nrows 3\n-1 0 0\n1 1 1\n1 -1 1\ncost 1 0\nstart 0 1/2\n"
+    start = read_instance(text).start
+    assert type(start.x) is Fraction and type(start.y) is Fraction
+    art = build_p_ell(2)
+    lp, _, c = lift_instance(art.h, art.u, art.c0, 4)
+    assert type(lifted_optimal_value(lp, c)[0]) is Fraction
+
+
+def test_old_backend_variable_is_ignored():
+    # the variable once chose between rational types; any value now imports fine
+    src = str(Path(circuitwalks.__file__).resolve().parent.parent)
+    env = dict(os.environ, CIRCUITWALKS_RATIONAL_BACKEND="gmpy2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import circuitwalks.ratgeo as r; print(r.BACKEND, r.rat(6, 4))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "fractions 3/2\n"
 
 
 def test_rat_reduces():

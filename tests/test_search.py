@@ -20,6 +20,7 @@ from circuitwalks.constructions import (
     lift_instance,
 )
 from circuitwalks.polytope import (
+    BadDimension,
     LiftedPoint,
     LiftedPolytope,
     h_to_v,
@@ -491,13 +492,42 @@ class TestLiftedOptimum:
             faces.add((len({v.base for v in argmax}) > 1, len({v.simplex for v in argmax}) > 1))
         assert faces == {(False, False), (False, True), (True, False), (True, True)}
 
-    def test_missing_weights_count_zero(self):
-        # as in the cost's dot product, simplex coordinates past the weights weigh 0
+    def test_wrong_weight_count_rejected(self):
         h = build_p_ell(2).h
         for d in range(3, 7):
             lp = product_with_simplex(h, d)
-            for simplex in ((), (rat(-1),), (rat(1, 2), rat(-3))):
-                assert_same_optimum(lp, LiftedCost(Direction2(1, 0), simplex))
+            for n in (0, d - 3, d - 1):  # no weights, one too few, one too many
+                with pytest.raises(BadDimension):
+                    lifted_optimal_value(lp, LiftedCost(Direction2(1, 0), (rat(-1),) * n))
+
+
+class TestLiftedCostDimension:
+    """A lifted cost has one weight per simplex coordinate; the search and the
+    validator reject any other count instead of misreading the goal."""
+
+    def setup_method(self):
+        art = build_p_ell(3)
+        self.lp, self.s, self.c = lift_instance(art.h, art.u, art.c0, 4)
+        base, weights = self.c.base, self.c.simplex
+        self.bad = (
+            LiftedCost(base, ()),
+            LiftedCost(base, weights[:-1]),
+            LiftedCost(base, weights + (rat(1),)),
+        )
+
+    def test_search_rejects(self):
+        assert shortest_monotone_walk(self.lp, self.s, self.c, SearchConfig(3)).walk.length == 3
+        for c in self.bad:
+            with pytest.raises(BadDimension):
+                shortest_monotone_walk(self.lp, self.s, c, SearchConfig(3))
+
+    def test_validator_rejects(self):
+        walk = shortest_monotone_walk(self.lp, self.s, self.c, SearchConfig(3)).walk
+        for w in (walk, Walk((self.s,), ())):
+            assert is_valid_monotone_walk(self.lp, self.c, w)
+            for c in self.bad:
+                with pytest.raises(BadDimension):
+                    is_valid_monotone_walk(self.lp, c, w)
 
 
 def _last_layer(h, s, c, depth):
