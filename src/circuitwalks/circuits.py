@@ -346,12 +346,11 @@ def monotone_lifted_directions(
     circs: tuple[LiftedCircuit, ...], c: LiftedCost, extra_dims: int
 ) -> tuple[LiftedCircuit, ...]:
     """Directed lifted circuits with positive gain, sorted by coordinate vector."""
+    # a positive integer multiple of c has the same gain signs
+    weights = homogeneous((c.base.dx, c.base.dy) + c.simplex)[:-1]
     out = []
     for circ in circs:
-        vec = circ.vector(extra_dims)
-        gain = c.base.dx * vec[0] + c.base.dy * vec[1]
-        for w, vy in zip(c.simplex, vec[2:]):
-            gain += w * vy
+        gain = sum(map(mul, weights, circ.vector(extra_dims)))
         if gain > 0:
             out.append(circ)
         elif gain < 0:
@@ -375,5 +374,7 @@ def lifted_optimal_value(
     # weights of the simplex vertices 0, e_1, .., e_extra
     weights = (0,) + c.simplex
     top = max(weights)
-    corners = [s for s, w in zip(simplex_vertices(lp.extra_dims), weights) if w == top]
+    corners = [
+        tuple(map(Fraction, s)) for s, w in zip(simplex_vertices(lp.extra_dims), weights) if w == top
+    ]
     return best + top, tuple(LiftedPoint(v, s) for v in base for s in corners)

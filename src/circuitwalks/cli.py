@@ -5,6 +5,13 @@ Exit codes: 0 success / walk found; 10 no walk within the depth bound;
 (the message names its physical line); 1 failed check or bad parameters.
 Every command accepts --quiet (suppress informational output); every command
 is deterministic.
+
+main() builds one parser per call.  When the first argument names a command,
+it builds only that command's subparser, since building all eight took most of
+a short command's run; otherwise it builds all of them, so help, usage and
+error texts are the same either way.  The parser is not cached: a command-line
+process parses once, so a cache would only help callers that run main() many
+times in one process.
 """
 
 from __future__ import annotations
@@ -404,84 +411,94 @@ def cmd_export_lp(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_QUIET = (("--quiet",), dict(action="store_true", help="suppress chatter"))
+_OUTPUT = (("-o", "--output"), dict(default=None))
+_NODE_CAP = (("--node-cap",), dict(type=int, default=10_000_000))
+
+# Every subcommand: its handler, its help line and its add_argument calls as
+# (flags, keywords) pairs, in the order they appear in its help.
+COMMANDS = {
+    "gen-pell": (cmd_gen_pell, "emit a family polygon instance", (
+        (("--ell",), dict(type=int, required=True, help="recursion level (>= 1)")),
+        _OUTPUT,
+    )),
+    "gen-reduction": (cmd_gen_reduction, "emit a separation polygon instance", (
+        (("--a",), dict(default=None, help="comma-separated weights, e.g. 2,3")),
+        (("--S",), dict(type=int, default=None, help="target sum")),
+        (("--k",), dict(type=int, default=None, help="cardinality")),
+        (("--essr",), dict(default=None, help="read the exact-sum instance from a file")),
+        (("--C",), dict(type=int, default=None, help="gap constant")),
+        (("--auto-C",), dict(action="store_true", help="derive C from --eps-inv")),
+        (("--eps-inv",), dict(type=int, default=2, help="inverse exponent for --auto-C")),
+        _OUTPUT,
+    )),
+    "gen-3dm": (cmd_gen_3dm, "reduce a matching instance to exact-sum", (
+        (("input",), dict(help="'3dm 1' file: n line, then one 'i j h' triple per line")),
+        _OUTPUT,
+    )),
+    "solve": (cmd_solve, "exact shortest monotone walk", (
+        (("instance",), {}),
+        (("--max-depth",), dict(type=int, required=True)),
+        _NODE_CAP,
+        (("-o", "--output"), dict(default=None, help="write the walk certificate here")),
+    )),
+    "approx": (cmd_approx, "bounded search plus edge-walk fallback", (
+        (("instance",), {}),
+        (("--depth",), dict(type=int, required=True, help="exhaustive search depth")),
+        _NODE_CAP,
+        _OUTPUT,
+    )),
+    "verify": (cmd_verify, "check certificates or run suites", (
+        (("instance",), dict(nargs="?", default=None)),
+        (("--certificate",), dict(default=None, help="walk file to validate")),
+        (("--suite",), dict(choices=["pell", "reduction", "lift", "3dm", "all"], default=None)),
+        (("--ell",), dict(type=int, default=3)),
+        (("--a",), dict(default="2,3")),
+        (("--S",), dict(type=int, default=5)),
+        (("--k",), dict(type=int, default=2)),
+        (("--C",), dict(type=int, default=2)),
+        (("--d",), dict(type=int, default=3)),
+    )),
+    "render-svg": (cmd_render_svg, "draw an instance (and walk)", (
+        (("instance",), {}),
+        (("--certificate",), dict(default=None)),
+        _OUTPUT,
+    )),
+    "export-lp": (cmd_export_lp, "CPLEX LP text of an instance", (
+        (("instance",), {}),
+        _OUTPUT,
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with only `command`'s.
+
+    Either way the top-level usage line lists every command, so the one-
+    command parser reads and reports its command's arguments exactly as the
+    full one does.
+    """
     parser = argparse.ArgumentParser(
         prog="circuitwalks",
         description="exact monotone circuit walks on polygons: generate, search, verify",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-pell", parents=[common], help="emit a family polygon instance")
-    p.add_argument("--ell", type=int, required=True, help="recursion level (>= 1)")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen_pell)
-
-    p = sub.add_parser(
-        "gen-reduction", parents=[common], help="emit a separation polygon instance"
-    )
-    p.add_argument("--a", default=None, help="comma-separated weights, e.g. 2,3")
-    p.add_argument("--S", type=int, default=None, help="target sum")
-    p.add_argument("--k", type=int, default=None, help="cardinality")
-    p.add_argument("--essr", default=None, help="read the exact-sum instance from a file")
-    p.add_argument("--C", type=int, default=None, help="gap constant")
-    p.add_argument("--auto-C", action="store_true", help="derive C from --eps-inv")
-    p.add_argument("--eps-inv", type=int, default=2, help="inverse exponent for --auto-C")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen_reduction)
-
-    p = sub.add_parser(
-        "gen-3dm", parents=[common], help="reduce a matching instance to exact-sum"
-    )
-    p.add_argument("input", help="'3dm 1' file: n line, then one 'i j h' triple per line")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen_3dm)
-
-    p = sub.add_parser("solve", parents=[common], help="exact shortest monotone walk")
-    p.add_argument("instance")
-    p.add_argument("--max-depth", type=int, required=True)
-    p.add_argument("--node-cap", type=int, default=10_000_000)
-    p.add_argument("-o", "--output", default=None, help="write the walk certificate here")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("approx", parents=[common], help="bounded search plus edge-walk fallback")
-    p.add_argument("instance")
-    p.add_argument("--depth", type=int, required=True, help="exhaustive search depth")
-    p.add_argument("--node-cap", type=int, default=10_000_000)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("verify", parents=[common], help="check certificates or run suites")
-    p.add_argument("instance", nargs="?", default=None)
-    p.add_argument("--certificate", default=None, help="walk file to validate")
-    p.add_argument(
-        "--suite", choices=["pell", "reduction", "lift", "3dm", "all"], default=None
-    )
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--a", default="2,3")
-    p.add_argument("--S", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--C", type=int, default=2)
-    p.add_argument("--d", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render-svg", parents=[common], help="draw an instance (and walk)")
-    p.add_argument("instance")
-    p.add_argument("--certificate", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_render_svg)
-
-    p = sub.add_parser("export-lp", parents=[common], help="CPLEX LP text of an instance")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_export_lp)
-
+    # metavar stays unset for the full parser: argparse then names the action
+    # "command" in its missing and invalid command errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in (_QUIET,) + arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -667,5 +667,5 @@ def lift_instance(
     """
     lp = product_with_simplex(h, d)
     extra = lp.extra_dims
-    top = (0,) * (extra - 1) + (1,) if extra else ()
-    return lp, LiftedPoint(s, tuple(rat(y) for y in top)), LiftedCost(c, top)
+    top = tuple(rat(y) for y in (0,) * (extra - 1) + (1,)) if extra else ()
+    return lp, LiftedPoint(s, top), LiftedCost(c, top)

@@ -7,10 +7,21 @@ are exact in both directions; nothing here ever touches a float.
 
 Every sign test in building a polygon runs on integers.  A point is the
 homogeneous triple (X, Y, D) for (X/D, Y/D), with D > 0 and gcd 1, so equal
-points are equal triples: two rows meet at one such triple, it lies inside a
-row (e1, e2, f) when e1*X + e2*Y <= f*D, and three points turn
-counterclockwise when the 3x3 determinant of their triples is positive.
-Rationals are built only for the vertices that are kept.
+points are equal triples: it lies inside a row (e1, e2, f) when
+e1*X + e2*Y <= f*D, and three points turn counterclockwise when the 3x3
+determinant of their triples is positive.  Rationals are built only for the
+vertices that are kept.
+
+Rows become vertices by one angular sweep (half-plane intersection, as in
+Preparata and Shamos), O(m log m) for m rows.  The rows are sorted by the
+angle of their normal once; that order decides boundedness (each turn from
+one normal direction to the next is less than a half turn) and, of parallel
+rows, keeps the tightest.  A deque of edges then takes the rows in order,
+dropping from either end the edges whose corner the new row cuts off.  The
+result is confirmed exactly in O(m*k) for k corners: every corner satisfies
+every row, and the corners turn strictly counterclockwise.  Neighbouring
+corners lie on a common row, so corners that pass are exactly the region's
+vertices, and a region that fails has no interior.
 
 Containment is an integer test too, in any dimension: a point becomes its
 homogeneous state (x, D), and it lies in the polytope when a.x <= b*D for
@@ -20,6 +31,7 @@ every row (a, b).
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -94,70 +106,103 @@ def _lex_order(p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
     return 0
 
 
-def _sorted_by_angle(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Distinct directions in counterclockwise order from the +x axis."""
+def _cross(r: tuple[int, ...], s: tuple[int, ...]) -> int:
+    """Cross product of the normals of two rows: positive when s turns counterclockwise from r."""
+    return r[0] * s[1] - r[1] * s[0]
 
-    def half(v: tuple[int, int]) -> int:
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
-    def cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        c = a[0] * b[1] - a[1] * b[0]
+def _by_angle(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int]]:
+    """The tightest row of each normal direction, counterclockwise from the +x axis.
+
+    Parallel rows of different scale (x <= 1 and 2x <= 3) share a direction;
+    of those the one with the smallest b / gcd(a1, a2) is kept.
+    """
+
+    def half(r: tuple[int, int, int]) -> int:
+        return 0 if (r[1] > 0 or (r[1] == 0 and r[0] > 0)) else 1
+
+    def cmp(r: tuple[int, int, int], s: tuple[int, int, int]) -> int:
+        hr, hs = half(r), half(s)
+        if hr != hs:
+            return hr - hs
+        c = _cross(r, s)
         return 0 if c == 0 else (-1 if c > 0 else 1)
 
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    lines: list[tuple[int, int, int]] = []
+    for r in sorted(rows, key=functools.cmp_to_key(cmp)):
+        if lines and cmp(lines[-1], r) == 0:
+            (a1, a2, b), (c1, c2, d) = lines[-1], r
+            if d * gcd(a1, a2) < b * gcd(c1, c2):
+                lines[-1] = r
+        else:
+            lines.append(r)
+    return lines
 
 
-def _normals_positively_span(rows: tuple[tuple[int, int, int], ...]) -> bool:
+def _normals_positively_span(lines: list[tuple[int, int, int]]) -> bool:
     """True iff the region has no recession direction, i.e. is bounded.
 
-    Normals are reduced to primitive directions first, so parallel rows of
-    different scale (x <= 1 and 2x <= 3) count as one direction.
+    lines holds one row per normal direction in counterclockwise order, as
+    _by_angle returns them; every turn between neighbours, the last back to
+    the first included, must then be strictly less than a half turn.
     """
-    primitive = set()
-    for a1, a2, _ in rows:
-        g = gcd(a1, a2)
-        primitive.add((a1 // g, a2 // g))
-    dirs = _sorted_by_angle(list(primitive))
-    if len(dirs) < 3:
-        return False
-    for i, a in enumerate(dirs):
-        b = dirs[(i + 1) % len(dirs)]
-        if a[0] * b[1] - a[1] * b[0] <= 0:
-            return False
-    return True
+    return len(lines) >= 3 and all(_cross(lines[i - 1], lines[i]) > 0 for i in range(len(lines)))
 
 
-def _feasible_intersections(rows: tuple[tuple[int, int, int], ...]) -> set[tuple[int, int, int]]:
-    """Canonical homogeneous triples of the pairwise row intersections inside every row."""
-    pts: set[tuple[int, int, int]] = set()
-    for i, (a1, a2, b) in enumerate(rows):
-        for c1, c2, d in rows[i + 1:]:
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            x = b * c2 - d * a2
-            y = a1 * d - c1 * b
-            if det < 0:
-                x, y, det = -x, -y, -det
-            if all(e1 * x + e2 * y <= f * det for e1, e2, f in rows):
-                g = gcd(x, y, det)
-                pts.add((x // g, y // g, det // g))
-    return pts
+def _corner(r: tuple[int, int, int], s: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Canonical homogeneous triple where two rows meet, s counterclockwise from r."""
+    (a1, a2, b), (c1, c2, d) = r, s
+    x, y, det = b * c2 - d * a2, a1 * d - c1 * b, a1 * c2 - a2 * c1
+    g = gcd(x, y, det)
+    return (x // g, y // g, det // g)
+
+
+def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
+    """True when the point of triple t is not strictly inside row r."""
+    return r[0] * t[0] + r[1] * t[1] >= r[2] * t[2]
 
 
 def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
     """Vertex polygon of a canonical row system; raises UnboundedOrEmpty."""
-    if not _normals_positively_span(rows):
+    lines = _by_angle(rows)
+    if not _normals_positively_span(lines):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
-    try:
-        hull = _hull_of_triples(_feasible_intersections(rows))
-    except DegenerateHull:
-        raise UnboundedOrEmpty("feasible region is empty or not full-dimensional") from None
-    return VPolygon(tuple(Point2(*dehomogenize(t)) for t in hull))
+    empty = UnboundedOrEmpty("feasible region is empty or not full-dimensional")
+    # edges[i] and edges[i + 1] meet at corners[i]
+    edges: deque[tuple[int, int, int]] = deque()
+    corners: deque[tuple[int, int, int]] = deque()
+    for r in lines:
+        while corners and _cuts(r, corners[-1]):
+            edges.pop()
+            corners.pop()
+        while corners and _cuts(r, corners[0]):
+            edges.popleft()
+            corners.popleft()
+        if edges:
+            # while the region has an interior, kept neighbours turn by less than a half turn
+            if _cross(edges[-1], r) <= 0:
+                raise empty
+            corners.append(_corner(edges[-1], r))
+        edges.append(r)
+    while len(corners) >= 2 and _cuts(edges[0], corners[-1]):
+        edges.pop()
+        corners.pop()
+    while len(corners) >= 2 and _cuts(edges[-1], corners[0]):
+        edges.popleft()
+        corners.popleft()
+    if len(edges) < 3 or _cross(edges[-1], edges[0]) <= 0:
+        raise empty
+    corners.append(_corner(edges[-1], edges[0]))
+    # Each edge's line carries both of its corners, so corners that satisfy
+    # every row and turn strictly counterclockwise are exactly the region's
+    # vertices; anything else means the region has no interior.
+    t = list(corners)
+    if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))):
+        raise empty
+    if any(a1 * x + a2 * y > b * w for x, y, w in t for a1, a2, b in rows):
+        raise empty
+    first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
+    return VPolygon(tuple(Point2(*dehomogenize(p)) for p in t[first:] + t[:first]))
 
 
 def _contains(rows, coords) -> bool:
@@ -391,9 +436,8 @@ def simplex_vertices(extra_dims: int) -> tuple[tuple[int, ...], ...]:
 def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
     """All vertices of the product: base vertex times simplex vertex."""
     base = h_to_v(lp.base).vertices
-    return tuple(
-        LiftedPoint(v, s) for v in base for s in simplex_vertices(lp.extra_dims)
-    )
+    simplex = [tuple(map(Fraction, s)) for s in simplex_vertices(lp.extra_dims)]
+    return tuple(LiftedPoint(v, s) for v in base for s in simplex)
 
 
 def lifted_contains(lp: LiftedPolytope, p: LiftedPoint) -> bool:

@@ -269,6 +269,8 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
         return ValidationReport(False, None, "start point outside the polytope")
     circuits, vector, _, cost, _ = _circuits(h, c)
     circuits = set(circuits)
+    # a positive integer multiple of c has the same gain signs
+    weights = homogeneous(cost)[:-1]
     rows = h.inequality_rows()
     for idx, g in enumerate(w.steps):
         if g.canonical() not in circuits:
@@ -279,7 +281,7 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
         if h.coordinates(w.points[idx + 1]) != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
-        if sum(map(mul, cost, vec)) <= 0:
+        if sum(map(mul, weights, vec)) <= 0:
             return ValidationReport(False, idx, "step does not strictly increase the cost")
     return ValidationReport(True)
 

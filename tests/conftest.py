@@ -10,7 +10,6 @@ from circuitwalks.polytope import (
     LiftedPolytope,
     UnboundedOrEmpty,
     VPolygon,
-    _normals_positively_span,
     canonical_row,
     hull2d,
     lifted_vertices,
@@ -171,8 +170,18 @@ def reference_hull2d(points) -> tuple[Point2, ...]:
     return tuple(hull)
 
 
+def reference_bounded(rows) -> bool:
+    """True iff no direction v != 0 has a.v <= 0 for every row (a, b).
+
+    Such a v, if any, can be taken perpendicular to some row's normal, so
+    those are the only candidates tried.
+    """
+    candidates = [(s * -a2, s * a1) for a1, a2, _ in rows for s in (1, -1)]
+    return not any(all(a1 * vx + a2 * vy <= 0 for a1, a2, _ in rows) for vx, vy in candidates)
+
+
 def _reference_hull_of_rows(rows) -> tuple[Point2, ...]:
-    if not _normals_positively_span(rows):
+    if not reference_bounded(rows):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
     try:
         return reference_hull2d(reference_feasible_intersections(rows))

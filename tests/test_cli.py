@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from circuitwalks.cli import main
+from circuitwalks import cli
+from circuitwalks.cli import COMMANDS, build_parser, main
 from circuitwalks.constructions import SubsetSumInstance
 from circuitwalks.formats import (
     ParseError,
@@ -243,3 +244,72 @@ class TestExports:
         assert run("export-lp", str(pell3)) == 0
         out = capsys.readouterr().out
         assert "Maximize" in out and "Subject To" in out and out.rstrip().endswith("End")
+
+
+# Per command: argv that parses, argv missing a required argument or an
+# option's value, and argv with a bad integer where the command takes one.
+PARSER_CASES = {
+    "gen-pell": (["gen-pell", "--ell", "3"], ["gen-pell"], ["gen-pell", "--ell", "x"]),
+    "gen-reduction": (
+        ["gen-reduction", "--a", "2,3", "--S", "5", "--k", "2", "--C", "2"],
+        ["gen-reduction", "--a"],
+        ["gen-reduction", "--S", "x"],
+    ),
+    "gen-3dm": (["gen-3dm", "m.3dm", "-o", "out.essr"], ["gen-3dm"], None),
+    "solve": (
+        ["solve", "i.cwi", "--max-depth", "3", "--quiet"],
+        ["solve", "i.cwi"],
+        ["solve", "i.cwi", "--max-depth", "x"],
+    ),
+    "approx": (
+        ["approx", "i.cwi", "--depth", "2"],
+        ["approx", "i.cwi", "--node-cap", "5"],
+        ["approx", "i.cwi", "--depth", "1", "--node-cap", "1e3"],
+    ),
+    "verify": (["verify", "--suite", "lift", "--d", "4"], ["verify", "--suite"], ["verify", "--d", "x"]),
+    "render-svg": (["render-svg", "i.cwi", "--certificate", "w.cww"], ["render-svg"], None),
+    "export-lp": (["export-lp", "i.cwi"], ["export-lp", "-o"], None),
+}
+ALL_COMMANDS = "{gen-pell,gen-reduction,gen-3dm,solve,approx,verify,render-svg,export-lp}"
+
+
+def _exit(parser, argv, capsys):
+    """Exit code, stdout and stderr of a parse that must exit."""
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+class TestParser:
+    def test_cases_cover_every_command(self):
+        assert list(PARSER_CASES) == list(COMMANDS) and len(COMMANDS) == 8
+
+    @pytest.mark.parametrize("name", list(PARSER_CASES))
+    def test_one_command_parser_matches_the_full_one(self, name, capsys):
+        valid, missing, bad_int = PARSER_CASES[name]
+        assert build_parser(name).parse_args(valid) == build_parser().parse_args(valid)
+        # --bogus is an unknown option: the top-level parser reports it with its usage line
+        failing = [[name, "--help"], missing, [name, "--bogus"]] + ([bad_int] if bad_int else [])
+        for argv in failing:
+            one = _exit(build_parser(name), argv, capsys)
+            assert one == _exit(build_parser(), argv, capsys)
+            assert one[0] == (0 if "--help" in argv else 2) and one[1] + one[2]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["--quiet"]])
+    def test_top_level_lists_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out = capsys.readouterr()
+        assert ALL_COMMANDS in out.out + out.err
+        if argv == ["--help"]:
+            assert all(help_text in out.out for _, help_text, _ in COMMANDS.values())
+
+    def test_main_builds_only_the_named_command(self, monkeypatch):
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+        assert main(["verify", "--suite", "3dm", "--quiet"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--quiet", "verify"])
+        assert built == ["verify", None]

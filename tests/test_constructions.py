@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import lifted_contains
+from circuitwalks.polytope import lifted_contains, lifted_vertices
 from circuitwalks.ratgeo import Direction2, Point2, rat
 from circuitwalks.search import is_valid_monotone_walk
 
@@ -418,6 +419,19 @@ class TestLiftInstance:
         art = build_p_ell(2)
         lp, start, cost = lift_instance(art.h, art.u, art.c0, 2)
         assert lp.extra_dims == 0 and cost.simplex == ()
+
+    def test_simplex_parts_are_fractions(self):
+        # LiftedCost.simplex and LiftedPoint.simplex are declared Fraction tuples
+        from circuitwalks.circuits import lifted_optimal_value
+
+        art = build_p_ell(3)
+        for d in range(3, 7):
+            lp, start, cost = lift_instance(art.h, art.u, art.c0, d)
+            points = lifted_optimal_value(lp, cost)[1] + lifted_vertices(lp)
+            parts = start.simplex + cost.simplex + tuple(y for p in points for y in p.simplex)
+            assert len(parts) == (2 + len(points)) * (d - 2)
+            assert all(type(y) is Fraction for y in parts)
+        assert repr(cost.simplex) == "(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
 
     def test_lifted_optimum_gains_the_top_coordinate(self):
         from circuitwalks.circuits import lifted_optimal_value

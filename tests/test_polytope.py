@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,8 @@ from circuitwalks.polytope import (
     simplex_vertices,
     v_to_h,
 )
-from circuitwalks.ratgeo import Point2, rat
+from circuitwalks.formats import InstanceFile, read_instance, write_instance
+from circuitwalks.ratgeo import Direction2, Point2, rat
 
 from conftest import (
     facet_incidences,
@@ -216,6 +218,30 @@ def row_soups(draw):
     return draw(st.permutations(soup))
 
 
+def _with_redundant_rows(rows, seed):
+    """rows plus, for every seventh row, a scaled copy (a duplicate once
+    canonical), a parallel row of another scale (2a.x <= 2b + 1) and the sum
+    with the next row (tight at their common vertex), shuffled."""
+    soup = list(rows)
+    for i in range(0, len(rows), 7):
+        (a1, a2, b), (c1, c2, d) = rows[i], rows[(i + 1) % len(rows)]
+        soup += [(3 * a1, 3 * a2, 3 * b), (2 * a1, 2 * a2, 2 * b + 1), (a1 + c1, a2 + c2, b + d)]
+    random.Random(seed).shuffle(soup)
+    return soup
+
+
+def _circle_points(seed, n, radius=10_000):
+    """n lattice points next to a circle, at random angles: nearly all of them hull vertices."""
+    rng = random.Random(seed)
+    angles = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+    return [P(round(radius * math.cos(t)), round(radius * math.sin(t))) for t in angles]
+
+
+# about 60 edges: every point of a parabola arc, and a random near-circle
+PARABOLA_60 = v_to_h(hull2d([P(k, k * k) for k in range(60)])).rows
+CIRCLE_60 = v_to_h(hull2d(_circle_points(7, 64))).rows
+
+
 def _intersections(rows):
     """Every pairwise intersection of the rows, inside them or not."""
     pts = []
@@ -237,6 +263,10 @@ class TestIntegerConstruction:
     @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0), (1, 1, 2)])  # tight, redundant
     @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (1, 1, 5)])  # unbounded
     @example(SCALED_PARALLEL)  # bounded, with parallel rows of different scale
+    @example(_with_redundant_rows(PARABOLA_60, 1))
+    @example(_with_redundant_rows(CIRCLE_60, 2))
+    # five rows through the corner (1, 1) of the unit square
+    @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0), (1, 1, 2), (1, 2, 3), (2, 1, 3)])
     def test_same_vertices_or_same_error(self, rows):
         assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
             reference_hpolygon, rows
@@ -261,6 +291,19 @@ class TestIntegerConstruction:
             assert _outcome(lambda t: VPolygon(t).vertices, verts) == _outcome(
                 lambda t: (reference_check_vertices(t), t)[1], verts
             )
+
+
+class TestLargePolygons:
+    """Polygons with hundreds of edges go through every constructor exactly."""
+
+    def test_two_hundred_edges(self):
+        ring = hull2d([P(k, k * k) for k in range(-100, 100)])
+        assert len(ring.vertices) == 200
+        rows = v_to_h(ring).rows
+        for h in (HPolygon(rows), HPolygon(rows[::-1]), remove_redundant(_with_redundant_rows(rows, 3))):
+            assert h_to_v(h).vertices == ring.vertices
+        inst = InstanceFile(polygon=HPolygon(rows), cost=Direction2(0, -1), start=ring.vertices[0])
+        assert h_to_v(read_instance(write_instance(inst)).polygon).vertices == ring.vertices
 
 
 def reference_contains(h, p):
