@@ -1,23 +1,32 @@
 """Circuit directions of polygons and lifted polytopes, and exact moves along them.
 
+A circuit is a primitive integer vector, kept up to sign in canonical form
+(first nonzero entry positive); a directed circuit is one of the two signs.
 For a full-dimensional polygon the circuits are exactly the edge-parallel
-directions: kernels of single rows of the H-description.  A product with a
-simplex adds the simplex's axis directions and axis differences.  A circuit
-move travels from a feasible point along a circuit direction as far as the
-polytope allows; a monotone walk chains such moves while a fixed cost strictly
-increases.  Everything here is exact, and one integer kernel computes every
-maximal step, in any dimension d: rows are integer pairs (a, b) for a.x <= b,
-a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0, gcd 1),
-each row's slack b*D - a.x is an integer, ratios are compared by
+directions: kernels of single rows of the H-description.  The kernel of a
+block-diagonal system splits, so the circuits of a product with a simplex are
+the circuits of each factor padded with zeros: the polygon's edge slopes
+(0s in the simplex coordinates), the simplex axes e_i and the differences
+e_i - e_j.  Planar circuits (Direction2) and lifted ones (LiftedCircuit) thus
+answer the same questions: their vector, canonical(), flipped() and the sort
+order of their vectors.
+
+A circuit move travels from a feasible point along a circuit direction as far
+as the polytope allows; a monotone walk chains such moves while a fixed cost
+strictly increases.  Everything here is exact, and one integer kernel computes
+every maximal step, in any dimension d: rows are integer pairs (a, b) for
+a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
+gcd 1), each row's slack b*D - a.x is an integer, ratios are compared by
 cross-multiplying, and the moved state costs one gcd.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .polytope import (
     BadDimension,
@@ -40,7 +49,6 @@ __all__ = [
     "maximal_moves",
     "maximal_step",
     "max_step",
-    "circuit_move",
     "monotone_directions",
     "optimal_value",
     "monotone_edge_walk",
@@ -153,33 +161,39 @@ def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None
     return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
+def _step(h, p, g, circuits):
+    """Length and end point of the maximal move from p along the circuit g of h.
+
+    h is a polygon or a lift and circuits its canonical circuits; the end is
+    None when the move has length zero.  Raises NotACircuit when g is not one
+    of them.
+    """
+    if g.canonical() not in circuits:
+        raise NotACircuit(f"{g.vector} is not a circuit of the polytope")
+    lam, end = maximal_step(h.inequality_rows(), h.coordinates(p), g.vector)
+    return lam, None if end is None else h.point(end)
+
+
 def max_step(h: HPolygon, p: Point2, g: Direction2) -> Fraction:
     """Largest lam >= 0 with p + lam*g still inside h.  Requires p inside h.
 
-    Raises UnboundedDirection when no row blocks g (impossible for a valid
-    bounded polygon, kept for defensive callers).
+    Raises NotACircuit unless g is parallel to an edge of h.
     """
-    return maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[0]
+    return _step(h, p, g, enumerate_circuits(h))[0]
 
 
-def circuit_move(h: HPolygon, p: Point2, g: Direction2) -> Point2 | None:
-    """Maximal move from p along circuit g; None when it has length zero."""
-    if g not in enumerate_circuits(h):
-        raise NotACircuit(f"({g.dx}, {g.dy}) is not parallel to any edge")
-    end = maximal_step(h.inequality_rows(), h.coordinates(p), (g.dx, g.dy))[1]
-    return None if end is None else h.point(end)
+def monotone_directions(circuits, c) -> tuple:
+    """Directed circuits with strictly positive c-gain, in sort order.
 
-
-def monotone_directions(cs: CircuitSet, c) -> tuple[Direction2, ...]:
-    """Directed circuits with strictly positive c-gain, sorted by (dx, dy).
-
-    c may be a Direction2 or any (cx, cy) pair; a zero cost yields no
-    directions (degenerate costs are rejected upstream).
+    circuits are canonical Direction2s or LiftedCircuits, and c a Direction2,
+    a LiftedCost or any cost vector; a zero cost yields no directions
+    (degenerate costs are rejected upstream).
     """
-    cx, cy = (c.dx, c.dy) if isinstance(c, Direction2) else (c[0], c[1])
+    # a positive integer multiple of c has the same gain signs
+    weights = homogeneous(getattr(c, "vector", c))[:-1]
     out = []
-    for g in cs:
-        gain = cx * g.dx + cy * g.dy
+    for g in circuits:
+        gain = sum(map(mul, weights, g.vector))
         if gain > 0:
             out.append(g)
         elif gain < 0:
@@ -239,62 +253,41 @@ def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
 # -- lifted variants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LiftedCircuit:
-    """Circuit of a polygon-times-simplex product.
+    """Directed circuit of a polygon-times-simplex product: its primitive integer vector.
 
-    kind \"base\": the planar circuit g paired with zero simplex movement.
-    kind \"axis\": sign * e_i in the simplex coordinates.
-    kind \"diff\": e_i - e_j in the simplex coordinates.
-    Directed instances carry sign or index order; canonical() strips both.
+    The first two coordinates are the planar part, the rest the simplex part.
+    By the product rule a circuit is one of three kinds: \"base\", a planar
+    circuit g padded with zeros; \"axis\", +-e_i in the simplex coordinates;
+    \"diff\", e_i - e_j.  Ordering is that of the vectors.
     """
 
-    kind: str
-    g: Direction2 | None = None
-    i: int = -1
-    j: int = -1
-    sign: int = 1
+    vector: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind == "base":
-            if self.g is None:
-                raise ValueError("base circuit needs a planar direction")
-        elif self.kind == "axis":
-            if self.i < 0 or self.sign not in (1, -1):
-                raise ValueError("axis circuit needs an index and a sign")
-        elif self.kind == "diff":
-            if self.i < 0 or self.j < 0 or self.i == self.j:
-                raise ValueError("diff circuit needs two distinct indices")
-        else:
-            raise ValueError(f"unknown circuit kind {self.kind!r}")
+        if not any(self.vector):
+            raise ValueError("circuit vector must be nonzero")
+        if gcd(*self.vector) != 1:
+            raise ValueError(f"{self.vector} is not primitive")
+
+    @property
+    def kind(self) -> str:
+        if any(self.vector[:2]):
+            return "base"
+        return "axis" if sum(map(abs, self.vector)) == 1 else "diff"
+
+    @property
+    def g(self) -> Direction2 | None:
+        """Direction of the planar part; None when it is zero."""
+        return primitive_direction(*self.vector[:2]) if any(self.vector[:2]) else None
 
     def canonical(self) -> "LiftedCircuit":
-        if self.kind == "base":
-            return replace(self, g=self.g.canonical())
-        if self.kind == "axis":
-            return replace(self, sign=1)
-        if self.i > self.j:
-            return replace(self, i=self.j, j=self.i)
-        return self
+        """The one of +-vector whose first nonzero entry is positive."""
+        return self if next(v for v in self.vector if v) > 0 else self.flipped()
 
     def flipped(self) -> "LiftedCircuit":
-        if self.kind == "base":
-            return replace(self, g=self.g.flipped())
-        if self.kind == "axis":
-            return replace(self, sign=-self.sign)
-        return replace(self, i=self.j, j=self.i)
-
-    def vector(self, extra_dims: int) -> tuple[int, ...]:
-        """Coordinates in dimension 2 + extra_dims; doubles as the sort key."""
-        y = [0] * extra_dims
-        if self.kind == "base":
-            return (self.g.dx, self.g.dy) + tuple(y)
-        if self.kind == "axis":
-            y[self.i] = self.sign
-        else:
-            y[self.i] = 1
-            y[self.j] = -1
-        return (0, 0) + tuple(y)
+        return LiftedCircuit(tuple(-v for v in self.vector))
 
 
 @dataclass(frozen=True)
@@ -303,6 +296,10 @@ class LiftedCost:
 
     base: Direction2
     simplex: tuple[Fraction, ...]
+
+    @property
+    def vector(self) -> tuple:
+        return self.base.vector + self.simplex
 
 
 def check_lifted_cost(lp: LiftedPolytope, c: LiftedCost) -> None:
@@ -314,48 +311,30 @@ def check_lifted_cost(lp: LiftedPolytope, c: LiftedCost) -> None:
 
 
 def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
-    """Canonical circuits of the product: base slopes, axes, axis differences."""
-    out = [LiftedCircuit("base", g=g) for g in enumerate_circuits(lp.base)]
-    out += [LiftedCircuit("axis", i=i) for i in range(lp.extra_dims)]
-    out += [
-        LiftedCircuit("diff", i=i, j=j)
-        for i in range(lp.extra_dims)
-        for j in range(i + 1, lp.extra_dims)
-    ]
-    return tuple(out)
+    """Canonical circuits of the product: each factor's circuits padded with zeros.
 
-
-def _lifted_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit):
-    if circ.canonical() not in enumerate_lifted_circuits(lp):
-        raise NotACircuit(f"{circ} is not a circuit of the lift with extra_dims={lp.extra_dims}")
-    return maximal_step(lp.inequality_rows(), lp.coordinates(p), circ.vector(lp.extra_dims))
+    The base slopes come first, then the simplex's edge directions: e_i, then
+    e_i - e_j for i < j.
+    """
+    e = lp.extra_dims
+    unit = simplex_vertices(e)[1:]
+    simplex = unit + tuple(tuple(map(sub, y, z)) for y, z in combinations(unit, 2))
+    base = tuple(g.vector + (0,) * e for g in enumerate_circuits(lp.base))
+    return tuple(LiftedCircuit(v) for v in base + tuple((0, 0) + y for y in simplex))
 
 
 def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Fraction:
     """Largest feasible step length from p along the directed lifted circuit."""
-    return _lifted_step(lp, p, circ)[0]
+    return _step(lp, p, circ, enumerate_lifted_circuits(lp))[0]
 
 
 def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> LiftedPoint | None:
     """Maximal move from p along the lifted circuit; None when it has length zero."""
-    end = _lifted_step(lp, p, circ)[1]
-    return None if end is None else lp.point(end)
+    return _step(lp, p, circ, enumerate_lifted_circuits(lp))[1]
 
 
-def monotone_lifted_directions(
-    circs: tuple[LiftedCircuit, ...], c: LiftedCost, extra_dims: int
-) -> tuple[LiftedCircuit, ...]:
-    """Directed lifted circuits with positive gain, sorted by coordinate vector."""
-    # a positive integer multiple of c has the same gain signs
-    weights = homogeneous((c.base.dx, c.base.dy) + c.simplex)[:-1]
-    out = []
-    for circ in circs:
-        gain = sum(map(mul, weights, circ.vector(extra_dims)))
-        if gain > 0:
-            out.append(circ)
-        elif gain < 0:
-            out.append(circ.flipped())
-    return tuple(sorted(out, key=lambda circ: circ.vector(extra_dims)))
+# one body serves both: a lifted circuit and cost have integer vectors like planar ones
+monotone_lifted_directions = monotone_directions
 
 
 def lifted_optimal_value(

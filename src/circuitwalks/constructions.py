@@ -549,6 +549,8 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
     (0, S).  Every census claim (vertex count, edge count, circuit classes)
     is asserted before returning.
     """
+    if C < 1:
+        raise BadParameter("C must be positive")
     ck = C * inst.k
     if ck > 8:
         warnings.warn(

@@ -9,8 +9,9 @@ Every sign test in building a polygon runs on integers.  A point is the
 homogeneous triple (X, Y, D) for (X/D, Y/D), with D > 0 and gcd 1, so equal
 points are equal triples: it lies inside a row (e1, e2, f) when
 e1*X + e2*Y <= f*D, and three points turn counterclockwise when the 3x3
-determinant of their triples is positive.  Rationals are built only for the
-vertices that are kept.
+determinant of their triples is positive.  One cross product turns two rows
+into the triple of their corner and two vertices into the row of their edge.
+Rationals are built only for the vertices that are kept.
 
 Rows become vertices by one angular sweep (half-plane intersection, as in
 Preparata and Shamos), O(m log m) for m rows.  The rows are sorted by the
@@ -19,9 +20,10 @@ one normal direction to the next is less than a half turn) and, of parallel
 rows, keeps the tightest.  A deque of edges then takes the rows in order,
 dropping from either end the edges whose corner the new row cuts off.  The
 result is confirmed exactly in O(m*k) for k corners: every corner satisfies
-every row, and the corners turn strictly counterclockwise.  Neighbouring
-corners lie on a common row, so corners that pass are exactly the region's
-vertices, and a region that fails has no interior.
+every row, and the corners turn strictly counterclockwise (VPolygon's own
+check, made once).  Neighbouring corners lie on a common row, so corners
+that pass are exactly the region's vertices, a region that fails has no
+interior, and the kept edges are its minimal rows, in boundary order.
 
 Containment is an integer test too, in any dimension: a point becomes its
 homogeneous state (x, D), and it lies in the polytope when a.x <= b*D for
@@ -149,12 +151,18 @@ def _normals_positively_span(lines: list[tuple[int, int, int]]) -> bool:
     return len(lines) >= 3 and all(_cross(lines[i - 1], lines[i]) > 0 for i in range(len(lines)))
 
 
-def _corner(r: tuple[int, int, int], s: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Canonical homogeneous triple where two rows meet, s counterclockwise from r."""
-    (a1, a2, b), (c1, c2, d) = r, s
-    x, y, det = b * c2 - d * a2, a1 * d - c1 * b, a1 * c2 - a2 * c1
-    g = gcd(x, y, det)
-    return (x // g, y // g, det // g)
+def _meet(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gcd-reduced cross product of two triples, read with the row (a1, a2, b) as
+    the line a1*X + a2*Y = b*W.
+
+    For two rows, v counterclockwise from u, it is the canonical triple of the
+    point where they meet.  For two points, v counterclockwise after u on the
+    boundary of a region, it is the canonical row of the edge from u to v.
+    """
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    x, y, w = u3 * v2 - u2 * v3, u1 * v3 - u3 * v1, u1 * v2 - u2 * v1
+    g = gcd(x, y, w)
+    return (x // g, y // g, w // g)
 
 
 def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
@@ -162,8 +170,12 @@ def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
     return r[0] * t[0] + r[1] * t[1] >= r[2] * t[2]
 
 
-def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
-    """Vertex polygon of a canonical row system; raises UnboundedOrEmpty."""
+def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> tuple["VPolygon", tuple]:
+    """Vertex polygon of a canonical row system and its edge rows; raises UnboundedOrEmpty.
+
+    The edges come in boundary order, starting at the one that leaves the
+    first vertex, the lexicographic minimum.
+    """
     lines = _by_angle(rows)
     if not _normals_positively_span(lines):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
@@ -182,7 +194,7 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
             # while the region has an interior, kept neighbours turn by less than a half turn
             if _cross(edges[-1], r) <= 0:
                 raise empty
-            corners.append(_corner(edges[-1], r))
+            corners.append(_meet(edges[-1], r))
         edges.append(r)
     while len(corners) >= 2 and _cuts(edges[0], corners[-1]):
         edges.pop()
@@ -192,17 +204,20 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
         corners.popleft()
     if len(edges) < 3 or _cross(edges[-1], edges[0]) <= 0:
         raise empty
-    corners.append(_corner(edges[-1], edges[0]))
+    corners.append(_meet(edges[-1], edges[0]))
     # Each edge's line carries both of its corners, so corners that satisfy
-    # every row and turn strictly counterclockwise are exactly the region's
-    # vertices; anything else means the region has no interior.
-    t = list(corners)
-    if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))):
-        raise empty
+    # every row and turn strictly counterclockwise (VPolygon checks the turns)
+    # are exactly the region's vertices; anything else means the region has
+    # no interior.  corners[i] is where edges[i] ends and edges[i + 1] leaves.
+    t, e = list(corners), list(edges)
     if any(a1 * x + a2 * y > b * w for x, y, w in t for a1, a2, b in rows):
         raise empty
     first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
-    return VPolygon(tuple(Point2(*dehomogenize(p)) for p in t[first:] + t[:first]))
+    try:
+        hull = VPolygon(tuple(Point2(*dehomogenize(p)) for p in t[first:] + t[:first]))
+    except ValueError:
+        raise empty from None
+    return hull, tuple(e[first + 1:] + e[:first + 1])
 
 
 def _contains(rows, coords) -> bool:
@@ -229,7 +244,7 @@ class HPolygon:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
-        hull = _hull_of_rows(rows)
+        hull = _hull_of_rows(rows)[0]
         if len(hull.vertices) != len(rows):
             raise ValueError("redundant row; use remove_redundant first")
         object.__setattr__(self, "_hull", hull)
@@ -309,14 +324,8 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
 
 def v_to_h(v: VPolygon) -> HPolygon:
     """Minimal halfplane system, one row per edge in boundary order."""
-    rows = []
-    n = len(v.vertices)
-    for i in range(n):
-        p, q = v.vertices[i], v.vertices[(i + 1) % n]
-        dx, dy = q.x - p.x, q.y - p.y
-        # outward normal of a ccw edge
-        rows.append(canonical_row(dy, -dx, dy * p.x - dx * p.y))
-    return HPolygon(tuple(rows))
+    t = [homogeneous((p.x, p.y)) for p in v.vertices]
+    return HPolygon(tuple(_meet(p, q) for p, q in zip(t, t[1:] + t[:1])))
 
 
 def h_to_v(h: HPolygon) -> VPolygon:
@@ -333,7 +342,7 @@ def remove_redundant(rows) -> HPolygon:
     canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
     if len(canon) < 3:
         raise UnboundedOrEmpty("a polygon needs at least three rows")
-    return v_to_h(_hull_of_rows(canon))
+    return HPolygon(_hull_of_rows(canon)[1])
 
 
 def transform_polygon(m: AffineMap2, h: HPolygon) -> HPolygon:
@@ -389,10 +398,7 @@ class LiftedPolytope:
         """Full-dimensional H-description as (coefficients, bound) pairs."""
         e = self.extra_dims
         rows = [(a + (0,) * e, b) for a, b in self.base.inequality_rows()]
-        for i in range(e):
-            coeff = [0, 0] + [0] * e
-            coeff[2 + i] = -1
-            rows.append((tuple(coeff), 0))
+        rows += [((0, 0) + tuple(-y for y in unit), 0) for unit in simplex_vertices(e)[1:]]
         if e:
             rows.append(((0, 0) + (1,) * e, 1))
         return tuple(rows)
@@ -423,14 +429,8 @@ def simplex_vertices(extra_dims: int) -> tuple[tuple[int, ...], ...]:
     """Vertices of conv(0, e_1, .., e_extra) as coordinate tuples."""
     if extra_dims < 0:
         raise BadDimension("extra_dims must be nonnegative")
-    if extra_dims == 0:
-        return ((),)
-    verts: list[tuple[int, ...]] = [(0,) * extra_dims]
-    for i in range(extra_dims):
-        unit = [0] * extra_dims
-        unit[i] = 1
-        verts.append(tuple(unit))
-    return tuple(verts)
+    units = tuple(tuple(int(i == j) for j in range(extra_dims)) for i in range(extra_dims))
+    return ((0,) * extra_dims,) + units
 
 
 def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:

@@ -81,6 +81,10 @@ class Direction2:
         if gcd(self.dx, self.dy) != 1:
             raise ValueError(f"({self.dx}, {self.dy}) is not primitive")
 
+    @property
+    def vector(self) -> tuple[int, int]:
+        return (self.dx, self.dy)
+
     def canonical(self) -> "Direction2":
         """The lexicographically positive one of {g, -g}."""
         if self.dx > 0 or (self.dx == 0 and self.dy > 0):

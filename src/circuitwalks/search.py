@@ -43,11 +43,10 @@ from .circuits import (
     maximal_step,
     monotone_directions,
     monotone_edge_walk,
-    monotone_lifted_directions,
     optimal_value,
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
-from .circuits import lifted_max_step, lifted_move, max_step  # noqa: F401
+from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
 from .polytope import HPolygon, LiftedPolytope, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
@@ -134,23 +133,18 @@ DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
 def _circuits(h, c):
-    """The circuits of h and the cost c in integer form.
+    """The circuits of h under the cost c.
 
-    Returns the canonical circuits of h, the function giving a directed
-    circuit's integer vector, the strictly c-increasing directed circuits in
-    search order, c as a rational vector, and the function giving c's
-    maximum over h.  Raises BadDimension when a lifted cost does not fit h.
+    Returns the canonical circuits of h, the strictly c-increasing directed
+    circuits in search order, and the function giving c's maximum over h.
+    Raises BadDimension when a lifted cost does not fit h.
     """
     if isinstance(h, LiftedPolytope):
         check_lifted_cost(h, c)
-        e = h.extra_dims
-        circuits = enumerate_lifted_circuits(h)
-        monotone = monotone_lifted_directions(circuits, c, e)
-        cost = (c.base.dx, c.base.dy) + c.simplex
-        return circuits, lambda g: g.vector(e), monotone, cost, lifted_optimal_value
-    circuits = enumerate_circuits(h)
-    monotone = monotone_directions(circuits, c)
-    return circuits, lambda g: (g.dx, g.dy), monotone, (c.dx, c.dy), optimal_value
+        circuits, optimum = enumerate_lifted_circuits(h), lifted_optimal_value
+    else:
+        circuits, optimum = enumerate_circuits(h), optimal_value
+    return circuits, monotone_directions(circuits, c), optimum
 
 
 def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
@@ -164,12 +158,12 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    _, vector, monotone, cost, optimum = _circuits(h, c)
+    _, monotone, optimum = _circuits(h, c)
     rows = h.inequality_rows()
-    moves = tuple((g, vector(g), blocking_rows(rows, vector(g))) for g in monotone)
+    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
     opt, argmax = optimum(h, c)
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
-    goal = homogeneous(cost + (-opt,))[:-1]
+    goal = homogeneous(c.vector + (-opt,))[:-1]
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
@@ -267,21 +261,17 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
-    circuits, vector, _, cost, _ = _circuits(h, c)
-    circuits = set(circuits)
-    # a positive integer multiple of c has the same gain signs
-    weights = homogeneous(cost)[:-1]
+    circuits, monotone = map(set, _circuits(h, c)[:2])
     rows = h.inequality_rows()
     for idx, g in enumerate(w.steps):
         if g.canonical() not in circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        vec = vector(g)
-        end = maximal_step(rows, h.coordinates(w.points[idx]), vec)[1]
+        end = maximal_step(rows, h.coordinates(w.points[idx]), g.vector)[1]
         if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
         if h.coordinates(w.points[idx + 1]) != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
-        if sum(map(mul, weights, vec)) <= 0:
+        if g not in monotone:
             return ValidationReport(False, idx, "step does not strictly increase the cost")
     return ValidationReport(True)
 

@@ -1,6 +1,7 @@
 """Shared fixtures plus a per-criterion verdict table for the acceptance tests."""
 
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from circuitwalks.polytope import (
     lifted_vertices,
     v_to_h,
 )
-from circuitwalks.ratgeo import Point2, rat
+from circuitwalks.ratgeo import Direction2, Point2, rat
 
 _acceptance = []
 
@@ -202,6 +203,16 @@ def reference_hpolygon(rows) -> tuple[Point2, ...]:
     return hull
 
 
+def reference_edge_rows(vertices) -> tuple[tuple[int, int, int], ...]:
+    """Canonical row of each edge of a counterclockwise vertex tuple, from the
+    first vertex on: the outward normal (dy, -dx) by Fraction arithmetic."""
+    rows = []
+    for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+        dx, dy = q.x - p.x, q.y - p.y
+        rows.append(canonical_row(dy, -dx, dy * p.x - dx * p.y))
+    return tuple(rows)
+
+
 def reference_remove_redundant(rows) -> tuple[Point2, ...]:
     """Vertex tuple of remove_redundant(rows), raising what it raises."""
     canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
@@ -227,3 +238,73 @@ def reference_lifted_optimal_value(lp: LiftedPolytope, c):
     vals = [value(v) for v in verts]
     best = max(vals)
     return best, tuple(v for v, val in zip(verts, vals) if val == best)
+
+
+# -- lifted circuits by kind: the reference for the integer-vector ones ---------
+
+
+@dataclass(frozen=True)
+class ReferenceLiftedCircuit:
+    """Circuit of a polygon-times-simplex product, stored by kind.
+
+    kind "base": the planar circuit g paired with zero simplex movement.
+    kind "axis": sign * e_i in the simplex coordinates.
+    kind "diff": e_i - e_j in the simplex coordinates.
+    Directed instances carry sign or index order; canonical() strips both.
+    """
+
+    kind: str
+    g: Direction2 | None = None
+    i: int = -1
+    j: int = -1
+    sign: int = 1
+
+    def canonical(self):
+        if self.kind == "base":
+            return replace(self, g=self.g.canonical())
+        if self.kind == "axis":
+            return replace(self, sign=1)
+        if self.i > self.j:
+            return replace(self, i=self.j, j=self.i)
+        return self
+
+    def flipped(self):
+        if self.kind == "base":
+            return replace(self, g=self.g.flipped())
+        if self.kind == "axis":
+            return replace(self, sign=-self.sign)
+        return replace(self, i=self.j, j=self.i)
+
+    def vector(self, extra_dims: int) -> tuple[int, ...]:
+        """Coordinates in dimension 2 + extra_dims; doubles as the sort key."""
+        y = [0] * extra_dims
+        if self.kind == "base":
+            return (self.g.dx, self.g.dy) + tuple(y)
+        if self.kind == "axis":
+            y[self.i] = self.sign
+        else:
+            y[self.i] = 1
+            y[self.j] = -1
+        return (0, 0) + tuple(y)
+
+
+def reference_lifted_circuits(lp: LiftedPolytope, base_circuits):
+    """Canonical circuits of the product by kind: base slopes, axes, axis differences."""
+    e = lp.extra_dims
+    out = [ReferenceLiftedCircuit("base", g=g) for g in base_circuits]
+    out += [ReferenceLiftedCircuit("axis", i=i) for i in range(e)]
+    out += [ReferenceLiftedCircuit("diff", i=i, j=j) for i in range(e) for j in range(i + 1, e)]
+    return out
+
+
+def reference_monotone_lifted(circuits, c, extra_dims: int):
+    """Directed circuits with positive gain under the rational cost c, sorted by vector."""
+    cost = (c.base.dx, c.base.dy) + tuple(c.simplex)
+    out = []
+    for circ in circuits:
+        gain = sum(w * v for w, v in zip(cost, circ.vector(extra_dims)))
+        if gain > 0:
+            out.append(circ)
+        elif gain < 0:
+            out.append(circ.flipped())
+    return sorted(out, key=lambda circ: circ.vector(extra_dims))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from circuitwalks.circuits import (
@@ -7,21 +9,27 @@ from circuitwalks.circuits import (
     LiftedCost,
     NotACircuit,
     NotAVertex,
-    circuit_move,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_max_step,
     lifted_move,
     lifted_optimal_value,
     max_step,
+    maximal_step,
     monotone_directions,
     monotone_edge_walk,
     monotone_lifted_directions,
     optimal_value,
 )
-from circuitwalks.constructions import build_p_ell
+from circuitwalks.constructions import build_p_ell, lift_instance
 from circuitwalks.polytope import LiftedPoint, VPolygon, product_with_simplex, v_to_h
-from circuitwalks.ratgeo import Direction2, Point2, rat
+from circuitwalks.ratgeo import Direction2, Point2, primitive_direction, rat
+
+from conftest import (
+    random_hull,
+    reference_lifted_circuits,
+    reference_monotone_lifted,
+)
 
 
 def P(x, y):
@@ -61,24 +69,25 @@ class TestEnumerate:
 
 
 class TestMaxStep:
+    ROWS = TRIANGLE.inequality_rows()
+
     def test_interior_step_hits_far_edge(self):
         assert max_step(TRIANGLE, P(0, -1), Direction2(1, 1)) == 1
-        assert circuit_move(TRIANGLE, P(0, -1), Direction2(1, 1)) == P(1, 0)
+        assert maximal_step(self.ROWS, (rat(0), rat(-1)), (1, 1)) == (1, (rat(1), rat(0)))
 
     def test_zero_at_tight_row(self):
         assert max_step(TRIANGLE, P(1, 0), Direction2(1, 1)) == 0
 
-    def test_circuit_move_infeasible_sentinel(self):
-        out = circuit_move(TRIANGLE, P(1, 0), Direction2(1, 1))
-        assert out is None
-        assert not out
+    def test_zero_length_step_has_no_end(self):
+        assert maximal_step(self.ROWS, (rat(1), rat(0)), (1, 1)) == (0, None)
 
-    def test_circuit_move_requires_circuit(self):
+    def test_max_step_requires_circuit(self):
         with pytest.raises(NotACircuit):
-            circuit_move(TRIANGLE, P(0, -1), Direction2(1, 2))
+            max_step(TRIANGLE, P(0, -1), Direction2(1, 2))
 
     def test_move_from_wall_midpoint(self):
-        assert circuit_move(TRIANGLE, P(0, 0), Direction2(1, 1)) == P(rat(1, 2), rat(1, 2))
+        lam, end = maximal_step(self.ROWS, (rat(0), rat(0)), (1, 1))
+        assert lam == rat(1, 2) and end == (rat(1, 2), rat(1, 2))
 
 
 class TestMonotoneDirections:
@@ -146,27 +155,27 @@ class TestLiftedCircuits:
     def test_axis_step_bounded_by_simplex(self):
         lp = product_with_simplex(TRIANGLE, 4)
         p = LiftedPoint(P(0, 0), (rat(0), rat(0)))
-        up = LiftedCircuit(kind="axis", g=None, i=0)
+        up = LiftedCircuit((0, 0, 1, 0))
         assert lifted_max_step(lp, p, up) == 1
         assert lifted_move(lp, p, up).simplex == (rat(1), rat(0))
 
     def test_axis_down_blocked_at_floor(self):
         lp = product_with_simplex(TRIANGLE, 4)
         p = LiftedPoint(P(0, 0), (rat(0), rat(0)))
-        down = LiftedCircuit(kind="axis", g=None, i=0, sign=-1)
+        down = LiftedCircuit((0, 0, -1, 0))
         assert lifted_move(lp, p, down) is None
 
     def test_diff_transfers_between_coords(self):
         lp = product_with_simplex(TRIANGLE, 4)
         p = LiftedPoint(P(0, 0), (rat(0), rat(1, 2)))
-        move = LiftedCircuit(kind="diff", g=None, i=0, j=1)
+        move = LiftedCircuit((0, 0, 1, -1))
         assert lifted_max_step(lp, p, move) == rat(1, 2)
         assert lifted_move(lp, p, move).simplex == (rat(1, 2), rat(0))
 
     def test_base_kind_wraps_planar_circuit(self):
         lp = product_with_simplex(TRIANGLE, 4)
         p = LiftedPoint(P(0, -1), (rat(0), rat(0)))
-        step = LiftedCircuit(kind="base", g=Direction2(1, 1))
+        step = LiftedCircuit((1, 1, 0, 0))
         q = lifted_move(lp, p, step)
         assert q.base == P(1, 0) and q.simplex == p.simplex
 
@@ -174,15 +183,15 @@ class TestLiftedCircuits:
         lp = product_with_simplex(TRIANGLE, 4)
         p = LiftedPoint(P(0, -1), (rat(0), rat(0)))
         with pytest.raises(NotACircuit):
-            lifted_max_step(lp, p, LiftedCircuit(kind="base", g=Direction2(1, 2)))
+            lifted_max_step(lp, p, LiftedCircuit((1, 2, 0, 0)))
         with pytest.raises(NotACircuit):
-            lifted_max_step(lp, p, LiftedCircuit(kind="axis", g=None, i=5))
+            lifted_max_step(lp, p, LiftedCircuit((0, 0, 0, 0, 0, 0, 0, 1)))
 
     def test_monotone_selection_uses_simplex_costs(self):
         lp = product_with_simplex(TRIANGLE, 3)
         cost = LiftedCost(base=Direction2(1, 0), simplex=(rat(1),))
-        dirs = monotone_lifted_directions(enumerate_lifted_circuits(lp), cost, lp.extra_dims)
-        vecs = [c.vector(lp.extra_dims) for c in dirs]
+        dirs = monotone_lifted_directions(enumerate_lifted_circuits(lp), cost)
+        vecs = [c.vector for c in dirs]
         assert all(
             sum(v * c for v, c in zip(vec, (rat(1), rat(0), rat(1)))) > 0 for vec in vecs
         )
@@ -193,3 +202,59 @@ class TestLiftedCircuits:
         best, argmax = lifted_optimal_value(lp, cost)
         assert best == 2 and len(argmax) == 1
         assert argmax[0].base == P(1, 0) and argmax[0].simplex == (rat(1),)
+
+
+WEIGHTS = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2)]
+
+
+class TestLiftedCircuitVectors:
+    """Integer-vector circuits against the kind-based reference, vector for vector."""
+
+    def assert_matches_reference(self, lp, costs):
+        e = lp.extra_dims
+        got = enumerate_lifted_circuits(lp)
+        want = reference_lifted_circuits(lp, enumerate_circuits(lp.base))
+        assert [c.vector for c in got] == [r.vector(e) for r in want]
+        for circ, ref in zip(got, want):
+            for c, r in ((circ, ref), (circ.flipped(), ref.flipped())):
+                assert len(c.vector) == lp.dim
+                assert (c.kind, c.g) == (r.kind, r.g)
+                assert c.canonical().vector == r.canonical().vector(e)
+                assert c.flipped().vector == r.flipped().vector(e)
+            assert circ.canonical() == circ and circ.flipped().canonical() == circ
+        for cost in costs:
+            assert [c.vector for c in monotone_lifted_directions(got, cost)] == [
+                r.vector(e) for r in reference_monotone_lifted(want, cost, e)
+            ]
+
+    def test_family_lifts(self):
+        rng = random.Random(10)
+        for ell in range(1, 6):
+            art = build_p_ell(ell)
+            for d in range(2, 9):
+                lp, _, top = lift_instance(art.h, art.u, art.c0, d)
+                costs = [top] + [
+                    LiftedCost(art.c0, tuple(rng.choice(WEIGHTS) for _ in range(d - 2)))
+                    for _ in range(3)
+                ]
+                self.assert_matches_reference(lp, costs)
+
+    def test_random_hull_lifts(self):
+        rng = random.Random(1010)
+        for _ in range(200):
+            h = v_to_h(random_hull(rng, max_points=8, bound=30))
+            for d in range(2, 9):
+                cost = LiftedCost(
+                    primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
+                    tuple(rng.choice(WEIGHTS) for _ in range(d - 2)),
+                )
+                self.assert_matches_reference(product_with_simplex(h, d), [cost])
+
+    def test_rejects_zero_and_non_primitive_vectors(self):
+        for vector in ((0, 0), (0, 0, 0, 0), (2, 0, 0), (0, 0, 2, -2), (3, 6, 0, 9)):
+            with pytest.raises(ValueError):
+                LiftedCircuit(vector)
+
+    def test_sorted_like_vectors(self):
+        circs = [LiftedCircuit(v) for v in ((0, 1, 0), (1, -1, 0), (0, 0, -1), (0, 0, 1))]
+        assert [c.vector for c in sorted(circs)] == sorted(c.vector for c in circs)

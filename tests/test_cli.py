@@ -166,6 +166,10 @@ class TestReductionCommands:
     def test_missing_C_is_an_error(self, capsys):
         assert run("gen-reduction", "--a", "2,3", "--S", "5", "--k", "2") == 1
 
+    def test_zero_C_names_C(self, capsys):
+        assert run("gen-reduction", "--a", "2,3", "--S", "5", "--k", "2", "--C", "0") == 1
+        assert capsys.readouterr().err == "error: C must be positive\n"
+
     def test_solve_round_trip(self, tmp_path):
         path = tmp_path / "red.cwi"
         run("gen-reduction", "--a", "2,3", "--S", "5", "--k", "2", "--C", "2",

@@ -389,6 +389,11 @@ class TestReduction:
             with pytest.raises(BadParameter):
                 reduction_witness_walk(red, r)
 
+    def test_nonpositive_C_rejected_before_building(self):
+        for C in (0, -1):
+            with pytest.raises(BadParameter, match="^C must be positive$"):
+                build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), C)
+
     def test_large_product_warns(self):
         inst = SubsetSumInstance(a=(2, 3), S=5, k=3)
         with pytest.warns(RuntimeWarning):

@@ -31,6 +31,7 @@ from conftest import (
     random_hpolygon,
     random_hull,
     reference_check_vertices,
+    reference_edge_rows,
     reference_hpolygon,
     reference_hull2d,
     reference_remove_redundant,
@@ -280,6 +281,7 @@ class TestIntegerConstruction:
         if minimal[0] != "ok":
             return
         edges = remove_redundant(rows).rows
+        assert edges == reference_edge_rows(minimal[1])
         (a1, a2, b), (c1, c2, d) = edges[:2]
         for soup in (edges, edges[::-1], edges + ((a1 + c1, a2 + c2, b + d),)):
             assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, soup) == _outcome(
@@ -300,6 +302,7 @@ class TestLargePolygons:
         ring = hull2d([P(k, k * k) for k in range(-100, 100)])
         assert len(ring.vertices) == 200
         rows = v_to_h(ring).rows
+        assert rows == reference_edge_rows(ring.vertices)
         for h in (HPolygon(rows), HPolygon(rows[::-1]), remove_redundant(_with_redundant_rows(rows, 3))):
             assert h_to_v(h).vertices == ring.vertices
         inst = InstanceFile(polygon=HPolygon(rows), cost=Direction2(0, -1), start=ring.vertices[0])

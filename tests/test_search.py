@@ -196,7 +196,7 @@ class TestLiftedValidation:
         return is_valid_monotone_walk(self.lp, self.c, Walk(tuple(points), tuple(steps)))
 
     def test_accepts_axis_diff_and_base_steps(self):
-        up, shift = LiftedCircuit("axis", i=0), LiftedCircuit("diff", i=1, j=0)
+        up, shift = LiftedCircuit((0, 0, 1, 0)), LiftedCircuit((0, 0, -1, 1))
         walk = shortest_monotone_walk(self.lp, self.at(0, 1), self.c, SearchConfig(2)).walk
         report = self.check(
             (self.at(0, 0), self.at(1, 0), self.at(0, 1)) + walk.points[1:],
@@ -206,21 +206,21 @@ class TestLiftedValidation:
         assert {step.kind for step in walk.steps} == {"base"}
 
     def test_rejects_non_circuit_steps(self):
-        for step in (LiftedCircuit("axis", i=2), LiftedCircuit("base", g=Direction2(1, 2))):
+        for step in (LiftedCircuit((0, 0, 0, 0, 1)), LiftedCircuit((1, 2, 0, 0))):
             report = self.check((self.at(0, 0), self.at(1, 0)), (step,))
             assert not report and report.step == 0 and "circuit" in report.reason
 
     def test_rejects_short_step(self):
-        report = self.check((self.at(0, 0), self.at(rat(1, 2), 0)), (LiftedCircuit("axis", i=0),))
+        report = self.check((self.at(0, 0), self.at(rat(1, 2), 0)), (LiftedCircuit((0, 0, 1, 0)),))
         assert not report and report.step == 0 and "maximal" in report.reason
 
     def test_rejects_zero_length_step(self):
-        up = LiftedCircuit("axis", i=0)
+        up = LiftedCircuit((0, 0, 1, 0))
         report = self.check((self.at(0, 0), self.at(1, 0), self.at(1, 0)), (up, up))
         assert not report and report.step == 1 and "zero length" in report.reason
 
     def test_rejects_non_increasing_step(self):
-        down = LiftedCircuit("axis", i=0, sign=-1)
+        down = LiftedCircuit((0, 0, -1, 0))
         report = self.check((self.at(1, 0), self.at(0, 0)), (down,))
         assert not report and report.step == 0 and "increase" in report.reason
 
@@ -308,11 +308,10 @@ def _rational_problem(h, c):
     """Rows, monotone (label, vector) pairs, cost vector, optimum and the
     point <-> coordinates maps of a polygon or a lift, in rational terms."""
     if isinstance(h, LiftedPolytope):
-        e = h.extra_dims
-        dirs = monotone_lifted_directions(enumerate_lifted_circuits(h), c, e)
+        dirs = monotone_lifted_directions(enumerate_lifted_circuits(h), c)
         return (
             h.inequality_rows(),
-            [(g, g.vector(e)) for g in dirs],
+            [(g, g.vector) for g in dirs],
             (c.base.dx, c.base.dy) + tuple(c.simplex),
             reference_lifted_optimal_value(h, c)[0],
             lambda p: (p.base.x, p.base.y) + tuple(p.simplex),
