@@ -6,7 +6,7 @@ the pieces most scripts want.
 
 from .ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
 from .polytope import HPolygon, LiftedPolytope, VPolygon, h_to_v, v_to_h
-from .circuits import CircuitSet, enumerate_circuits, monotone_directions
+from .circuits import enumerate_circuits, monotone_directions
 from .search import (
     Found,
     NodeCapExceeded,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap2",
-    "CircuitSet",
     "Direction2",
     "Found",
     "HPolygon",

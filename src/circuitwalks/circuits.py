@@ -43,7 +43,7 @@ __all__ = [
     "NotAVertex",
     "AmbiguousOptimum",
     "UnboundedDirection",
-    "CircuitSet",
+    "Walk",
     "enumerate_circuits",
     "blocking_rows",
     "maximal_moves",
@@ -80,29 +80,34 @@ class UnboundedDirection(ValueError):
 
 
 @dataclass(frozen=True)
-class CircuitSet:
-    """Canonical undirected circuit directions, sorted lexicographically."""
+class Walk:
+    """A walk: n points joined by n-1 primitive step directions."""
 
-    directions: tuple[Direction2, ...]
+    points: tuple
+    steps: tuple
 
     def __post_init__(self) -> None:
-        if list(self.directions) != sorted(set(g.canonical() for g in self.directions)):
-            raise ValueError("directions must be canonical, sorted and distinct")
+        if not self.points:
+            raise ValueError("a walk has at least one point")
+        if len(self.steps) != len(self.points) - 1:
+            raise ValueError("need exactly one step between consecutive points")
 
-    def __iter__(self):
-        return iter(self.directions)
+    @property
+    def length(self) -> int:
+        return len(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.directions)
+    @property
+    def start(self):
+        return self.points[0]
 
-    def __contains__(self, g: Direction2) -> bool:
-        return g.canonical() in set(self.directions)
+    @property
+    def end(self):
+        return self.points[-1]
 
 
-def enumerate_circuits(h: HPolygon) -> CircuitSet:
-    """All circuit directions of the polygon: one per edge slope."""
-    dirs = {primitive_direction(-a2, a1).canonical() for a1, a2, _ in h.rows}
-    return CircuitSet(tuple(sorted(dirs)))
+def enumerate_circuits(h: HPolygon) -> tuple[Direction2, ...]:
+    """All circuit directions of the polygon, one per edge slope: canonical and sorted."""
+    return tuple(sorted({primitive_direction(-a2, a1).canonical() for a1, a2, _ in h.rows}))
 
 
 def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:
@@ -217,8 +222,6 @@ def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
     direction.  Edges are circuits, so the result is a monotone circuit walk
     of at most m steps.
     """
-    from .search import Walk  # deferred: search imports this module
-
     verts = h_to_v(h).vertices
     n = len(verts)
     value = {v: c.dx * v.x + c.dy * v.y for v in verts}

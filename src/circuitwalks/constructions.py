@@ -31,11 +31,11 @@ from .polytope import (
     LiftedPolytope,
     VPolygon,
     h_to_v,
-    hull2d,
     product_with_simplex,
-    transform_polygon,
     v_to_h,
 )
+# Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
+from .polytope import hull2d, transform_polygon  # noqa: F401
 from .ratgeo import (
     AffineMap2,
     Direction2,
@@ -44,7 +44,7 @@ from .ratgeo import (
     pullback_cost,
     rat,
 )
-from .circuits import LiftedCost, enumerate_circuits, optimal_value
+from .circuits import LiftedCost, Walk, enumerate_circuits, optimal_value
 
 __all__ = [
     "BadParameter",
@@ -422,7 +422,8 @@ class CornerTransform:
     All image edge slopes are positive and tiny, the image of u is the
     leftmost and lowest point, the image of w the rightmost and highest, and
     the image of t sits at height exactly S.  epsilon is how far w's image
-    pokes above S.
+    pokes above S.  image is the tuple of the images of the family polygon's
+    vertices, counterclockwise from w's image to u's image.
     """
 
     map: AffineMap2
@@ -433,7 +434,7 @@ class CornerTransform:
     s1: Fraction
     epsilon: Fraction
     chain_slopes: tuple[Fraction, ...]
-    image: HPolygon
+    image: tuple[Point2, ...]
     u_image: Point2
     w_image: Point2
     t_image: Point2
@@ -462,14 +463,14 @@ def build_corner_transform(
     rot = AffineMap2(-1, -1, 1, -1)
     beta = rat(1, 6 * ck)
     pre = AffineMap2.scaling(1, beta).compose(rot.compose(AffineMap2.scaling(alpha, 1)))
-    flat = transform_polygon(pre, pell.h)
-    u1, w1 = pre.apply(pell.u), pre.apply(pell.w)
+    # pre has positive determinant, so it maps the counterclockwise vertex
+    # cycle to the image's; the cycle runs from w to u, and its closing edge,
+    # the old left wall, becomes the chord below the chain
+    if (pell.v.vertices[0], pell.v.vertices[-1]) != (pell.w, pell.u):
+        raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
+    ring = [pre.apply(v) for v in pell.v.vertices]
     slopes = []
-    ring = h_to_v(flat).vertices
-    for i in range(len(ring)):
-        p, q = ring[i], ring[(i + 1) % len(ring)]
-        if {p, q} == {u1, w1}:
-            continue  # the old left wall, now the chord below the chain
+    for p, q in zip(ring, ring[1:]):
         if q.x == p.x:
             raise ConstructionError("chain edge came out vertical")
         slopes.append((q.y - p.y) / (q.x - p.x))
@@ -484,14 +485,14 @@ def build_corner_transform(
         -scaled.apply(pell.u).x, inst.S - scaled.apply(pell.t).y
     )
     full = shift.compose(scaled)
-    image = transform_polygon(full, pell.h)
-    u2, w2, t2 = full.apply(pell.u), full.apply(pell.w), full.apply(pell.t)
+    image = tuple(full.apply(v) for v in pell.v.vertices)
+    w2, u2, t2 = image[0], image[-1], full.apply(pell.t)
     epsilon = w2.y - inst.S
     if not (0 < epsilon <= 2 * gamma * beta and epsilon < box / 2):
         raise ConstructionError("epsilon outside (0, box/2)")
     if u2.x != 0 or t2.y != inst.S or w2.x != 2 * gamma:
         raise ConstructionError("anchor points landed off their rails")
-    for v in h_to_v(image).vertices:
+    for v in image:
         if not (0 <= v.x < box and abs(v.y - inst.S) < box / 2):
             raise ConstructionError("image vertex outside the corner window")
         if v != u2 and (v.x <= u2.x or v.y <= u2.y):
@@ -544,10 +545,11 @@ class ReductionInstance:
 def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
     """Assemble the separation polygon for an exact-sum instance.
 
-    Hull of: the origin s, the top-right anchor (1, S + epsilon), the slope
-    chain along the bottom-right, and the squeezed corner polygon beside
-    (0, S).  Every census claim (vertex count, edge count, circuit classes)
-    is asserted before returning.
+    Its counterclockwise vertex cycle is: the origin s, the slope chain along
+    the bottom right, the top-right anchor (1, S + epsilon), then the squeezed
+    corner polygon beside (0, S) from w's image to u's image.  Every census
+    claim (vertex count, edge count, circuit classes) is asserted before
+    returning.
     """
     if C < 1:
         raise BadParameter("C must be positive")
@@ -566,11 +568,13 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
     chain = build_slope_chain(inst, c)
     s = Point2(rat(0), rat(0))
     apex = Point2(rat(1), inst.S + corner.epsilon)
-    corner_pts = tuple(corner.map.apply(p) for p in pell.v.vertices)
-    expected = {s, apex, *chain.vertices, *corner_pts}
-    v = hull2d(list(expected))
-    if set(v.vertices) != expected:
-        raise ConstructionError("some intended vertex fell inside the hull")
+    # x rises strictly along the chain and falls strictly along the corner
+    # arc, so the cycle winds once and VPolygon's strict turn check proves
+    # that every point is a vertex of the hull
+    try:
+        v = VPolygon((s, *chain.vertices, apex, *corner.image))
+    except ValueError:
+        raise ConstructionError("some intended vertex fell inside the hull") from None
     if len(v.vertices) != inst.n + 2 * ck + 4:
         raise ConstructionError("vertex census mismatch")
     h = v_to_h(v)
@@ -605,14 +609,9 @@ def classify_reduction_circuits(red: ReductionInstance):
     ck = red.ck
     frame = (Direction2(0, 1), Direction2(1, 0))
     element = tuple(Direction2(1, w) for w in inst.a)
-    corner = []
-    ring = h_to_v(red.corner.image).vertices
-    for i in range(len(ring)):
-        p, q = ring[i], ring[(i + 1) % len(ring)]
-        if {p, q} == {red.corner.u_image, red.corner.w_image}:
-            continue
-        corner.append(primitive_direction(q.x - p.x, q.y - p.y).canonical())
-    corner.sort()
+    # the corner map only adds a uniform scaling and a translation to the
+    # squeeze that set the chain slopes, so its edges keep those slopes
+    corner = sorted(primitive_direction(1, s) for s in red.corner.chain_slopes)
     for g in corner:
         if not (g.dx > 0 and 0 < rat(g.dy, g.dx) < rat(1, 2 * ck)):
             raise ConstructionError("corner circuit slope outside (0, 1/(2*C*k))")
@@ -632,8 +631,6 @@ def reduction_witness_walk(red: ReductionInstance, r: tuple[int, ...]):
     (-1, 0) against the left wall; the final reset stops early at t, the
     unique chain point at height S.
     """
-    from .search import Walk
-
     inst = red.instance
     if len(r) != inst.n or any(m < 0 for m in r):
         raise BadParameter("r must be n nonnegative multiplicities")

@@ -58,7 +58,6 @@ __all__ = [
     "product_with_simplex",
     "simplex_vertices",
     "lifted_vertices",
-    "lifted_contains",
 ]
 
 
@@ -404,7 +403,11 @@ class LiftedPolytope:
         return tuple(rows)
 
     def contains(self, p: LiftedPoint) -> bool:
-        return lifted_contains(self, p)
+        if len(p.simplex) != self.extra_dims:
+            raise BadDimension(
+                f"point has {len(p.simplex)} simplex coordinates, polytope has {self.extra_dims}"
+            )
+        return _contains(self.inequality_rows(), self.coordinates(p))
 
     def coordinates(self, p: LiftedPoint) -> tuple[Fraction, ...]:
         return (p.base.x, p.base.y) + p.simplex
@@ -438,11 +441,3 @@ def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
     base = h_to_v(lp.base).vertices
     simplex = [tuple(map(Fraction, s)) for s in simplex_vertices(lp.extra_dims)]
     return tuple(LiftedPoint(v, s) for v in base for s in simplex)
-
-
-def lifted_contains(lp: LiftedPolytope, p: LiftedPoint) -> bool:
-    if len(p.simplex) != lp.extra_dims:
-        raise BadDimension(
-            f"point has {len(p.simplex)} simplex coordinates, polytope has {lp.extra_dims}"
-        )
-    return _contains(lp.inequality_rows(), lp.coordinates(p))

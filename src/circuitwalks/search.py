@@ -34,6 +34,7 @@ from typing import Union
 from .circuits import (
     AmbiguousOptimum,
     NotAVertex,
+    Walk,
     blocking_rows,
     check_lifted_cost,
     enumerate_circuits,
@@ -63,32 +64,6 @@ __all__ = [
     "is_valid_monotone_walk",
     "approx_monotone_walk",
 ]
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A walk: n points joined by n-1 primitive step directions."""
-
-    points: tuple
-    steps: tuple
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("a walk has at least one point")
-        if len(self.steps) != len(self.points) - 1:
-            raise ValueError("need exactly one step between consecutive points")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def start(self):
-        return self.points[0]
-
-    @property
-    def end(self):
-        return self.points[-1]
 
 
 @dataclass(frozen=True)

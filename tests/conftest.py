@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from circuitwalks.constructions import build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
     LiftedPolytope,
     UnboundedOrEmpty,
     VPolygon,
     canonical_row,
+    h_to_v,
     hull2d,
     lifted_vertices,
+    transform_polygon,
     v_to_h,
 )
-from circuitwalks.ratgeo import Direction2, Point2, rat
+from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, pullback_cost, rat
 
 _acceptance = []
 
@@ -308,3 +311,69 @@ def reference_monotone_lifted(circuits, c, extra_dims: int):
         elif gain < 0:
             out.append(circ.flipped())
     return sorted(out, key=lambda circ: circ.vector(extra_dims))
+
+
+# -- the reduction polygon through image polygons and a hull: the reference ----
+
+
+def reference_corner_transform(pell, inst, C: int) -> dict:
+    """Fields of build_corner_transform(pell, inst, C), with image an HPolygon.
+
+    The image polygons come from transform_polygon, and the slopes from a walk
+    around the squeezed polygon's vertices that skips the edge joining u's and
+    w's images.
+    """
+    ck = C * inst.k
+    outer = {pell.u, pell.w}
+    alpha = min((1 - abs(v.y)) / v.x for v in pell.v.vertices if v not in outer) / 4
+    beta = rat(1, 6 * ck)
+    rot = AffineMap2(-1, -1, 1, -1)
+    pre = AffineMap2.scaling(1, beta).compose(rot.compose(AffineMap2.scaling(alpha, 1)))
+    flat = transform_polygon(pre, pell.h)
+    slopes = _reference_ring_walk(
+        h_to_v(flat).vertices, pre.apply(pell.u), pre.apply(pell.w),
+        lambda p, q: (q.y - p.y) / (q.x - p.x),
+    )
+    s1 = min(slopes)
+    box = (s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
+    gamma = box / 4
+    scaled = AffineMap2.scaling(gamma, gamma).compose(pre)
+    shift = AffineMap2.translation(-scaled.apply(pell.u).x, inst.S - scaled.apply(pell.t).y)
+    full = shift.compose(scaled)
+    w2 = full.apply(pell.w)
+    return dict(
+        map=full, alpha=alpha, beta=beta, gamma=gamma, box=box, s1=s1,
+        epsilon=w2.y - inst.S, chain_slopes=tuple(sorted(slopes)),
+        image=transform_polygon(full, pell.h), u_image=full.apply(pell.u),
+        w_image=w2, t_image=full.apply(pell.t),
+    )
+
+
+def _reference_ring_walk(ring, u, w, edge):
+    """edge(p, q) for each counterclockwise edge of ring except the one joining u and w."""
+    out = []
+    for i in range(len(ring)):
+        p, q = ring[i], ring[(i + 1) % len(ring)]
+        if {p, q} != {u, w}:
+            out.append(edge(p, q))
+    return out
+
+
+def reference_reduction_vertices(pell, corner: dict, inst):
+    """Vertices of the reduction polygon and its sorted corner circuits.
+
+    corner holds reference_corner_transform's fields for pell and inst.  The
+    vertices are the hull of the intended points, which must all be vertices;
+    the corner circuits come from a walk around the corner's image polygon.
+    """
+    chain = build_slope_chain(inst, pullback_cost(corner["map"], pell.c0))
+    apex = Point2(rat(1), inst.S + corner["epsilon"])
+    expected = {Point2(rat(0), rat(0)), apex, *chain.vertices}
+    expected |= {corner["map"].apply(p) for p in pell.v.vertices}
+    v = hull2d(list(expected))
+    assert set(v.vertices) == expected, "some intended vertex fell inside the hull"
+    directions = _reference_ring_walk(
+        h_to_v(corner["image"]).vertices, corner["u_image"], corner["w_image"],
+        lambda p, q: primitive_direction(q.x - p.x, q.y - p.y).canonical(),
+    )
+    return v.vertices, tuple(sorted(directions))

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -143,6 +144,22 @@ class TestReductionCommands:
         assert inst.polygon.m == 14
         meta = dict(inst.meta)
         assert meta["C"] == "2" and meta["epsilon"].count("/") == 1
+
+    @pytest.mark.parametrize("a, C, digest", [
+        ("2,3", 1, "400f855fd1ee47abc5127e7f592895822d68d5b1401529add7ff899ab5177b66"),
+        ("2,3", 2, "ee864701320797f519eb3d8f18c3efde265c4064463927cba1037edfd5462496"),
+        ("2,3", 4, "37a574d79eca40f2946adfe20c3b9b06636e87484f38d86151d591d203b181cb"),
+        ("2,4", 3, "29951a4189490a6f21bf02e7bd640ab319cc074442bebd0bff7a4d8f140689be"),
+    ])
+    def test_gen_reduction_bytes_pinned(self, tmp_path, a, C, digest):
+        # SHA-256 of the cwi file written when the polygon was the hull of its
+        # intended vertices and the corner came from image polygons
+        path = tmp_path / "red.cwi"
+        assert run(
+            "gen-reduction", "--a", a, "--S", "5", "--k", "2", "--C", str(C),
+            "-o", str(path), "--quiet",
+        ) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_gen_reduction_auto_C(self, tmp_path, capsys):
         path = tmp_path / "red.cwi"

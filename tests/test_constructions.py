@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -33,9 +34,11 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import lifted_contains, lifted_vertices
+from circuitwalks.polytope import h_to_v, lifted_vertices
 from circuitwalks.ratgeo import Direction2, Point2, rat
 from circuitwalks.search import is_valid_monotone_walk
+
+from conftest import reference_corner_transform, reference_edge_rows, reference_reduction_vertices
 
 
 def P(x, y):
@@ -409,6 +412,58 @@ class TestReduction:
         assert red.h.m == len(a) + 2 * red.ck + 4
 
 
+# (instance, C) with C*k = 1..8: k = 1 at every C*k, and k = 2 at the even ones
+VERTEX_CYCLE_CASES = [(SubsetSumInstance(a=(2, 3), S=5, k=1), ck) for ck in range(1, 9)] + [
+    (SubsetSumInstance(a=(2, 4), S=5, k=2), C) for C in range(1, 5)
+]
+
+
+def assert_matches_reference(inst, C):
+    """The corner transform, vertices, rows and circuit classes of the reduction
+    equal those built through image polygons and a hull."""
+    red = build_reduction(inst, C)
+    pell = build_p_ell(red.ck)
+    ref = reference_corner_transform(pell, inst, C)
+    for field in dataclasses.fields(red.corner):
+        if field.name != "image":
+            assert getattr(red.corner, field.name) == ref[field.name], field.name
+    assert len(set(red.corner.image)) == len(red.corner.image)
+    assert set(red.corner.image) == set(h_to_v(ref["image"]).vertices)
+    vertices, corner_circuits = reference_reduction_vertices(pell, ref, inst)
+    assert red.v.vertices == vertices
+    assert red.h.rows == reference_edge_rows(vertices)
+    groups = classify_reduction_circuits(red)
+    assert groups["corner"] == corner_circuits
+    assert groups["frame"] == (Direction2(0, 1), Direction2(1, 0))
+    assert groups["element"] == tuple(Direction2(1, w) for w in inst.a)
+
+
+class TestVertexCycle:
+    """The reduction polygon as one vertex cycle, against the image polygons
+    and the hull it replaces."""
+
+    @pytest.mark.parametrize(
+        "inst, C", VERTEX_CYCLE_CASES, ids=[f"k{inst.k}-C{C}" for inst, C in VERTEX_CYCLE_CASES]
+    )
+    def test_matches_reference(self, inst, C):
+        assert_matches_reference(inst, C)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_instances_match_reference(self, data):
+        a = tuple(sorted(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))))
+        k = data.draw(st.integers(1, 2))
+        C = data.draw(st.integers(1, 8 // k))
+        S = data.draw(st.integers(1, 60))
+        assert_matches_reference(SubsetSumInstance(a=a, S=S, k=k), C)
+
+    def test_image_runs_from_w_to_u(self):
+        for inst, C in VERTEX_CYCLE_CASES:
+            ct = build_reduction(inst, C).corner
+            assert ct.image[0] == ct.w_image and ct.image[-1] == ct.u_image
+            assert ct.image == tuple(ct.map.apply(p) for p in build_p_ell(C * inst.k).v.vertices)
+
+
 class TestLiftInstance:
     def test_shapes(self):
         art = build_p_ell(2)
@@ -418,7 +473,7 @@ class TestLiftInstance:
         # extra coordinates never tempt the search away from the base walk
         assert start.base == art.u and start.simplex == (rat(0), rat(1))
         assert cost.base == art.c0 and cost.simplex == (rat(0), rat(1))
-        assert lifted_contains(lp, start)
+        assert lp.contains(start)
 
     def test_dim_two_degenerates_to_base(self):
         art = build_p_ell(2)

@@ -16,7 +16,6 @@ from circuitwalks.polytope import (
     canonical_row,
     h_to_v,
     hull2d,
-    lifted_contains,
     lifted_vertices,
     product_with_simplex,
     remove_redundant,
@@ -315,7 +314,7 @@ def reference_contains(h, p):
 
 
 def reference_lifted_contains(lp, p):
-    """lifted_contains by Fractions: the base rows, y >= 0 and sum(y) <= 1."""
+    """LiftedPolytope.contains by Fractions: the base rows, y >= 0 and sum(y) <= 1."""
     base = reference_contains(lp.base, p.base)
     return base and all(y >= 0 for y in p.simplex) and sum(p.simplex) <= 1
 
@@ -374,8 +373,7 @@ class TestIntegerContainment:
         cases += [(LiftedPoint(p, y), False) for p in outside for y in y_in]
         cases += [(LiftedPoint(p, y), False) for p in inside for y in y_out]
         for p, expected in cases:
-            assert lifted_contains(lp, p) == reference_lifted_contains(lp, p) == expected
-            assert lp.contains(p) == expected
+            assert lp.contains(p) == reference_lifted_contains(lp, p) == expected
 
 
 class TestLifting:
@@ -416,11 +414,11 @@ class TestLifting:
         from circuitwalks.polytope import LiftedPoint
 
         inside = LiftedPoint(P(rat(1, 2), 0), (rat(1, 4), rat(1, 4)))
-        assert lifted_contains(lp, inside)
-        assert not lifted_contains(lp, LiftedPoint(P(rat(1, 2), 0), (rat(3, 4), rat(1, 2))))
-        assert not lifted_contains(lp, LiftedPoint(P(rat(1, 2), 0), (rat(-1, 4), rat(1, 4))))
+        assert lp.contains(inside)
+        assert not lp.contains(LiftedPoint(P(rat(1, 2), 0), (rat(3, 4), rat(1, 2))))
+        assert not lp.contains(LiftedPoint(P(rat(1, 2), 0), (rat(-1, 4), rat(1, 4))))
         with pytest.raises(BadDimension):
-            lifted_contains(lp, LiftedPoint(P(0, 0), (rat(0),)))
+            lp.contains(LiftedPoint(P(0, 0), (rat(0),)))
 
     def test_inequality_rows_count(self):
         lp = product_with_simplex(self.base(), 4)
