@@ -215,42 +215,33 @@ def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, .
 
 
 def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
-    """Greedy edge walk from vertex s to the unique c-maximal vertex.
+    """Edge walk along the vertex cycle from vertex s to the unique c-maximal vertex.
 
-    Each step moves to a strictly improving neighbor, preferring the larger
-    gain and breaking exact ties by the lexicographically smaller step
-    direction.  Edges are circuits, so the result is a monotone circuit walk
-    of at most m steps.
+    Along the boundary c rises strictly from its minimum (a vertex or a flat
+    edge) to the maximum on both sides, so only s can have two improving
+    neighbours.  The walk leaves s towards the larger gain, an exact tie going
+    to the lexicographically smaller step direction, and then follows the
+    cycle in that direction up to the maximum.  Edges are circuits, so the
+    result is a monotone circuit walk of at most m - 1 steps.
     """
-    verts = h_to_v(h).vertices
-    n = len(verts)
-    value = {v: c.dx * v.x + c.dy * v.y for v in verts}
-    best, argmax = optimal_value(h, c)
+    _, argmax = optimal_value(h, c)
     if len(argmax) > 1:
         raise AmbiguousOptimum("cost attains its maximum on an edge")
-    if s not in value:
+    verts = h_to_v(h).vertices
+    if s not in verts:
         raise NotAVertex(f"({s.x}, {s.y}) is not a vertex")
-    index = {v: i for i, v in enumerate(verts)}
-    points = [s]
-    steps = []
-    current = s
-    while value[current] != best:
-        i = index[current]
-        options = []
-        for nb in (verts[(i + 1) % n], verts[(i - 1) % n]):
-            gain = value[nb] - value[current]
-            if gain > 0:
-                step = primitive_direction(nb.x - current.x, nb.y - current.y)
-                options.append((gain, step, nb))
-        # a non-maximal vertex of a polygon with a unique optimum always
-        # has a strictly improving neighbor
-        gain, step, nxt = max(options, key=lambda o: (o[0], (-o[1].dx, -o[1].dy)))
-        points.append(nxt)
-        steps.append(step)
-        current = nxt
-        if len(points) > n:
-            raise AssertionError("edge walk failed to terminate")
-    return Walk(tuple(points), tuple(steps))
+    n, i = len(verts), verts.index(s)
+
+    def side(d):
+        q = verts[(i + d) % n]
+        dx, dy = q.x - s.x, q.y - s.y
+        return -(c.dx * dx + c.dy * dy), primitive_direction(dx, dy)
+
+    d = min((1, -1), key=side)
+    points = (s,) + tuple(verts[(i + k * d) % n]
+                          for k in range(1, (verts.index(argmax[0]) - i) * d % n + 1))
+    steps = tuple(primitive_direction(q.x - p.x, q.y - p.y) for p, q in zip(points, points[1:]))
+    return Walk(points, steps)
 
 
 # -- lifted variants ---------------------------------------------------------

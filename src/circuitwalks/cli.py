@@ -17,6 +17,7 @@ times in one process.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .circuits import enumerate_circuits, enumerate_lifted_circuits, optimal_value
@@ -346,8 +347,6 @@ def _verify_lift(args, rep: _Report) -> None:
 def _verify_3dm(args, rep: _Report) -> None:
     n = 2
     universe = [(i, j, h) for i in range(n) for j in range(n) for h in range(n)]
-    import itertools
-
     agree = 0
     total = 0
     for size in range(n, 6):

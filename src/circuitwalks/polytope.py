@@ -277,7 +277,10 @@ class VPolygon:
         if len(v) < 3:
             raise DegenerateHull("a polygon needs at least three vertices")
         t = [homogeneous((p.x, p.y)) for p in v]
-        if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))):
+        # the fan around t[0] too: a pentagram turns left everywhere but winds twice
+        if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))) or any(
+            _orientation(t[0], t[i], t[i + 1]) <= 0 for i in range(1, len(t) - 1)
+        ):
             raise ValueError("vertices not in strictly convex ccw order")
         if v[0] != min(v):
             raise ValueError("vertex list must start at the lexicographic minimum")
@@ -389,9 +392,7 @@ class LiftedPolytope:
 
     @property
     def facet_count(self) -> int:
-        if self.extra_dims == 0:
-            return self.base.m
-        return self.base.m + self.extra_dims + 1
+        return len(self.inequality_rows())
 
     def inequality_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Full-dimensional H-description as (coefficients, bound) pairs."""

@@ -32,8 +32,6 @@ from operator import mul
 from typing import Union
 
 from .circuits import (
-    AmbiguousOptimum,
-    NotAVertex,
     Walk,
     blocking_rows,
     check_lifted_cost,
@@ -48,7 +46,7 @@ from .circuits import (
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
-from .polytope import HPolygon, LiftedPolytope, h_to_v
+from .polytope import HPolygon, LiftedPolytope
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
@@ -255,17 +253,15 @@ def approx_monotone_walk(h: HPolygon, s: Point2, c: Direction2, depth: int,
                          node_cap: int = 10_000_000) -> Walk:
     """Monotone walk to the unique optimum within factor max(m/depth, 1).
 
-    Exhaustive search up to `depth` returns an exact shortest walk when one
-    exists; otherwise the greedy edge walk (at most m steps) is returned.
-    Requires a vertex start and a unique c-maximal vertex.
+    The edge walk (at most m - 1 steps) is built first: it raises
+    AmbiguousOptimum unless the c-maximal vertex is unique and NotAVertex
+    unless s is a vertex, so the instance is checked once.  Exhaustive search
+    up to `depth` then returns an exact shortest walk when one exists, and the
+    edge walk otherwise.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    _, argmax = optimal_value(h, c)
-    if len(argmax) > 1:
-        raise AmbiguousOptimum("cost attains its maximum on an edge")
-    if s not in set(h_to_v(h).vertices):
-        raise NotAVertex(f"({s.x}, {s.y}) is not a vertex")
+    fallback = monotone_edge_walk(h, s, c)
     result = shortest_monotone_walk(h, s, c, SearchConfig(depth, node_cap))
     if isinstance(result, Found):
         return result.walk
@@ -273,4 +269,4 @@ def approx_monotone_walk(h: HPolygon, s: Point2, c: Direction2, depth: int,
         raise RuntimeError(
             f"node cap {node_cap} exceeded during approximation; raise it and retry"
         )
-    return monotone_edge_walk(h, s, c)
+    return fallback

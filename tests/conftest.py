@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from circuitwalks.circuits import AmbiguousOptimum, NotAVertex, Walk, optimal_value
 from circuitwalks.constructions import build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
@@ -222,6 +223,45 @@ def reference_remove_redundant(rows) -> tuple[Point2, ...]:
     if len(canon) < 3:
         raise UnboundedOrEmpty("a polygon needs at least three rows")
     return _reference_hull_of_rows(canon)
+
+
+# -- greedy edge walk: the reference for the walk along the vertex cycle -------
+
+
+def reference_edge_walk(h, s: Point2, c: Direction2) -> Walk:
+    """Greedy edge walk from vertex s to the unique c-maximal vertex.
+
+    Each step moves to a strictly improving neighbor, preferring the larger
+    gain and breaking exact ties by the lexicographically smaller step
+    direction, until the value reaches the maximum.
+    """
+    verts = h_to_v(h).vertices
+    n = len(verts)
+    value = {v: c.dx * v.x + c.dy * v.y for v in verts}
+    best, argmax = optimal_value(h, c)
+    if len(argmax) > 1:
+        raise AmbiguousOptimum("cost attains its maximum on an edge")
+    if s not in value:
+        raise NotAVertex(f"({s.x}, {s.y}) is not a vertex")
+    index = {v: i for i, v in enumerate(verts)}
+    points = [s]
+    steps = []
+    current = s
+    while value[current] != best:
+        i = index[current]
+        options = []
+        for nb in (verts[(i + 1) % n], verts[(i - 1) % n]):
+            gain = value[nb] - value[current]
+            if gain > 0:
+                step = primitive_direction(nb.x - current.x, nb.y - current.y)
+                options.append((gain, step, nb))
+        gain, step, nxt = max(options, key=lambda o: (o[0], (-o[1].dx, -o[1].dy)))
+        points.append(nxt)
+        steps.append(step)
+        current = nxt
+        if len(points) > n:
+            raise AssertionError("edge walk failed to terminate")
+    return Walk(tuple(points), tuple(steps))
 
 
 # -- lifted optimum vertex by vertex: the reference for the separable one -------

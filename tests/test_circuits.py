@@ -8,6 +8,7 @@ from circuitwalks.circuits import (
     LiftedCost,
     NotACircuit,
     NotAVertex,
+    Walk,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_max_step,
@@ -21,11 +22,13 @@ from circuitwalks.circuits import (
     optimal_value,
 )
 from circuitwalks.constructions import build_p_ell, lift_instance
-from circuitwalks.polytope import LiftedPoint, VPolygon, product_with_simplex, v_to_h
+from circuitwalks.polytope import LiftedPoint, VPolygon, h_to_v, product_with_simplex, v_to_h
 from circuitwalks.ratgeo import Direction2, Point2, primitive_direction, rat
 
 from conftest import (
+    random_hpolygon,
     random_hull,
+    reference_edge_walk,
     reference_lifted_circuits,
     reference_monotone_lifted,
 )
@@ -134,6 +137,57 @@ class TestEdgeWalk:
     def test_interior_start_rejected(self):
         with pytest.raises(NotAVertex):
             monotone_edge_walk(TRIANGLE, P(0, 0), Direction2(1, 0))
+
+    def test_tie_at_start_takes_smaller_step(self):
+        diamond = v_to_h(VPolygon((P(-1, 0), P(0, -1), P(1, 0), P(0, 1))))
+        walk = monotone_edge_walk(diamond, P(0, -1), Direction2(0, 1))
+        assert walk.steps == (Direction2(-1, 1), Direction2(1, 1))
+        assert walk == reference_edge_walk(diamond, P(0, -1), Direction2(0, 1))
+
+
+def _edge_walk_outcome(h, s, c):
+    """The walk, or the exception's type and message."""
+    try:
+        return monotone_edge_walk(h, s, c)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(h, s, c):
+    try:
+        return reference_edge_walk(h, s, c)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeWalkMatchesGreedy:
+    """The walk along the vertex cycle is the greedy walk, error for error."""
+
+    def test_random_polygons_every_vertex(self):
+        rng = random.Random(0xED6E)
+        kinds = {"walk": 0, AmbiguousOptimum: 0, NotAVertex: 0}
+        for trial in range(1000):
+            # small coordinates give axis-parallel edges, so axis costs hit optimal edges
+            h = random_hpolygon(rng, max_points=10, bound=3 if trial % 2 else 60)
+            a1, a2, _ = rng.choice(h.rows)
+            costs = (Direction2(1, 0), Direction2(0, -1), primitive_direction(a1, a2),
+                     primitive_direction(rng.randint(-3, 3), rng.randint(1, 3)))
+            verts = h_to_v(h).vertices
+            mid = Point2((verts[0].x + verts[1].x) / 2, (verts[0].y + verts[1].y) / 2)
+            for c in costs:
+                for s in verts + (mid,):
+                    got = _edge_walk_outcome(h, s, c)
+                    assert got == _reference_outcome(h, s, c), (h.rows, s, c)
+                    kinds["walk" if isinstance(got, Walk) else got[0]] += 1
+        assert min(kinds.values()) > 1000, kinds
+
+    @pytest.mark.parametrize("ell", range(1, 11))
+    def test_family_from_u_and_w(self, ell):
+        art = build_p_ell(ell)
+        for s in (art.u, art.w):
+            walk = monotone_edge_walk(art.h, s, art.c0)
+            assert walk == reference_edge_walk(art.h, s, art.c0)
+            assert walk.end == art.t
 
 
 class TestLiftedCircuits:

@@ -245,6 +245,17 @@ class TestApprox:
         assert "length 4" in capsys.readouterr().out
         assert run("verify", str(path), "--certificate", str(cert), "--quiet") == 0
 
+    @pytest.mark.parametrize("cost, start, message", [
+        ("0 1", "0 0", "cost attains its maximum on an edge"),
+        ("1 1", "1/2 0", "(1/2, 0) is not a vertex"),
+    ])
+    def test_rejected_instance_is_1(self, tmp_path, capsys, cost, start, message):
+        path = tmp_path / "square.cwi"
+        path.write_text(f"cwi 1\ndim 2\nrows 4\n-1 0 0\n1 0 1\n0 -1 0\n0 1 1\n"
+                        f"cost {cost}\nstart {start}\n")
+        assert run("approx", str(path), "--depth", "2") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestExports:
     def test_svg_deterministic(self, pell3, tmp_path):

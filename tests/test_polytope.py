@@ -118,6 +118,12 @@ class TestVPolygon:
         v = VPolygon((P(0, -1), P(1, 0), P(0, 1)))
         assert len(v.vertices) == 3
 
+    def test_rejects_doubly_wound_cycle(self):
+        # a convex pentagon's vertices in pentagram order, from the lex-min: every
+        # consecutive triple turns left, but the cycle winds twice
+        with pytest.raises(ValueError, match="vertices not in strictly convex ccw order"):
+            VPolygon((P(-1, 3), P(4, 0), P(2, 5), P(0, 0), P(5, 3)))
+
 
 class TestHVConversion:
     def test_square_round_trip(self):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from circuitwalks.circuits import (
+    AmbiguousOptimum,
     LiftedCircuit,
     LiftedCost,
+    NotAVertex,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_optimal_value,
@@ -23,6 +25,7 @@ from circuitwalks.polytope import (
     BadDimension,
     LiftedPoint,
     LiftedPolytope,
+    VPolygon,
     h_to_v,
     product_with_simplex,
     simplex_vertices,
@@ -262,6 +265,28 @@ class TestApprox:
         art = build_p_ell(2)
         with pytest.raises(ValueError):
             approx_monotone_walk(art.h, art.u, art.c0, 0)
+
+    # On the unit square, cost (0, 1) is maximal on an edge and (1/2, 0) is no vertex.
+    SQUARE = v_to_h(VPolygon((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
+
+    def _raised(self, s, c, depth, node_cap=10_000_000):
+        with pytest.raises(ValueError) as info:
+            approx_monotone_walk(self.SQUARE, s, c, depth, node_cap)
+        return type(info.value), str(info.value)
+
+    def test_depth_checked_before_optimum(self):
+        assert self._raised(P(rat(1, 2), 0), Direction2(0, 1), 0) == (
+            ValueError, "depth must be at least 1")
+
+    def test_optimum_checked_before_vertex(self):
+        assert self._raised(P(rat(1, 2), 0), Direction2(0, 1), 1) == (
+            AmbiguousOptimum, "cost attains its maximum on an edge")
+
+    def test_vertex_checked_before_node_cap(self):
+        assert self._raised(P(rat(1, 2), 0), Direction2(1, 1), 1, node_cap=0) == (
+            NotAVertex, "(1/2, 0) is not a vertex")
+        assert self._raised(P(0, 0), Direction2(1, 1), 1, node_cap=0) == (
+            ValueError, "node_cap must be positive")
 
 
 class TestRandomPolygons:
