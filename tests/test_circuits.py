@@ -145,17 +145,10 @@ class TestEdgeWalk:
         assert walk == reference_edge_walk(diamond, P(0, -1), Direction2(0, 1))
 
 
-def _edge_walk_outcome(h, s, c):
-    """The walk, or the exception's type and message."""
+def _outcome(walk, h, s, c):
+    """walk(h, s, c), or the exception's type and message."""
     try:
-        return monotone_edge_walk(h, s, c)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _reference_outcome(h, s, c):
-    try:
-        return reference_edge_walk(h, s, c)
+        return walk(h, s, c)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -176,8 +169,8 @@ class TestEdgeWalkMatchesGreedy:
             mid = Point2((verts[0].x + verts[1].x) / 2, (verts[0].y + verts[1].y) / 2)
             for c in costs:
                 for s in verts + (mid,):
-                    got = _edge_walk_outcome(h, s, c)
-                    assert got == _reference_outcome(h, s, c), (h.rows, s, c)
+                    got = _outcome(monotone_edge_walk, h, s, c)
+                    assert got == _outcome(reference_edge_walk, h, s, c), (h.rows, s, c)
                     kinds["walk" if isinstance(got, Walk) else got[0]] += 1
         assert min(kinds.values()) > 1000, kinds
 
