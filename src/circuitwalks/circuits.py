@@ -132,27 +132,29 @@ def maximal_moves(rows, state, moves):
     rows are the (a, b) pairs, the state must lie inside them, g is an
     integer vector and blocking its blocking_rows.  Every row's slack
     b*D - a.x is computed once; the step along g is slack / (D * ag) for the
-    binding row, found by comparing ratios by cross-multiplication.  Yields
-    (label, slack, ag, successor) per move, in order, where successor is the
-    state of the moved point, or None when the step has length zero.
+    binding row, found by comparing ratios by cross-multiplication; of tied
+    rows the first in blocking order binds.  Yields (label, slack, ag, row,
+    successor) per move, in order, where row is the binding row's index (the
+    moved point lies on it) and successor is the state of the moved point, or
+    None when the step has length zero.
     """
     *x, D = state
     slacks = [b * D - sum(map(mul, a, x)) for a, b in rows]
     for label, g, blocking in moves:
         candidates = iter(blocking)
-        i, ag = next(candidates)
-        slack = slacks[i]
+        row, ag = next(candidates)
+        slack = slacks[row]
         for i, a in candidates:
             if slacks[i] * ag < slack * a:
-                slack, ag = slacks[i], a
+                row, slack, ag = i, slacks[i], a
         if not slack:
-            yield label, slack, ag, None
+            yield label, slack, ag, row, None
             continue
         # x/D + slack/(D*ag) * g over the common denominator D*ag
         moved = [xi * ag + slack * gi for xi, gi in zip(x, g)]
         moved.append(D * ag)
         k = gcd(*moved)
-        yield label, slack, ag, tuple([v // k for v in moved])
+        yield label, slack, ag, row, tuple([v // k for v in moved])
 
 
 def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None]:
@@ -162,7 +164,7 @@ def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None
     is None when the step has length zero.
     """
     state = homogeneous(coords)
-    _, slack, ag, moved = next(maximal_moves(rows, state, ((g, g, blocking_rows(rows, g)),)))
+    _, slack, ag, _, moved = next(maximal_moves(rows, state, ((g, g, blocking_rows(rows, g)),)))
     return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
@@ -207,11 +209,21 @@ def monotone_directions(circuits, c) -> tuple:
 
 
 def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, ...]]:
-    """Maximum of c over h and every vertex attaining it, in boundary order."""
-    verts = h_to_v(h).vertices
-    vals = [c.dx * v.x + c.dy * v.y for v in verts]
-    best = max(vals)
-    return best, tuple(v for v, val in zip(verts, vals) if val == best)
+    """Maximum of c over h and every vertex attaining it, in boundary order.
+
+    Values c.(X, Y)/W are compared on the vertices' homogeneous triples by
+    cross-multiplying (W > 0); only the maximum becomes a rational.
+    """
+    v = h_to_v(h)
+    dx, dy = c.dx, c.dy
+    vals = [(dx * x + dy * y, w) for x, y, w in v._triples]  # noqa: SLF001 - kept by VPolygon
+    num, den = vals[0]
+    for n, w in vals:
+        if n * den > num * w:
+            num, den = n, w
+    return Fraction(num, den), tuple(
+        p for p, (n, w) in zip(v.vertices, vals) if n * den == num * w
+    )
 
 
 def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):

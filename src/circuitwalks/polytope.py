@@ -268,7 +268,11 @@ class HPolygon:
 
 @dataclass(frozen=True)
 class VPolygon:
-    """Strictly convex vertex list, counterclockwise from the lex-min vertex."""
+    """Strictly convex vertex list, counterclockwise from the lex-min vertex.
+
+    The vertices' homogeneous triples, built for the convexity check, are
+    kept in the same order as _triples.
+    """
 
     vertices: tuple[Point2, ...]
 
@@ -276,7 +280,7 @@ class VPolygon:
         v = self.vertices
         if len(v) < 3:
             raise DegenerateHull("a polygon needs at least three vertices")
-        t = [homogeneous((p.x, p.y)) for p in v]
+        t = tuple(homogeneous((p.x, p.y)) for p in v)
         # the fan around t[0] too: a pentagram turns left everywhere but winds twice
         if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))) or any(
             _orientation(t[0], t[i], t[i + 1]) <= 0 for i in range(1, len(t) - 1)
@@ -284,6 +288,7 @@ class VPolygon:
             raise ValueError("vertices not in strictly convex ccw order")
         if v[0] != min(v):
             raise ValueError("vertex list must start at the lexicographic minimum")
+        object.__setattr__(self, "_triples", t)
 
 
 def _hull_of_triples(points) -> list[tuple[int, int, int]]:
@@ -326,7 +331,7 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
 
 def v_to_h(v: VPolygon) -> HPolygon:
     """Minimal halfplane system, one row per edge in boundary order."""
-    t = [homogeneous((p.x, p.y)) for p in v.vertices]
+    t = v._triples
     return HPolygon(tuple(_meet(p, q) for p, q in zip(t, t[1:] + t[:1])))
 
 

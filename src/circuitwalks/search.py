@@ -9,14 +9,40 @@ row's slack once per state, and a move is one integer min-ratio test plus one
 gcd.  The goal test is an integer comparison, and points are only built for
 the returned walk.  The walk validator runs on the same kernel.
 
-The last layer is not expanded when the optimum is a unique vertex t: a
-maximal move from p along a monotone circuit g ends at t exactly when t - p is
-a positive multiple of g (a longer step would raise c above its maximum), so
-each state costs one subtraction, one gcd and one lookup, and the first hit in
-frontier order is the walk the expansion would return.  This runs only while
-len(parent) + len(frontier) * len(moves) <= node_cap, so the cap trips exactly
-where it would have; otherwise, or when the optimum is a face, the layer is
-expanded like the others.
+A search is pruned by backward sets, growing whichever side of the search is
+smaller, as in bidirectional search (Pohl, 1971).  A_r is the set of boundary
+points that reach the optimum within r moves.  A_0 is the optimal
+vertex t or edge.  A point y of A_r pulls back along a monotone circuit g when
+y is the front end of its g-chord (the move from y along g has length zero):
+the move from y along -g ends at the chord's back end x, and x joins A_{r+1},
+with the whole side edge of g (parallel to it) when the chord is one.  A
+closed interval of an edge on g's front chain pulls back to the arc of the
+back ends of its chords.  The stored sets need only be supersets: every
+point that reaches the optimum within r moves is in the stored A_r, and the
+argument below allows any false positive of the closed intervals.  A state
+discovered with r moves left is expanded only when it lies in A_r.  A_1 of a unique vertex t is the chord test, t - p
+a positive multiple of a monotone g (a longer step would raise c above its
+maximum), and a lift's search uses that test alone.  A polygon's backward
+layers are built only while the newest one is smaller than the layer of
+states it would filter.
+
+The filter returns the same walk, and pruned states stay in the parent map,
+so no state is discovered twice.  Call a state at depth j of the unfiltered
+search live when it reaches the optimum within d - j moves.  By induction on
+depth, each live state is discovered at the same depth, from the same parent,
+in the same order among live states: its first discoverer is one move
+further and so live too, hence kept.  Two kinds of expanded state are not in
+the unfiltered frontier at their depth: a state first reached late, because
+its early discoverers were pruned, and one the filter keeps at its own depth
+only as a false positive of the closed intervals.  Neither reaches the
+optimum in the moves left; a late state that did would be live at its
+earlier depth, and its discoverer would have been kept.  So no successor of
+either is live, since a live successor would put its discoverer one move
+from it.  The goal is live, reached from the same parent, and no other
+goal comes first, because its discoverer would be live and so earlier in
+the unfiltered order too.  Without a node cap the two searches return the
+same result; with one, the filtered search discovers fewer states and may
+complete where the unfiltered one gives up, never with another answer.
 
 The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
@@ -27,6 +53,7 @@ the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Union
@@ -46,7 +73,7 @@ from .circuits import (
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
-from .polytope import HPolygon, LiftedPolytope
+from .polytope import HPolygon, LiftedPolytope, _meet, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
@@ -120,14 +147,16 @@ def _circuits(h, c):
     return circuits, monotone_directions(circuits, c), optimum
 
 
-def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
+def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) -> DistanceResult:
     """Shortest strictly c-increasing circuit walk from s to a c-maximal point.
 
     h is an HPolygon with s a Point2 and c a Direction2, or a LiftedPolytope
     with s a LiftedPoint and c a LiftedCost.  Returns Found with the
     lexicographically smallest shortest walk, NotFoundWithinDepth when the
     completed search proves the distance exceeds cfg.max_depth, or
-    NodeCapExceeded when it gave up early.
+    NodeCapExceeded when it gave up early.  prune=False turns the backward
+    filter off and expands every state; only the node cap can tell the two
+    apart.
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
@@ -140,23 +169,13 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
-    target = homogeneous(h.coordinates(argmax[0])) if len(argmax) == 1 else None
+    back = _Backward(h, rows, moves, argmax) if prune else None
     parent: dict = {root: None}
     frontier = [root]
     for depth in range(cfg.max_depth):
-        if (
-            target is not None
-            and depth == cfg.max_depth - 1
-            and len(parent) + len(frontier) * len(moves) <= cfg.node_cap
-        ):
-            hit = _last_step(frontier, target, {vec: g for g, vec, _ in moves})
-            if hit is None:
-                break
-            parent[target] = hit
-            return Found(_reconstruct(h, parent, s, target))
-        nxt = []
+        nxt, on = [], []
         for p in frontier:
-            for g, _, _, q in maximal_moves(rows, p, moves):
+            for g, _, _, row, q in maximal_moves(rows, p, moves):
                 if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
@@ -165,28 +184,214 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
                 if sum(map(mul, goal, q)) == 0:
                     return Found(_reconstruct(h, parent, s, q))
                 nxt.append(q)
+                on.append(row)
+        if back is not None:
+            keep = back.member_test(cfg.max_depth - depth - 1, len(nxt))
+            if keep is not None:
+                nxt = [q for q, row in zip(nxt, on) if keep(q, row)]
         if not nxt:
             break
         frontier = nxt
     return NotFoundWithinDepth(cfg.max_depth)
 
 
-def _last_step(frontier, target, label):
-    """First (p, g) in frontier order whose maximal move along g ends at target.
+class _Backward:
+    """Backward sets of a search, grown on demand; a lift only gets the chord test.
 
-    target is the unique c-maximal vertex and label maps each monotone vector
-    to its direction; the move ends at target exactly when target - p is a
-    positive multiple of g.  None when no state of the frontier has one.
+    The points of the stored A_r are canonical states, each with the first r
+    that holds it; the rest are closed intervals of edges, each end a state.
+    An interval's vertices are points too, so a state lies in A_r when it is
+    a point of A_r or lies in an interval of A_r on the row it was moved onto.
     """
-    *t, T = target
-    for p in frontier:
-        *x, D = p
-        diff = [ti * D - xi * T for ti, xi in zip(t, x)]
-        k = gcd(*diff)
-        g = label.get(tuple([v // k for v in diff]))
-        if g is not None:
-            return p, g
-    return None
+
+    def __init__(self, h, rows, moves, argmax):
+        self.h, self.rows, self.moves = h, rows, moves
+        ends = [homogeneous(h.coordinates(v)) for v in argmax]
+        self.target = ends[0] if len(ends) == 1 else None
+        self.level = dict.fromkeys(ends, 0)
+        self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
+        # the points (each with a row through it) and intervals new in the last layer
+        self.fresh = ([(e, None) for e in ends], [])
+        self.built = 0
+        self.planar = isinstance(h, HPolygon)
+        self.pulls = None  # set up with the first layer
+        if self.planar and self.target is None:
+            # the optimal edge: the row its two vertices share
+            a, b = ends
+            row = next(i for i, ((a1, a2), c) in enumerate(rows)
+                       if all(a1 * x + a2 * y == c * w for x, y, w in ends))
+            if self._tau(row, a) * b[2] > self._tau(row, b) * a[2]:
+                a, b = b, a
+            self.arcs[row] = [(a, b, 0)]
+            self.fresh[1].append((row, a, b))
+
+    def member_test(self, left: int, width: int):
+        """Test (state, row) -> bool of membership in A_left, or None for none.
+
+        A_1 of a unique optimal vertex is the chord test.  Otherwise width is
+        the number of states the test would filter, and backward layers are
+        added while the newest one is smaller.
+        """
+        if left == 0:
+            return None
+        if left == 1 and self.target is not None:
+            return self._chord()
+        while self.planar and self.built < left and sum(map(len, self.fresh)) < width:
+            self._grow()
+        return self._lookup(left) if left <= self.built else None
+
+    def _chord(self):
+        *t, T = self.target
+        monotone = {vec for _, vec, _ in self.moves}
+
+        def keep(q, row):
+            *x, D = q
+            diff = [ti * D - xi * T for ti, xi in zip(t, x)]
+            k = gcd(*diff)
+            return tuple([v // k for v in diff]) in monotone
+
+        return keep
+
+    def _tau(self, row, state):
+        """The edge parameter of a state on the row, times its D: the row's
+        counterclockwise direction (-a2, a1) dotted with the point."""
+        (a1, a2), _ = self.rows[row]
+        return a1 * state[1] - a2 * state[0]
+
+    def _setup(self) -> None:
+        rows, moves = self.rows, self.moves
+        t = h_to_v(self.h)._triples  # noqa: SLF001 - kept by VPolygon
+        n = len(t)
+        index = {(a1, a2, b): i for i, ((a1, a2), b) in enumerate(rows)}
+        # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
+        self.corner = t + t[:1]
+        self.edge = [index[_meet(t[k], t[k + 1 - n])] for k in range(n)]
+        self.pos = {row: k for k, row in enumerate(self.edge)}
+        self.vertex = {v: k for k, v in enumerate(t)}
+        # per row, the moves (i, -g, blocking rows of -g) of each g = moves[i]
+        # that the row blocks: a point inside the edge is the front end of its
+        # g-chord exactly for those g
+        self.pulls = {row: [] for row in self.edge}
+        # per g, its side edges by front vertex
+        self.side = []
+        for i, (_, (g1, g2), blocking) in enumerate(moves):
+            ahead = blocking_rows(rows, (-g1, -g2))
+            for row, _ in blocking:
+                self.pulls[row].append((i, (-g1, -g2), ahead))
+            side = {}
+            for row in set(self.edge).difference(dict(blocking), dict(ahead)):
+                k = self.pos[row]
+                (a1, a2), _ = rows[row]
+                side[t[k + 1 - n] if a1 * g2 - a2 * g1 > 0 else t[k]] = (row, t[k], t[k + 1 - n])
+            self.side.append(side)
+        self.cache: dict = {}
+
+    def _pull(self, p, row):
+        """{i: (binding row, end or None)} of the move from p along -g for each
+        g = moves[i] whose chord through p ends at p; row is an edge through p."""
+        out = self.cache.get(p)
+        if out is None:
+            k = self.vertex.get(p)
+            if k is None:
+                pulls = self.pulls[row]
+            else:
+                # a vertex is the front end for the g that either of its edges blocks
+                pulls = {m[0]: m for m in self.pulls[self.edge[k - 1]] + self.pulls[self.edge[k]]}
+                pulls = [pulls[i] for i in sorted(pulls)]
+            out = {i: (brow, b) for i, _, _, brow, b in maximal_moves(self.rows, p, pulls)}
+            self.cache[p] = out
+        return out
+
+    def _grow(self) -> None:
+        if self.pulls is None:
+            self._setup()
+        r = self.built + 1
+        level, vertex = self.level, self.vertex
+        points, arcs = [], []
+        seen = set()
+
+        def add_point(q, row):
+            if q not in level:
+                level[q] = r
+                points.append((q, row))
+
+        def add_arc(row, lo, hi):
+            if lo == hi or (row, lo, hi) in seen:
+                return
+            seen.add((row, lo, hi))
+            self.arcs.setdefault(row, []).append((lo, hi, r))
+            arcs.append((row, lo, hi))
+            for e in (lo, hi):
+                if e in vertex:
+                    add_point(e, row)
+
+        new_points, new_arcs = self.fresh
+        for p, row in new_points:
+            for i, (brow, b) in self._pull(p, row).items():
+                if b is not None:
+                    add_point(b, brow)
+                    if p in self.side[i]:
+                        add_arc(*self.side[i][p])
+        # moving the front end counterclockwise moves the back end clockwise,
+        # so the arc runs counterclockwise from hi's back end to lo's
+        t, edge, n = self.corner, self.edge, len(self.edge)
+        for row, lo, hi in new_arcs:
+            back_lo, back_hi = self._pull(lo, row), self._pull(hi, row)
+            for i, _, _ in self.pulls[row]:
+                (r_hi, b_hi), (r_lo, b_lo) = back_hi[i], back_lo[i]
+                b_hi, b_lo = b_hi or hi, b_lo or lo
+                k, end = self.pos[r_hi], self.pos[r_lo]
+                if k == end and self._tau(r_hi, b_hi) * b_lo[2] <= self._tau(r_hi, b_lo) * b_hi[2]:
+                    add_arc(r_hi, b_hi, b_lo)
+                    continue
+                add_arc(r_hi, b_hi, t[k + 1])
+                k = (k + 1) % n
+                while k != end:
+                    add_arc(edge[k], t[k], t[k + 1])
+                    k = (k + 1) % n
+                add_arc(r_lo, t[end], b_lo)
+        self.fresh = (points, arcs)
+        self.built = r
+
+    def _lookup(self, r):
+        """Test (state, row) -> bool of membership in the stored A_r: one dict
+        lookup, then a bisection over the row's merged intervals."""
+        level, rows = self.level, self.rows
+        spans = {}
+        for row, arcs in self.arcs.items():
+            ends = sorted(
+                ((self._tau(row, lo), lo[2], self._tau(row, hi), hi[2]) for lo, hi, j in arcs if j <= r),
+                key=lambda e: Fraction(e[0], e[1]),
+            )
+            merged = []
+            for e in ends:
+                last = merged[-1] if merged else None
+                if last is None or e[0] * last[3] > last[2] * e[1]:
+                    merged.append(e)
+                elif e[2] * last[3] > last[2] * e[3]:
+                    merged[-1] = last[:2] + e[2:]
+            if merged:
+                spans[row] = merged
+
+        def keep(q, row):
+            if level.get(q, r + 1) <= r:
+                return True
+            ivs = spans.get(row)
+            if ivs is None:
+                return False
+            (a1, a2), _ = rows[row]
+            x, y, D = q
+            tq = a1 * y - a2 * x
+            lo, hi = 0, len(ivs)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if ivs[mid][0] * D <= tq * ivs[mid][1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo > 0 and tq * ivs[lo - 1][3] <= ivs[lo - 1][2] * D
+
+        return keep
 
 
 def _reconstruct(h, parent: dict, s, goal) -> Walk:

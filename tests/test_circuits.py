@@ -115,6 +115,23 @@ class TestOptimalValue:
         best, argmax = optimal_value(UNIT_SQUARE, Direction2(0, 1))
         assert best == 1 and set(argmax) == {P(1, 1), P(0, 1)}
 
+    def test_matches_rational_values(self):
+        # the cost's rational value at every vertex, in boundary order
+        rng = random.Random(2024)
+        ties = 0
+        for _ in range(300):
+            h = random_hpolygon(rng, max_points=10, bound=40)
+            a1, a2, _ = rng.choice(h.rows)
+            c = rng.choice([primitive_direction(a1, a2), Direction2(1, 0),
+                            primitive_direction(rng.randint(-5, 5) or 1, rng.randint(-5, 5))])
+            verts = h_to_v(h).vertices
+            vals = [c.dx * v.x + c.dy * v.y for v in verts]
+            best, argmax = optimal_value(h, c)
+            assert type(best) is rat and best == max(vals)
+            assert argmax == tuple(v for v, val in zip(verts, vals) if val == best)
+            ties += len(argmax) > 1
+        assert ties
+
 
 class TestEdgeWalk:
     def test_level_two_boundary_path(self):

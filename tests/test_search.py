@@ -7,10 +7,12 @@ from circuitwalks.circuits import (
     LiftedCircuit,
     LiftedCost,
     NotAVertex,
+    blocking_rows,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_optimal_value,
     max_step,
+    maximal_moves,
     monotone_directions,
     monotone_lifted_directions,
     optimal_value,
@@ -23,15 +25,25 @@ from circuitwalks.constructions import (
 )
 from circuitwalks.polytope import (
     BadDimension,
+    HPolygon,
     LiftedPoint,
     LiftedPolytope,
     VPolygon,
     h_to_v,
+    hull2d,
     product_with_simplex,
     simplex_vertices,
     v_to_h,
 )
-from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, rat
+from circuitwalks.ratgeo import (
+    AffineMap2,
+    Direction2,
+    Point2,
+    dehomogenize,
+    homogeneous,
+    primitive_direction,
+    rat,
+)
 from circuitwalks.search import (
     Found,
     NodeCapExceeded,
@@ -43,6 +55,7 @@ from circuitwalks.search import (
     shortest_monotone_walk,
     transform_walk,
 )
+from circuitwalks.search import _Backward
 
 from conftest import random_hull, reference_lifted_optimal_value
 
@@ -392,11 +405,16 @@ def reference_walk(h, s, c, cfg):
     return NotFoundWithinDepth(cfg.max_depth)
 
 
+# Trials of TestDifferential.test_random_lifts whose capped reference run gives
+# up where the search, filtering its last layer by the chord test, completes:
+# compared with the filter off.
+LIFTS_COMPLETED_BY_PRUNING = (40, 65)
+
 LIFT_WEIGHTS = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
 
 
-def assert_same_search(h, s, c, cfg):
-    got = shortest_monotone_walk(h, s, c, cfg)
+def assert_same_search(h, s, c, cfg, prune=True):
+    got = shortest_monotone_walk(h, s, c, cfg, prune=prune)
     want = reference_walk(h, s, c, cfg)
     assert got == want
     return got
@@ -471,7 +489,14 @@ class TestDifferential:
             )
             cap = rng.choice([2, 5, 20]) if trial % 5 == 0 else 3000
             depth = rng.randint(0, 4)
-            r = assert_same_search(lp, LiftedPoint(base, simplex), c, SearchConfig(depth, node_cap=cap))
+            s = LiftedPoint(base, simplex)
+            r = assert_same_search(lp, s, c, SearchConfig(depth, node_cap=cap),
+                                   prune=trial not in LIFTS_COMPLETED_BY_PRUNING)
+            if trial in LIFTS_COMPLETED_BY_PRUNING:
+                # the chord test of the last layer keeps the run under its cap
+                assert isinstance(r, NodeCapExceeded)
+                assert shortest_monotone_walk(lp, s, c, SearchConfig(depth, node_cap=cap)) == (
+                    reference_walk(lp, s, c, SearchConfig(depth)))
             outcomes.add(type(r))
             if isinstance(r, Found):
                 kinds |= {step.kind for step in r.walk.steps}
@@ -574,24 +599,42 @@ def _last_layer(h, s, c, depth):
     return before, last, len(seen)
 
 
+# (ell, start, depth, cap) of the node cap comparisons below in which the
+# backward filter discovers fewer states, so the pruned search completes
+# where the reference gives up: compared with the filter off.
+COMPLETED_BY_PRUNING = {
+    (3, "u", 2, 4), (3, "u", 2, 9), (3, "u", 3, 17), (3, "w", 2, 4), (3, "w", 2, 9),
+    (4, "u", 3, 15), (4, "u", 3, 32), (4, "u", 4, 58), (4, "w", 3, 15), (4, "w", 3, 32),
+}
+
+
 class TestLastLayer:
-    """The last layer is checked by cross product only when the optimum is a
-    unique vertex and expanding the layer could not trip the node cap."""
+    """Node caps around the last layer, where the backward filter starts with
+    the chord test, and optima on an edge or a face of a lift."""
 
     def test_node_cap_around_the_guard(self):
         tripped = set()
+        completed = set()
         for ell in (3, 4):
             art = build_p_ell(ell)
             moves = len(monotone_directions(enumerate_circuits(art.h), art.c0))
-            for start in (art.u, art.w):
+            for name, start in (("u", art.u), ("w", art.w)):
                 for depth in (ell - 1, ell):
                     before, frontier, after = _last_layer(art.h, start, art.c0, depth)
                     guard = before + frontier * moves
                     for cap in (before, after - 1, guard - 1, guard, guard + 1):
-                        r = assert_same_search(art.h, start, art.c0, SearchConfig(depth, cap))
+                        key = (ell, name, depth, cap)
+                        r = assert_same_search(art.h, start, art.c0, SearchConfig(depth, cap),
+                                               prune=key not in COMPLETED_BY_PRUNING)
                         if isinstance(r, NodeCapExceeded):
                             tripped.add(r.completed_depth == depth - 1)
+                        if key in COMPLETED_BY_PRUNING:
+                            # a capped run that completes gives the uncapped answer
+                            pruned = shortest_monotone_walk(art.h, start, art.c0, SearchConfig(depth, cap))
+                            assert pruned == reference_walk(art.h, start, art.c0, SearchConfig(depth))
+                            completed.add(key)
         assert tripped == {True}
+        assert completed == COMPLETED_BY_PRUNING
 
     def test_cost_parallel_to_top_edge(self):
         rng = random.Random(6061)
@@ -651,3 +694,148 @@ class TestMaxStepReference:
                         assert max_step(h, p, d) == want
                         zero += want == 0
         assert zero > 0
+
+
+# -- the backward filter -------------------------------------------------------
+
+
+def assert_same_pruned(h, s, c, cfg, reference=False):
+    """The filtered search against the unfiltered one, and against
+    reference_walk when asked: same result type, depth and walk."""
+    got = shortest_monotone_walk(h, s, c, cfg)
+    assert got == shortest_monotone_walk(h, s, c, cfg, prune=False)
+    if reference:
+        assert got == reference_walk(h, s, c, cfg)
+    return got
+
+
+def _random_cost(rng, h):
+    """An edge normal (c is maximal on that edge) or a small random cost."""
+    a1, a2, _ = rng.choice(h.rows)
+    return rng.choice([
+        primitive_direction(a1, a2),
+        primitive_direction(rng.choice([1, 2, 3, -1]), rng.choice([-2, -1, 0, 1, 5])),
+    ])
+
+
+class TestPrunedSearch:
+    """The search filtered by backward sets returns the unfiltered search's walk."""
+
+    def test_family_levels(self):
+        for ell in range(6, 10):
+            art = build_p_ell(ell)
+            for start in (art.u, art.w):
+                for depth in (ell - 1, ell):
+                    r = assert_same_pruned(art.h, start, art.c0, SearchConfig(depth),
+                                           reference=(ell, depth) == (6, 5))
+                    assert isinstance(r, Found) == (depth == ell)
+
+    def test_reduction_from_s_and_corner_anchors(self):
+        red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), 3)
+        for start in (red.s, red.corner.u_image, red.corner.w_image):
+            for depth in (red.ck - 1, red.ck):
+                assert_same_pruned(red.h, start, red.c, SearchConfig(depth),
+                                   reference=start != red.s and depth < red.ck)
+
+    def test_random_hulls(self):
+        rng = random.Random(1313)
+        outcomes = set()
+        faces = 0
+        for _ in range(120):
+            h = v_to_h(random_hull(rng, max_points=8, bound=30))
+            verts = h_to_v(h).vertices
+            i = rng.randrange(len(verts))
+            p, q = verts[i], verts[(i + 1) % len(verts)]
+            c = _random_cost(rng, h)
+            faces += len(optimal_value(h, c)[1]) > 1
+            for start in (p, Point2((p.x + q.x) / 2, (p.y + q.y) / 2)):
+                for depth in range(1, 7):
+                    r = assert_same_pruned(h, start, c, SearchConfig(depth), reference=depth <= 3)
+                    outcomes.add(type(r))
+        assert faces and outcomes == {Found, NotFoundWithinDepth}
+
+    def test_filter_prunes(self):
+        # the unfiltered search trips a cap that the filtered one stays under
+        art = build_p_ell(8)
+        cap = SearchConfig(8, node_cap=2000)
+        assert isinstance(shortest_monotone_walk(art.h, art.u, art.c0, cap, prune=False),
+                          NodeCapExceeded)
+        assert shortest_monotone_walk(art.h, art.u, art.c0, cap) == shortest_monotone_walk(
+            art.h, art.u, art.c0, SearchConfig(8), prune=False)
+
+
+def _discovered(h, rows, moves, starts, depth):
+    """Every state a search from the starts discovers within depth moves, with
+    the row its move ended on."""
+    seen = {}
+    frontier = [homogeneous((s.x, s.y)) for s in starts]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for _, _, _, row, q in maximal_moves(rows, p, moves):
+                if q is not None and q not in seen:
+                    seen[q] = row
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def _assert_sound(h, c, starts, depth=4, most=3):
+    """Every state discovered within depth moves of the starts that reaches the
+    optimum within r <= most moves lies in the stored A_r, and in the chord
+    test's A_1; returns the count of such states by distance."""
+    rows = h.inequality_rows()
+    monotone = monotone_directions(enumerate_circuits(h), c)
+    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
+    argmax = optimal_value(h, c)[1]
+    back = _Backward(h, rows, moves, argmax)
+    chord = back._chord() if len(argmax) == 1 else None
+    member = {}
+    for r in range(1, most + 1):
+        back._grow()
+        member[r] = back._lookup(r)
+    checked = [0] * (most + 1)
+    for q, row in _discovered(h, rows, moves, starts, depth).items():
+        found = shortest_monotone_walk(h, h.point(dehomogenize(q)), c, SearchConfig(most),
+                                       prune=False)
+        if not isinstance(found, Found):
+            continue
+        dist = found.walk.length
+        checked[dist] += 1
+        for r in range(max(dist, 1), most + 1):
+            assert member[r](q, row)
+        if dist == 1 and chord:
+            assert chord(q, row)
+    return checked
+
+
+class TestBackwardSets:
+    """A state that reaches the optimum within r moves is never filtered out."""
+
+    def test_sound_on_random_hulls(self):
+        rng = random.Random(4711)
+        checked = [0, 0, 0, 0]
+        for trial in range(60):
+            if trial % 2:
+                ring = random_hull(rng, max_points=8, bound=30)
+            else:
+                # points near a parabola: many vertices, so some states are 3 moves out
+                xs = rng.sample(range(-20, 21), rng.randint(5, 12))
+                ring = hull2d([Point2(rat(x), rat(x * x, rng.randint(1, 5))) for x in xs])
+            h = v_to_h(ring)
+            verts = h_to_v(h).vertices
+            starts = verts + tuple(
+                Point2((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in zip(verts, verts[1:]))
+            counts = _assert_sound(h, _random_cost(rng, h), starts)
+            checked = [a + b for a, b in zip(checked, counts)]
+        assert all(checked)
+
+    def test_vertices_of_intervals_are_points(self):
+        # found by random search: without the vertices of its intervals as
+        # points, the stored A_2 of this hull misses a state of A_2
+        h = HPolygon((
+            (-191, -5, 3864), (-209, -35, 1104), (-142, -25, 672), (-10, -5, 24),
+            (-43, -45, 28), (1, -12, -5), (17, -4, 15), (24, -5, 27), (73, -4, 990),
+            (46, 1, 1680), (-62, 13, 3360),
+        ))
+        assert _assert_sound(h, Direction2(1, -12), h_to_v(h).vertices, 3, 2)[2]
