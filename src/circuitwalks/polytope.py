@@ -213,7 +213,7 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> tuple["VPolygon", t
         raise empty
     first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
     try:
-        hull = VPolygon(tuple(Point2(*dehomogenize(p)) for p in t[first:] + t[:first]))
+        hull = VPolygon._of_triples(tuple(t[first:] + t[:first]))
     except ValueError:
         raise empty from None
     return hull, tuple(e[first + 1:] + e[:first + 1])
@@ -266,29 +266,43 @@ class HPolygon:
         return Point2(*coords)
 
 
+def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
+    """Raise unless the triples turn strictly counterclockwise, once around,
+    from the lexicographic minimum."""
+    if len(t) < 3:
+        raise DegenerateHull("a polygon needs at least three vertices")
+    # the fan around t[0] too: a pentagram turns left everywhere but winds twice
+    if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))) or any(
+        _orientation(t[0], t[i], t[i + 1]) <= 0 for i in range(1, len(t) - 1)
+    ):
+        raise ValueError("vertices not in strictly convex ccw order")
+    if any(_lex_order(p, t[0]) < 0 for p in t[1:]):
+        raise ValueError("vertex list must start at the lexicographic minimum")
+
+
 @dataclass(frozen=True)
 class VPolygon:
     """Strictly convex vertex list, counterclockwise from the lex-min vertex.
 
-    The vertices' homogeneous triples, built for the convexity check, are
+    The vertices' homogeneous triples, on which the convexity check runs, are
     kept in the same order as _triples.
     """
 
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        v = self.vertices
-        if len(v) < 3:
-            raise DegenerateHull("a polygon needs at least three vertices")
-        t = tuple(homogeneous((p.x, p.y)) for p in v)
-        # the fan around t[0] too: a pentagram turns left everywhere but winds twice
-        if any(_orientation(t[i - 2], t[i - 1], t[i]) <= 0 for i in range(len(t))) or any(
-            _orientation(t[0], t[i], t[i + 1]) <= 0 for i in range(1, len(t) - 1)
-        ):
-            raise ValueError("vertices not in strictly convex ccw order")
-        if v[0] != min(v):
-            raise ValueError("vertex list must start at the lexicographic minimum")
+        t = tuple(homogeneous((p.x, p.y)) for p in self.vertices)
+        _check_ccw(t)
         object.__setattr__(self, "_triples", t)
+
+    @classmethod
+    def _of_triples(cls, t: tuple[tuple[int, int, int], ...]) -> "VPolygon":
+        """The polygon of canonical triples, checked on them; the vertices are built from them."""
+        _check_ccw(t)
+        v = object.__new__(cls)
+        object.__setattr__(v, "vertices", tuple(Point2(*dehomogenize(p)) for p in t))
+        object.__setattr__(v, "_triples", t)
+        return v
 
 
 def _hull_of_triples(points) -> list[tuple[int, int, int]]:

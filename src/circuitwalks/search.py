@@ -4,7 +4,7 @@ One integer kernel serves polygons and their simplex lifts alike.  A search
 state in dimension d is the homogeneous integer vector (x_1, .., x_d, D)
 standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
 is the deduplication key.  The rows are integer (a, b) pairs for a.x <= b;
-each monotone direction's blocking rows are computed once per search, every
+each monotone direction's blocking rows are computed once per instance, every
 row's slack once per state, and a move is one integer min-ratio test plus one
 gcd.  The goal test is an integer comparison, and points are only built for
 the returned walk.  The walk validator runs on the same kernel.
@@ -48,15 +48,30 @@ The frontier is expanded in lexicographic direction order with first-discovery
 wins, so among all shortest walks the returned one carries the
 lexicographically smallest sequence of step directions; reruns cannot change
 the answer.
+
+An instance, everything that depends on the polytope and the cost alone, is
+prepared once and shared by the searches and validations that follow on an
+equal pair: the rows, the canonical and monotone circuits, each monotone
+direction's blocking rows, the goal vector, the optimum and its backward
+sets, which keep the layers, pullbacks and membership tests they have
+built.  The last pair prepared is kept, compared by value, so a certificate's
+finds, proofs and validations from several starts share one instance.  A
+stored A_r gains nothing when later layers are built, and each search counts
+the layers it filters with by the growth rule above, replayed against the
+recorded layer sizes: it filters with exactly the layers a search alone
+would build, so no result, a capped one included, depends on the calls made
+before it.  The shared layers grow during a search, so the searches of one
+process run one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Union
+from typing import NamedTuple, Union
 
 from .circuits import (
     Walk,
@@ -132,19 +147,37 @@ class NodeCapExceeded:
 DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
-def _circuits(h, c):
-    """The circuits of h under the cost c.
+class _Instance(NamedTuple):
+    """What every search and validation on one (polytope, cost) pair shares."""
 
-    Returns the canonical circuits of h, the strictly c-increasing directed
-    circuits in search order, and the function giving c's maximum over h.
-    Raises BadDimension when a lifted cost does not fit h.
+    rows: tuple
+    circuits: frozenset  # canonical
+    monotone: frozenset  # directed, strictly c-increasing
+    moves: tuple  # (g, g's vector, g's blocking rows) per monotone g, in search order
+    goal: tuple  # (c, -opt) scaled to integers, without its last entry
+    back: "_Backward"
+
+
+@functools.lru_cache(maxsize=1)
+def _prepare(h, c) -> _Instance:
+    """The instance of h under the cost c, built once per value of the pair.
+
+    Raises BadDimension when a lifted cost does not fit h; an exception is
+    never cached.
     """
     if isinstance(h, LiftedPolytope):
         check_lifted_cost(h, c)
         circuits, optimum = enumerate_lifted_circuits(h), lifted_optimal_value
     else:
         circuits, optimum = enumerate_circuits(h), optimal_value
-    return circuits, monotone_directions(circuits, c), optimum
+    monotone = monotone_directions(circuits, c)
+    rows = h.inequality_rows()
+    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
+    opt, argmax = optimum(h, c)
+    # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
+    goal = homogeneous(c.vector + (-opt,))[:-1]
+    return _Instance(rows, frozenset(circuits), frozenset(monotone), moves, goal,
+                     _Backward(h, rows, moves, argmax))
 
 
 def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) -> DistanceResult:
@@ -160,16 +193,11 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    _, monotone, optimum = _circuits(h, c)
-    rows = h.inequality_rows()
-    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
-    opt, argmax = optimum(h, c)
-    # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
-    goal = homogeneous(c.vector + (-opt,))[:-1]
+    rows, _, _, moves, goal, back = _prepare(h, c)
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
-    back = _Backward(h, rows, moves, argmax) if prune else None
+    built = 0  # the backward layers this search filters with
     parent: dict = {root: None}
     frontier = [root]
     for depth in range(cfg.max_depth):
@@ -185,8 +213,17 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
                     return Found(_reconstruct(h, parent, s, q))
                 nxt.append(q)
                 on.append(row)
-        if back is not None:
-            keep = back.member_test(cfg.max_depth - depth - 1, len(nxt))
+        left = cfg.max_depth - depth - 1
+        if prune and left:
+            # A_1 of a unique optimal vertex is the chord test.  Otherwise
+            # layers are added while the newest is smaller than the states it
+            # would filter, the rule a search alone on (h, c) would follow.
+            if left == 1 and back.target is not None:
+                keep = back._chord()
+            else:
+                while back.planar and built < left and back._size(built) < len(nxt):
+                    built += 1
+                keep = back._lookup(left) if left <= built else None
             if keep is not None:
                 nxt = [q for q, row in zip(nxt, on) if keep(q, row)]
         if not nxt:
@@ -196,7 +233,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
 
 
 class _Backward:
-    """Backward sets of a search, grown on demand; a lift only gets the chord test.
+    """Backward sets of an instance, grown on demand; a lift only gets the chord test.
 
     The points of the stored A_r are canonical states, each with the first r
     that holds it; the rest are closed intervals of edges, each end a state.
@@ -213,6 +250,7 @@ class _Backward:
         # the points (each with a row through it) and intervals new in the last layer
         self.fresh = ([(e, None) for e in ends], [])
         self.built = 0
+        self.tests: dict = {}  # r -> _lookup(r)
         self.planar = isinstance(h, HPolygon)
         self.pulls = None  # set up with the first layer
         if self.planar and self.target is None:
@@ -224,21 +262,13 @@ class _Backward:
                 a, b = b, a
             self.arcs[row] = [(a, b, 0)]
             self.fresh[1].append((row, a, b))
+        self.sizes = [sum(map(len, self.fresh))]  # per built layer, its new points and intervals
 
-    def member_test(self, left: int, width: int):
-        """Test (state, row) -> bool of membership in A_left, or None for none.
-
-        A_1 of a unique optimal vertex is the chord test.  Otherwise width is
-        the number of states the test would filter, and backward layers are
-        added while the newest one is smaller.
-        """
-        if left == 0:
-            return None
-        if left == 1 and self.target is not None:
-            return self._chord()
-        while self.planar and self.built < left and sum(map(len, self.fresh)) < width:
+    def _size(self, r: int) -> int:
+        """The number of points and intervals new in layer r; builds the layers up to r."""
+        while self.built < r:
             self._grow()
-        return self._lookup(left) if left <= self.built else None
+        return self.sizes[r]
 
     def _chord(self):
         *t, T = self.target
@@ -351,11 +381,20 @@ class _Backward:
                     k = (k + 1) % n
                 add_arc(r_lo, t[end], b_lo)
         self.fresh = (points, arcs)
+        self.sizes.append(len(points) + len(arcs))
         self.built = r
 
     def _lookup(self, r):
         """Test (state, row) -> bool of membership in the stored A_r: one dict
-        lookup, then a bisection over the row's merged intervals."""
+        lookup, then a bisection over the row's merged intervals.
+
+        Growing later layers adds no point or interval to A_r, so the test is
+        built once.
+        """
+        keep = self.tests.get(r)
+        if keep is not None:
+            return keep
+        self._size(r)
         level, rows = self.level, self.rows
         spans = {}
         for row, arcs in self.arcs.items():
@@ -391,6 +430,7 @@ class _Backward:
                     hi = mid
             return lo > 0 and tq * ivs[lo - 1][3] <= ivs[lo - 1][2] * D
 
+        self.tests[r] = keep
         return keep
 
 
@@ -439,17 +479,16 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
-    circuits, monotone = map(set, _circuits(h, c)[:2])
-    rows = h.inequality_rows()
+    inst = _prepare(h, c)
     for idx, g in enumerate(w.steps):
-        if g.canonical() not in circuits:
+        if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        end = maximal_step(rows, h.coordinates(w.points[idx]), g.vector)[1]
+        end = maximal_step(inst.rows, h.coordinates(w.points[idx]), g.vector)[1]
         if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
         if h.coordinates(w.points[idx + 1]) != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
-        if g not in monotone:
+        if g not in inst.monotone:
             return ValidationReport(False, idx, "step does not strictly increase the cost")
     return ValidationReport(True)
 

@@ -144,7 +144,10 @@ class TestHVConversion:
     @given(st.randoms(use_true_random=False))
     def test_random_round_trip(self, pyrandom):
         ring = random_hull(random.Random(pyrandom.randint(0, 2**30)), max_points=9, bound=40)
-        assert h_to_v(v_to_h(ring)).vertices == ring.vertices
+        back = h_to_v(v_to_h(ring))
+        assert back.vertices == ring.vertices
+        # built from the sweep's triples, it holds those its vertices give
+        assert back._triples == ring._triples
 
 
 class TestHPolygon:

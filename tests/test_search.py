@@ -55,7 +55,7 @@ from circuitwalks.search import (
     shortest_monotone_walk,
     transform_walk,
 )
-from circuitwalks.search import _Backward
+from circuitwalks.search import _Backward, _prepare
 
 from conftest import random_hull, reference_lifted_optimal_value
 
@@ -565,10 +565,12 @@ class TestLiftedCostDimension:
         )
 
     def test_search_rejects(self):
-        assert shortest_monotone_walk(self.lp, self.s, self.c, SearchConfig(3)).walk.length == 3
-        for c in self.bad:
-            with pytest.raises(BadDimension):
-                shortest_monotone_walk(self.lp, self.s, c, SearchConfig(3))
+        # twice, each bad cost after the good one was prepared: no exception is cached
+        for _ in range(2):
+            assert shortest_monotone_walk(self.lp, self.s, self.c, SearchConfig(3)).walk.length == 3
+            for c in self.bad:
+                with pytest.raises(BadDimension):
+                    shortest_monotone_walk(self.lp, self.s, c, SearchConfig(3))
 
     def test_validator_rejects(self):
         walk = shortest_monotone_walk(self.lp, self.s, self.c, SearchConfig(3)).walk
@@ -839,3 +841,92 @@ class TestBackwardSets:
             (46, 1, 1680), (-62, 13, 3360),
         ))
         assert _assert_sound(h, Direction2(1, -12), h_to_v(h).vertices, 3, 2)[2]
+
+
+# -- one prepared instance per (polytope, cost) --------------------------------
+
+
+def _cold(h, s, c, cfg):
+    _prepare.cache_clear()
+    return shortest_monotone_walk(h, s, c, cfg)
+
+
+def _assert_history_free(groups, seed, orders=4):
+    """Each call of each group, a list of (h, s, c, cfg) on one (polytope,
+    cost) value, returns its cold result: in shuffled orders within each group,
+    so the prepared instance and its grown layers carry over, and with all
+    calls shuffled together.  Returns the cold results."""
+    cold = [[_cold(*call) for call in group] for group in groups]
+    rng = random.Random(seed)
+    for _ in range(orders):
+        for group, want in zip(groups, cold):
+            for i in rng.sample(range(len(group)), len(group)):
+                assert shortest_monotone_walk(*group[i]) == want[i]
+    mixed = [(call, r) for group, want in zip(groups, cold) for call, r in zip(group, want)]
+    for call, want in rng.sample(mixed, len(mixed)):
+        assert shortest_monotone_walk(*call) == want
+    return [r for want in cold for r in want]
+
+
+class TestPreparedInstance:
+    """Searches on one (polytope, cost) value share its prepared instance, and
+    no result, capped or not, depends on the calls made before it."""
+
+    def test_family_levels(self):
+        groups = []
+        for ell in range(4, 8):
+            art = build_p_ell(ell)
+            hs = (art.h, HPolygon(art.h.rows))  # equal, but another object
+            groups.append([
+                (hs[depth % 2], start, art.c0, SearchConfig(depth, cap))
+                for start in (art.u, art.w)
+                for depth in range(ell + 1)
+                for cap in (5, 30, 200, 10**7)
+            ])
+        results = _assert_history_free(groups, seed=14)
+        assert {type(r) for r in results} == {Found, NotFoundWithinDepth, NodeCapExceeded}
+
+    def test_random_hulls(self):
+        rng = random.Random(1414)
+        groups = []
+        for _ in range(12):
+            h = v_to_h(random_hull(rng, max_points=9, bound=30))
+            verts = h_to_v(h).vertices
+            starts = verts + tuple(
+                Point2((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in zip(verts, verts[1:]))
+            c = _random_cost(rng, h)
+            groups.append([
+                (rng.choice((h, HPolygon(h.rows))), start, c, SearchConfig(depth, cap))
+                for start in rng.sample(starts, 3)
+                for depth in range(1, 6)
+                for cap in (3, 20, 10**7)
+            ])
+        results = _assert_history_free(groups, seed=1415)
+        assert {type(r) for r in results} == {Found, NotFoundWithinDepth, NodeCapExceeded}
+
+    def test_lifts_made_per_start(self):
+        # lift_instance builds an equal lift for each start, as the benchmark's lift task does
+        art = build_p_ell(5)
+        group = []
+        for start in (art.u, art.w):
+            lp, s, c = lift_instance(art.h, start, art.c0, 4)
+            group += [(lp, s, c, SearchConfig(depth, cap))
+                      for depth in (4, 5) for cap in (20, 10**7)]
+        results = _assert_history_free([group], seed=1416)
+        assert {type(r) for r in results} == {Found, NotFoundWithinDepth, NodeCapExceeded}
+
+    def test_cost_is_part_of_the_key(self):
+        art = build_p_ell(6)
+        other = Direction2(art.c0.dx, art.c0.dy + 1)
+        walk = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(6)).walk
+        for _ in range(2):
+            assert is_valid_monotone_walk(art.h, art.c0, walk)
+            report = is_valid_monotone_walk(art.h, art.c0.flipped(), walk)
+            assert not report and report.step == 0 and "increase" in report.reason
+        calls = [(art.h, start, c, SearchConfig(depth, cap))
+                 for c in (art.c0, other, art.c0.flipped())
+                 for start in (art.u, art.w)
+                 for depth in (5, 6) for cap in (50, 10**7)]
+        cold = [_cold(*call) for call in calls]
+        assert len(set(cold)) > 4
+        assert [shortest_monotone_walk(*call) for call in calls] == cold
