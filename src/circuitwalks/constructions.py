@@ -24,12 +24,17 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .polytope import (
     HPolygon,
     LiftedPoint,
     LiftedPolytope,
     VPolygon,
+    _affine_matrix,
+    _hpolygon_of_cycle,
+    _map_rows,
+    _map_triples,
     h_to_v,
     product_with_simplex,
     v_to_h,
@@ -40,6 +45,8 @@ from .ratgeo import (
     AffineMap2,
     Direction2,
     Point2,
+    dehomogenize,
+    homogeneous,
     primitive_direction,
     pullback_cost,
     rat,
@@ -129,35 +136,36 @@ def build_p_ell(ell: int) -> PellArtifact:
     """Recursive polygon family; distance to the rightmost vertex grows as ell.
 
     Level 1 is the triangle conv((0,1), (0,-1), (1,0)).  Each level squeezes
-    the previous polygon into the right half of a narrow strip and restores
-    the two outer vertices (0, 1), (0, -1), adding two rows.  Row entries
-    stay below (8*ell + 1)**ell.
+    the previous polygon by family_step_map into the right half of a narrow
+    strip and restores the two outer vertices (0, 1), (0, -1), adding two
+    rows.  The rows and the vertex cycle, w, then the image of the previous
+    cycle, then u, are carried together on integers; the cycle check confirms
+    that they describe one polygon.  Row entries stay below (8*ell + 1)**ell.
     """
     if ell < 1:
         raise BadParameter("ell must be at least 1")
     rows: list[tuple[int, int, int]] = [(-1, 0, 0), (1, 1, 1), (1, -1, 1)]
-    t = Point2(rat(1), rat(0))
+    u, w = (0, 1, 1), (0, -1, 1)
+    cycle = [w, (1, 0, 1), u]
     for level in range(1, ell):
-        scale = 8 * level
-        grown: list[tuple[int, int, int]] = [(-1, 0, 0)]
-        for a1, a2, b in rows[1:]:
-            grown.append((scale * a1, 2 * a2, b + scale * a1))
-        grown += [(1, 2, 2), (1, -2, 2)]
-        rows = grown
-        t = family_step_map(level).apply(t)
-    h = HPolygon(tuple(rows))
+        mat = _affine_matrix(family_step_map(level))
+        # the left wall x >= 0 is the first row, and the squeeze moves it off the polygon
+        rows = [(-1, 0, 0), *_map_rows(mat, rows[1:]), (1, 2, 2), (1, -2, 2)]
+        cycle = [w, *_map_triples(mat, cycle), u]
+    try:
+        h = _hpolygon_of_cycle(VPolygon._of_triples(tuple(cycle)), tuple(rows))
+    except ValueError:
+        raise ConstructionError("the rows are not the edges of the vertex cycle") from None
     v = h_to_v(h)
-    u, w = Point2(rat(0), rat(1)), Point2(rat(0), rat(-1))
     c0 = Direction2(1, 0)
     if h.m != 2 * ell + 1:
         raise ConstructionError("row count drifted from 2*ell + 1")
-    vset = set(v.vertices)
-    if not {u, w, t} <= vset:
-        raise ConstructionError("u, w or t is not a vertex")
+    # each level adds a vertex at either end, so level 1's (1, 0) stays in the middle
+    t = v.vertices[ell]
     best, argmax = optimal_value(h, c0)
     if argmax != (t,) or best != t.x:
         raise ConstructionError("t is not the unique rightmost vertex")
-    return PellArtifact(ell=ell, h=h, v=v, u=u, w=w, t=t, c0=c0)
+    return PellArtifact(ell=ell, h=h, v=v, u=v.vertices[-1], w=v.vertices[0], t=t, c0=c0)
 
 
 # -- exact-sum instances and brute force --------------------------------------
@@ -365,18 +373,28 @@ def build_slope_chain(inst: SubsetSumInstance, c: Direction2) -> SlopeChain:
     Requires an upper-left pointing cost (c.dx < 0 < c.dy).  Each vertex has
     nonpositive cost value and a witness cost maximized uniquely at it.
     """
+    return _slope_chain(inst, c)[0]
+
+
+def _slope_chain(inst: SubsetSumInstance, c: Direction2) -> tuple[SlopeChain, tuple]:
+    """build_slope_chain's chain and the homogeneous triples of its vertices.
+
+    With beta = p/q and T the total weight, v_i is
+    (q*T - (n - i)*p, p*(a_1 + .. + a_i), q*T) over its last entry.
+    """
     if not (c.dx < 0 < c.dy):
         raise BadCost("need c.dx < 0 < c.dy")
     beta = min(rat(-c.dx, c.dy), rat(1))
+    p, q = beta.numerator, beta.denominator
     n = inst.n
-    total = sum(inst.a)
-    prefix = [0]
-    for w in inst.a:
-        prefix.append(prefix[-1] + w)
-    verts = tuple(
-        Point2(1 - rat(n - i) * beta / total, rat(prefix[i]) * beta / total)
-        for i in range(n + 1)
-    )
+    W = q * sum(inst.a)
+    t, height = [], 0
+    for i in range(n + 1):
+        if i:
+            height += inst.a[i - 1]
+        x, y = W - (n - i) * p, height * p
+        g = gcd(x, y, W)
+        t.append((x // g, y // g, W // g))
     wits = []
     for i in range(n + 1):
         if i == 0:
@@ -386,29 +404,33 @@ def build_slope_chain(inst: SubsetSumInstance, c: Direction2) -> SlopeChain:
         else:
             wits.append(primitive_direction(rat(inst.a[i - 1] + inst.a[i], 2), -1))
     chain = SlopeChain(
-        instance=inst, cost=c, beta=beta, vertices=verts, witnesses=tuple(wits)
+        instance=inst, cost=c, beta=beta,
+        vertices=tuple(Point2(*dehomogenize(v)) for v in t), witnesses=tuple(wits),
     )
-    _check_slope_chain(chain)
-    return chain
+    _check_slope_chain(chain, t)
+    return chain, tuple(t)
 
 
-def _check_slope_chain(chain: SlopeChain) -> None:
-    verts, inst, c = chain.vertices, chain.instance, chain.cost
+def _check_slope_chain(chain: SlopeChain, t: list) -> None:
+    """The chain's claims, on the triples t of its vertices by cross-multiplication."""
+    inst, c = chain.instance, chain.cost
     for i in range(inst.n):
-        p, q = verts[i], verts[i + 1]
-        if q.x <= p.x:
+        (x0, y0, w0), (x1, y1, w1) = t[i], t[i + 1]
+        dx, dy = x1 * w0 - x0 * w1, y1 * w0 - y0 * w1
+        if dx <= 0:
             raise ConstructionError("chain x-coordinates must increase")
-        if (q.y - p.y) != inst.a[i] * (q.x - p.x):
+        if dy != inst.a[i] * dx:
             raise ConstructionError(f"slope between v_{i} and v_{i + 1} is not a_{i + 1}")
-    for v in verts:
-        if c.dx * v.x + c.dy * v.y > 0:
+    for x, y, w in t:
+        if c.dx * x + c.dy * y > 0:
             raise ConstructionError("chain point with positive cost value")
-        if v.y > 1 or (chain.beta < 1 and v.y >= 1):
+        if y > w or (chain.beta < 1 and y >= w):
             raise ConstructionError("chain left the unit box")
     for i, wit in enumerate(chain.witnesses):
-        vals = [wit.dx * v.x + wit.dy * v.y for v in verts]
-        best = max(vals)
-        if [j for j, val in enumerate(vals) if val == best] != [i]:
+        xi, yi, wi = t[i]
+        vi = wit.dx * xi + wit.dy * yi
+        if any(j != i and (wit.dx * x + wit.dy * y) * wi >= vi * w
+               for j, (x, y, w) in enumerate(t)):
             raise ConstructionError(f"witness {i} is not uniquely maximized at v_{i}")
 
 
@@ -451,55 +473,72 @@ def build_corner_transform(
     strictly between 1/3 and 3, and after the y-squeeze beta = 1/(6*C*k)
     strictly between 1/(18*C*k) and 1/(2*C*k).
     """
+    return _corner_transform(pell, inst, C)[0]
+
+
+def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
+    """build_corner_transform's result and the triples of its image, in order.
+
+    The maps act on the family polygon's vertex triples as integer matrices,
+    and every claim is checked on the image triples by cross-multiplication.
+    """
     if C < 1:
         raise BadParameter("C must be positive")
     ck = C * inst.k
     if pell.ell != ck:
         raise BadParameter(f"need the level-{ck} family polygon, got level {pell.ell}")
-    outer = {pell.u, pell.w}
-    alpha = min(
-        (1 - abs(v.y)) / v.x for v in pell.v.vertices if v not in outer
-    ) / 4
-    rot = AffineMap2(-1, -1, 1, -1)
-    beta = rat(1, 6 * ck)
-    pre = AffineMap2.scaling(1, beta).compose(rot.compose(AffineMap2.scaling(alpha, 1)))
     # pre has positive determinant, so it maps the counterclockwise vertex
     # cycle to the image's; the cycle runs from w to u, and its closing edge,
     # the old left wall, becomes the chord below the chain
     if (pell.v.vertices[0], pell.v.vertices[-1]) != (pell.w, pell.u):
         raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
-    ring = [pre.apply(v) for v in pell.v.vertices]
+    cycle = pell.v._triples  # noqa: SLF001 - kept by VPolygon
+    # (1 - |y|) / x at the vertices between w and u
+    alpha = min(rat(w - abs(y), x) for x, y, w in cycle[1:-1]) / 4
+    beta = rat(1, 6 * ck)
+    # scaling(1, beta) after the rotation [[-1, -1], [1, -1]] after scaling(alpha, 1)
+    pre = AffineMap2(-alpha, -1, alpha * beta, -beta)
+    ring = _map_triples(_affine_matrix(pre), cycle)
     slopes = []
-    for p, q in zip(ring, ring[1:]):
-        if q.x == p.x:
+    for (x0, y0, w0), (x1, y1, w1) in zip(ring, ring[1:]):
+        dx = x1 * w0 - x0 * w1
+        if dx == 0:
             raise ConstructionError("chain edge came out vertical")
-        slopes.append((q.y - p.y) / (q.x - p.x))
-    lo, hi = rat(1, 18 * ck), rat(1, 2 * ck)
-    if len(slopes) != 2 * ck or any(s <= lo or s >= hi for s in slopes):
+        slopes.append(rat(y1 * w0 - y0 * w1, dx))
+    # 1/(18*C*k) < p/q < 1/(2*C*k), q > 0
+    if len(slopes) != 2 * ck or any(
+        18 * ck * s.numerator <= s.denominator or 2 * ck * s.numerator >= s.denominator
+        for s in slopes
+    ):
         raise ConstructionError("image slopes left the open target interval")
     s1 = min(slopes)
     box = (s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
     gamma = box / 4
-    scaled = AffineMap2.scaling(gamma, gamma).compose(pre)
-    shift = AffineMap2.translation(
-        -scaled.apply(pell.u).x, inst.S - scaled.apply(pell.t).y
-    )
-    full = shift.compose(scaled)
-    image = tuple(full.apply(v) for v in pell.v.vertices)
-    w2, u2, t2 = image[0], image[-1], full.apply(pell.t)
-    epsilon = w2.y - inst.S
+    # scaling(gamma, gamma) after pre, then the shift that puts u's image on
+    # x = 0 and t's on y = S
+    scaled = AffineMap2(-gamma * alpha, -gamma, gamma * alpha * beta, -gamma * beta)
+    u1, t1 = scaled.apply(pell.u), scaled.apply(pell.t)
+    full = AffineMap2(scaled.m00, scaled.m01, scaled.m10, scaled.m11, -u1.x, inst.S - t1.y)
+    mat = _affine_matrix(full)
+    image = _map_triples(mat, cycle)
+    (xw, yw, ww), (xu, yu, wu) = image[0], image[-1]
+    xt, yt, wt = _map_triples(mat, [homogeneous((pell.t.x, pell.t.y))])[0]
+    epsilon = rat(yw - inst.S * ww, ww)
     if not (0 < epsilon <= 2 * gamma * beta and epsilon < box / 2):
         raise ConstructionError("epsilon outside (0, box/2)")
-    if u2.x != 0 or t2.y != inst.S or w2.x != 2 * gamma:
+    bn, bd = box.numerator, box.denominator
+    if xu != 0 or yt != inst.S * wt or xw * gamma.denominator != 2 * gamma.numerator * ww:
         raise ConstructionError("anchor points landed off their rails")
-    for v in image:
-        if not (0 <= v.x < box and abs(v.y - inst.S) < box / 2):
+    for i, (x, y, w) in enumerate(image):
+        # 0 <= x < box and |y - S| < box/2
+        if not (0 <= x and x * bd < bn * w and 2 * bd * abs(y - inst.S * w) < bn * w):
             raise ConstructionError("image vertex outside the corner window")
-        if v != u2 and (v.x <= u2.x or v.y <= u2.y):
+        if i != len(image) - 1 and (x * wu <= xu * w or y * wu <= yu * w):
             raise ConstructionError("u's image is not the unique lowest-leftmost point")
-        if v != w2 and (v.x >= w2.x or v.y >= w2.y):
+        if i and (x * ww >= xw * w or y * ww >= yw * w):
             raise ConstructionError("w's image is not the unique highest-rightmost point")
-    return CornerTransform(
+    points = tuple(Point2(*dehomogenize(v)) for v in image)
+    corner = CornerTransform(
         map=full,
         alpha=alpha,
         beta=beta,
@@ -508,11 +547,12 @@ def build_corner_transform(
         s1=s1,
         epsilon=epsilon,
         chain_slopes=tuple(sorted(slopes)),
-        image=image,
-        u_image=u2,
-        w_image=w2,
-        t_image=t2,
+        image=points,
+        u_image=points[-1],
+        w_image=points[0],
+        t_image=Point2(rat(xt, wt), rat(yt, wt)),
     )
+    return corner, tuple(image)
 
 
 # -- the reduction polygon -----------------------------------------------------
@@ -561,18 +601,22 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
             stacklevel=2,
         )
     pell = build_p_ell(ck)
-    corner = build_corner_transform(pell, inst, C)
+    corner, image = _corner_transform(pell, inst, C)
     c = pullback_cost(corner.map, pell.c0)
     if c != Direction2(-1, 6 * ck):
         raise ConstructionError("pulled-back cost is not (-1, 6*C*k)")
-    chain = build_slope_chain(inst, c)
+    chain, links = _slope_chain(inst, c)
     s = Point2(rat(0), rat(0))
     apex = Point2(rat(1), inst.S + corner.epsilon)
+    e, d = corner.epsilon.numerator, corner.epsilon.denominator
     # x rises strictly along the chain and falls strictly along the corner
     # arc, so the cycle winds once and VPolygon's strict turn check proves
     # that every point is a vertex of the hull
     try:
-        v = VPolygon((s, *chain.vertices, apex, *corner.image))
+        v = VPolygon._of_triples(
+            ((0, 0, 1), *links, (d, inst.S * d + e, d), *image),
+            (s, *chain.vertices, apex, *corner.image),
+        )
     except ValueError:
         raise ConstructionError("some intended vertex fell inside the hull") from None
     if len(v.vertices) != inst.n + 2 * ck + 4:
@@ -613,7 +657,7 @@ def classify_reduction_circuits(red: ReductionInstance):
     # squeeze that set the chain slopes, so its edges keep those slopes
     corner = sorted(primitive_direction(1, s) for s in red.corner.chain_slopes)
     for g in corner:
-        if not (g.dx > 0 and 0 < rat(g.dy, g.dx) < rat(1, 2 * ck)):
+        if not (g.dx > 0 and 0 < g.dy and 2 * ck * g.dy < g.dx):
             raise ConstructionError("corner circuit slope outside (0, 1/(2*C*k))")
     groups = {"frame": frame, "element": element, "corner": tuple(corner)}
     flat = [g for grp in groups.values() for g in grp]

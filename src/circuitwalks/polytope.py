@@ -13,17 +13,31 @@ determinant of their triples is positive.  One cross product turns two rows
 into the triple of their corner and two vertices into the row of their edge.
 Rationals are built only for the vertices that are kept.
 
-Rows become vertices by one angular sweep (half-plane intersection, as in
-Preparata and Shamos), O(m log m) for m rows.  The rows are sorted by the
+A polygon is built from its vertex cycle, a tuple of triples, and its rows
+by one O(m) check: the cycle turns strictly counterclockwise, winds once and
+starts at the lexicographic minimum (VPolygon's check), and the rows are, as a
+set and in number, the cycle's edge rows, the meets of consecutive vertices.
+The first makes the cycle the vertex list of a convex polygon P in boundary
+order; the second makes the rows P's edges, each with P on its inner side.  A
+convex polygon is the intersection of the halfplanes of its edges, so the
+rows describe P: bounded and full-dimensional, no row redundant (each carries
+an edge), none repeated (the edges of a cycle that winds once have distinct
+normal directions), and the hull is the cycle.  v_to_h, transform_polygon
+and the constructions build their polygons this way.
+
+Rows alone become vertices by one angular sweep (half-plane intersection, as
+in Preparata and Shamos), O(m log m) for m rows.  The rows are sorted by the
 angle of their normal once; that order decides boundedness (each turn from
 one normal direction to the next is less than a half turn) and, of parallel
 rows, keeps the tightest.  A deque of edges then takes the rows in order,
 dropping from either end the edges whose corner the new row cuts off.  The
-result is confirmed exactly in O(m*k) for k corners: every corner satisfies
-every row, and the corners turn strictly counterclockwise (VPolygon's own
-check, made once).  Neighbouring corners lie on a common row, so corners
-that pass are exactly the region's vertices, a region that fails has no
-interior, and the kept edges are its minimal rows, in boundary order.
+sweep ends in the cycle check of its corners and the edges it kept: each
+corner is the meet of two consecutive kept edges, so the check passes
+exactly when every corner satisfies every kept row and the corners turn
+strictly counterclockwise.  The rows it dropped are then checked against
+every corner, O((m - k) * k) for k corners.  Corners that pass are the
+region's vertices and the kept edges its minimal rows; a region that fails
+has no interior.
 
 Containment is an integer test too, in any dimension: a point becomes its
 homogeneous state (x, D), and it lies in the polytope when a.x <= b*D for
@@ -39,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .ratgeo import AffineMap2, Point2, dehomogenize, homogeneous
+from .ratgeo import AffineMap2, Point2, SingularMap, dehomogenize, homogeneous
 
 __all__ = [
     "DegenerateHull",
@@ -169,12 +183,8 @@ def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
     return r[0] * t[0] + r[1] * t[1] >= r[2] * t[2]
 
 
-def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> tuple["VPolygon", tuple]:
-    """Vertex polygon of a canonical row system and its edge rows; raises UnboundedOrEmpty.
-
-    The edges come in boundary order, starting at the one that leaves the
-    first vertex, the lexicographic minimum.
-    """
+def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
+    """Vertex polygon of a canonical row system; raises UnboundedOrEmpty."""
     lines = _by_angle(rows)
     if not _normals_positively_span(lines):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
@@ -204,19 +214,46 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> tuple["VPolygon", t
     if len(edges) < 3 or _cross(edges[-1], edges[0]) <= 0:
         raise empty
     corners.append(_meet(edges[-1], edges[0]))
-    # Each edge's line carries both of its corners, so corners that satisfy
-    # every row and turn strictly counterclockwise (VPolygon checks the turns)
-    # are exactly the region's vertices; anything else means the region has
-    # no interior.  corners[i] is where edges[i] ends and edges[i + 1] leaves.
-    t, e = list(corners), list(edges)
-    if any(a1 * x + a2 * y > b * w for x, y, w in t for a1, a2, b in rows):
-        raise empty
-    first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
+    kept = set(edges)
     try:
-        hull = VPolygon._of_triples(tuple(t[first:] + t[:first]))
+        hull = VPolygon._of_triples(_from_lex_min(list(corners)))
+        _edge_rows(hull, kept)
     except ValueError:
         raise empty from None
-    return hull, tuple(e[first + 1:] + e[:first + 1])
+    t = hull._triples
+    if any(a1 * x + a2 * y > b * w for a1, a2, b in rows if (a1, a2, b) not in kept
+           for x, y, w in t):
+        raise empty
+    return hull
+
+
+def _from_lex_min(t: list) -> tuple:
+    """The cycle of triples t, rotated to start at its lexicographic minimum."""
+    first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
+    return tuple(t[first:] + t[:first])
+
+
+def _edge_rows(v: "VPolygon", rows=None) -> tuple:
+    """The edge rows of a vertex polygon, the one leaving its i-th vertex i-th.
+
+    rows, if given, must be those edge rows in any order, else ValueError:
+    with VPolygon's own check, this is the cycle check of the module docstring.
+    """
+    t = v._triples
+    cycle = tuple(_meet(p, q) for p, q in zip(t, t[1:] + t[:1]))
+    if rows is not None and (len(rows) != len(cycle) or set(rows) != set(cycle)):
+        raise ValueError("rows are not the edge rows of the vertex cycle")
+    return cycle
+
+
+def _hpolygon_of_cycle(v: "VPolygon", rows: tuple | None = None) -> "HPolygon":
+    """HPolygon of the vertex polygon v and its canonical edge rows, by default
+    in boundary order; raises ValueError when rows are not its edge rows."""
+    cycle = _edge_rows(v, rows)
+    h = object.__new__(_HPolygon)
+    object.__setattr__(h, "rows", cycle if rows is None else rows)
+    object.__setattr__(h, "_hull", v)
+    return h
 
 
 def _contains(rows, coords) -> bool:
@@ -243,7 +280,7 @@ class HPolygon:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
-        hull = _hull_of_rows(rows)[0]
+        hull = _hull_of_rows(rows)
         if len(hull.vertices) != len(rows):
             raise ValueError("redundant row; use remove_redundant first")
         object.__setattr__(self, "_hull", hull)
@@ -264,6 +301,11 @@ class HPolygon:
 
     def point(self, coords) -> Point2:
         return Point2(*coords)
+
+
+# The benchmark's traced mode (cwbench/tracing.py) rebinds the name HPolygon in
+# this module and in constructions; the private constructors use the class.
+_HPolygon = HPolygon
 
 
 def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
@@ -296,11 +338,14 @@ class VPolygon:
         object.__setattr__(self, "_triples", t)
 
     @classmethod
-    def _of_triples(cls, t: tuple[tuple[int, int, int], ...]) -> "VPolygon":
-        """The polygon of canonical triples, checked on them; the vertices are built from them."""
+    def _of_triples(cls, t: tuple[tuple[int, int, int], ...], vertices=None) -> "VPolygon":
+        """The polygon of canonical triples, checked on them; the vertices are
+        built from them unless given, as the points of the same triples."""
         _check_ccw(t)
         v = object.__new__(cls)
-        object.__setattr__(v, "vertices", tuple(Point2(*dehomogenize(p)) for p in t))
+        if vertices is None:
+            vertices = tuple(Point2(*dehomogenize(p)) for p in t)
+        object.__setattr__(v, "vertices", vertices)
         object.__setattr__(v, "_triples", t)
         return v
 
@@ -345,8 +390,7 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
 
 def v_to_h(v: VPolygon) -> HPolygon:
     """Minimal halfplane system, one row per edge in boundary order."""
-    t = v._triples
-    return HPolygon(tuple(_meet(p, q) for p, q in zip(t, t[1:] + t[:1])))
+    return _hpolygon_of_cycle(v)
 
 
 def h_to_v(h: HPolygon) -> VPolygon:
@@ -363,22 +407,64 @@ def remove_redundant(rows) -> HPolygon:
     canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
     if len(canon) < 3:
         raise UnboundedOrEmpty("a polygon needs at least three rows")
-    return HPolygon(_hull_of_rows(canon)[1])
+    return _hpolygon_of_cycle(_hull_of_rows(canon))
+
+
+def _affine_matrix(m: AffineMap2) -> tuple[int, ...]:
+    """(A, B, E, C, D, F, L): m as the integer matrix [[A, B, E], [C, D, F],
+    [0, 0, L]] on homogeneous triples, L > 0 the common denominator."""
+    return homogeneous((m.m00, m.m01, m.tx, m.m10, m.m11, m.ty))
+
+
+def _map_triples(mat: tuple[int, ...], ts) -> list[tuple[int, int, int]]:
+    """The canonical triples of the images of the points of ts."""
+    A, B, E, C, D, F, L = mat
+    out = []
+    for x, y, w in ts:
+        X, Y, W = A * x + B * y + E * w, C * x + D * y + F * w, L * w
+        g = gcd(X, Y, W)
+        out.append((X // g, Y // g, W // g))
+    return out
+
+
+def _map_rows(mat: tuple[int, ...], rows) -> list[tuple[int, int, int]]:
+    """The canonical rows of the images of the halfplanes of rows; raises
+    SingularMap unless the matrix is invertible.
+
+    A row (a1, a2, b) is the covector (a1, a2, -b) on triples, and maps
+    through adj(M) times the sign of det M: a positive multiple of M^-1, so
+    the image keeps its side.
+    """
+    A, B, E, C, D, F, L = mat
+    det = A * D - B * C
+    if det == 0:
+        raise SingularMap("map is not invertible")
+    s = 1 if det > 0 else -1
+    k11, k12, k21, k22 = s * L * D, -s * L * C, -s * L * B, s * L * A
+    kb, k1, k2 = s * det, s * (E * D - B * F), s * (A * F - C * E)
+    out = []
+    for a1, a2, b in rows:
+        n1, n2, nb = a1 * k11 + a2 * k12, a1 * k21 + a2 * k22, b * kb + a1 * k1 + a2 * k2
+        g = gcd(n1, n2, nb)
+        out.append((n1 // g, n2 // g, nb // g))
+    return out
 
 
 def transform_polygon(m: AffineMap2, h: HPolygon) -> HPolygon:
     """Image polygon {H x + t : x in h}; requires m invertible.
 
-    Row a with bound b becomes a (H^-1) with bound b + a H^-1 t, which keeps
-    the system exact and minimal (invertible maps preserve edges).
+    m acts on homogeneous triples as one integer matrix M.  The rows, in
+    h.rows order, map through M's adjugate and the vertices through M; a map
+    that reverses orientation reverses the cycle.  Invertible maps preserve
+    edges, so the image rows are the image cycle's edge rows, as the cycle
+    check confirms.
     """
-    inv = m.inverse()
-    rows = []
-    for a1, a2, b in h.rows:
-        n1 = inv.m00 * a1 + inv.m10 * a2
-        n2 = inv.m01 * a1 + inv.m11 * a2
-        rows.append((n1, n2, b + n1 * m.tx + n2 * m.ty))
-    return HPolygon(tuple(rows))
+    mat = _affine_matrix(m)
+    rows = _map_rows(mat, h.rows)
+    t = _map_triples(mat, h._hull._triples)  # noqa: SLF001 - cache owned by this module
+    if mat[0] * mat[4] < mat[1] * mat[3]:
+        t.reverse()
+    return _hpolygon_of_cycle(VPolygon._of_triples(_from_lex_min(t)), tuple(rows))
 
 
 @dataclass(frozen=True)

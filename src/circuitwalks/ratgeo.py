@@ -175,7 +175,7 @@ class AffineMap2:
         )
 
     def inverse(self) -> "AffineMap2":
-        d = self.det
+        d = Fraction(self.det)  # exact even when every entry is a plain int
         if d == 0:
             raise SingularMap("map is not invertible")
         i00 = self.m11 / d
@@ -195,12 +195,16 @@ class AffineMap2:
 def pullback_cost(m: AffineMap2, c: Direction2) -> Direction2:
     """Cost for the image polygon that ranks H x + t exactly like c ranks x.
 
-    This is (H^-1)^T c reduced to a primitive direction; the reduction scales
-    by a positive rational only, so monotone walks stay monotone rather than
-    silently reversing.
+    This is (H^-1)^T c reduced to a primitive direction, computed as
+    adj(H)^T c times the sign of det H; the reduction scales by a positive
+    rational only, so monotone walks stay monotone rather than silently
+    reversing.
     """
-    inv = m.inverse()
+    d = m.det
+    if d == 0:
+        raise SingularMap("map is not invertible")
+    s = 1 if d > 0 else -1
     return primitive_direction(
-        inv.m00 * c.dx + inv.m10 * c.dy,
-        inv.m01 * c.dx + inv.m11 * c.dy,
+        s * (m.m11 * c.dx - m.m10 * c.dy),
+        s * (m.m00 * c.dy - m.m01 * c.dx),
     )

@@ -81,7 +81,6 @@ from .circuits import (
     enumerate_lifted_circuits,
     lifted_optimal_value,
     maximal_moves,
-    maximal_step,
     monotone_directions,
     monotone_edge_walk,
     optimal_value,
@@ -152,7 +151,7 @@ class _Instance(NamedTuple):
 
     rows: tuple
     circuits: frozenset  # canonical
-    monotone: frozenset  # directed, strictly c-increasing
+    monotone: dict  # directed, strictly c-increasing: g -> g's blocking rows
     moves: tuple  # (g, g's vector, g's blocking rows) per monotone g, in search order
     goal: tuple  # (c, -opt) scaled to integers, without its last entry
     back: "_Backward"
@@ -176,7 +175,7 @@ def _prepare(h, c) -> _Instance:
     opt, argmax = optimum(h, c)
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    return _Instance(rows, frozenset(circuits), frozenset(monotone), moves, goal,
+    return _Instance(rows, frozenset(circuits), {g: b for g, _, b in moves}, moves, goal,
                      _Backward(h, rows, moves, argmax))
 
 
@@ -475,7 +474,9 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
 
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
     circuit when its canonical form is one of the enumerated circuits.  The
-    first violated condition is reported with its step index.
+    first violated condition is reported with its step index.  A monotone
+    step reads its blocking rows from the prepared instance; only a step
+    against the cost computes its own.
     """
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
@@ -483,10 +484,12 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     for idx, g in enumerate(w.steps):
         if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        end = maximal_step(inst.rows, h.coordinates(w.points[idx]), g.vector)[1]
+        blocking = inst.monotone.get(g) or blocking_rows(inst.rows, g.vector)
+        state = homogeneous(h.coordinates(w.points[idx]))
+        end = next(maximal_moves(inst.rows, state, ((g, g.vector, blocking),)))[4]
         if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
-        if h.coordinates(w.points[idx + 1]) != end:
+        if homogeneous(h.coordinates(w.points[idx + 1])) != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
         if g not in inst.monotone:
             return ValidationReport(False, idx, "step does not strictly increase the cost")

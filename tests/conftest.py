@@ -17,7 +17,6 @@ from circuitwalks.polytope import (
     h_to_v,
     hull2d,
     lifted_vertices,
-    transform_polygon,
     v_to_h,
 )
 from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, pullback_cost, rat
@@ -353,15 +352,34 @@ def reference_monotone_lifted(circuits, c, extra_dims: int):
     return sorted(out, key=lambda circ: circ.vector(extra_dims))
 
 
+# -- image polygons over Fractions: the reference for the integer matrix --------
+
+
+def reference_transform_polygon(m: AffineMap2, h) -> tuple[tuple, tuple[Point2, ...]]:
+    """Rows and vertex tuple of transform_polygon(m, h), raising what it raises.
+
+    Row a with bound b becomes a (H^-1) with bound b + a H^-1 t, by the
+    Fraction inverse of the map, and the vertices come from reference_hpolygon.
+    """
+    inv = m.inverse()
+    rows = []
+    for a1, a2, b in h.rows:
+        n1 = inv.m00 * a1 + inv.m10 * a2
+        n2 = inv.m01 * a1 + inv.m11 * a2
+        rows.append(canonical_row(n1, n2, b + n1 * m.tx + n2 * m.ty))
+    return tuple(rows), reference_hpolygon(rows)
+
+
 # -- the reduction polygon through image polygons and a hull: the reference ----
 
 
 def reference_corner_transform(pell, inst, C: int) -> dict:
-    """Fields of build_corner_transform(pell, inst, C), with image an HPolygon.
+    """Fields of build_corner_transform(pell, inst, C), with image the vertex
+    tuple of the image polygon.
 
-    The image polygons come from transform_polygon, and the slopes from a walk
-    around the squeezed polygon's vertices that skips the edge joining u's and
-    w's images.
+    The image polygons come from reference_transform_polygon, and the slopes
+    from a walk around the squeezed polygon's vertices that skips the edge
+    joining u's and w's images.
     """
     ck = C * inst.k
     outer = {pell.u, pell.w}
@@ -369,9 +387,8 @@ def reference_corner_transform(pell, inst, C: int) -> dict:
     beta = rat(1, 6 * ck)
     rot = AffineMap2(-1, -1, 1, -1)
     pre = AffineMap2.scaling(1, beta).compose(rot.compose(AffineMap2.scaling(alpha, 1)))
-    flat = transform_polygon(pre, pell.h)
     slopes = _reference_ring_walk(
-        h_to_v(flat).vertices, pre.apply(pell.u), pre.apply(pell.w),
+        reference_transform_polygon(pre, pell.h)[1], pre.apply(pell.u), pre.apply(pell.w),
         lambda p, q: (q.y - p.y) / (q.x - p.x),
     )
     s1 = min(slopes)
@@ -384,7 +401,7 @@ def reference_corner_transform(pell, inst, C: int) -> dict:
     return dict(
         map=full, alpha=alpha, beta=beta, gamma=gamma, box=box, s1=s1,
         epsilon=w2.y - inst.S, chain_slopes=tuple(sorted(slopes)),
-        image=transform_polygon(full, pell.h), u_image=full.apply(pell.u),
+        image=reference_transform_polygon(full, pell.h)[1], u_image=full.apply(pell.u),
         w_image=w2, t_image=full.apply(pell.t),
     )
 
@@ -413,7 +430,7 @@ def reference_reduction_vertices(pell, corner: dict, inst):
     v = hull2d(list(expected))
     assert set(v.vertices) == expected, "some intended vertex fell inside the hull"
     directions = _reference_ring_walk(
-        h_to_v(corner["image"]).vertices, corner["u_image"], corner["w_image"],
+        corner["image"], corner["u_image"], corner["w_image"],
         lambda p, q: primitive_direction(q.x - p.x, q.y - p.y).canonical(),
     )
     return v.vertices, tuple(sorted(directions))

@@ -34,11 +34,16 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import h_to_v, lifted_vertices
+from circuitwalks.polytope import HPolygon, h_to_v, lifted_vertices
 from circuitwalks.ratgeo import Direction2, Point2, rat
 from circuitwalks.search import is_valid_monotone_walk
 
-from conftest import reference_corner_transform, reference_edge_rows, reference_reduction_vertices
+from conftest import (
+    reference_corner_transform,
+    reference_edge_rows,
+    reference_hpolygon,
+    reference_reduction_vertices,
+)
 
 
 def P(x, y):
@@ -102,6 +107,17 @@ class TestFamily:
     def test_rejects_level_zero(self):
         with pytest.raises(BadParameter):
             build_p_ell(0)
+
+    def test_cycle_matches_sweep(self):
+        # rows and vertex cycle carried together equal the sweep of the rows
+        for ell in range(1, 13):
+            art = build_p_ell(ell)
+            swept = HPolygon(art.h.rows)
+            assert art.h == swept and hash(art.h) == hash(swept)
+            assert h_to_v(swept).vertices == art.v.vertices
+            assert h_to_v(swept)._triples == art.v._triples
+        for ell in range(1, 6):
+            assert build_p_ell(ell).v.vertices == reference_hpolygon(build_p_ell(ell).h.rows)
 
 
 class TestSubsetSumInstance:
@@ -428,7 +444,7 @@ def assert_matches_reference(inst, C):
         if field.name != "image":
             assert getattr(red.corner, field.name) == ref[field.name], field.name
     assert len(set(red.corner.image)) == len(red.corner.image)
-    assert set(red.corner.image) == set(h_to_v(ref["image"]).vertices)
+    assert set(red.corner.image) == set(ref["image"])
     vertices, corner_circuits = reference_reduction_vertices(pell, ref, inst)
     assert red.v.vertices == vertices
     assert red.h.rows == reference_edge_rows(vertices)

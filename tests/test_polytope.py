@@ -17,13 +17,16 @@ from circuitwalks.polytope import (
     h_to_v,
     hull2d,
     lifted_vertices,
+    _hpolygon_of_cycle,
     product_with_simplex,
     remove_redundant,
     simplex_vertices,
+    transform_polygon,
     v_to_h,
 )
+from circuitwalks.constructions import build_p_ell
 from circuitwalks.formats import InstanceFile, read_instance, write_instance
-from circuitwalks.ratgeo import Direction2, Point2, rat
+from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, SingularMap, homogeneous, rat
 
 from conftest import (
     facet_incidences,
@@ -34,6 +37,7 @@ from conftest import (
     reference_hpolygon,
     reference_hull2d,
     reference_remove_redundant,
+    reference_transform_polygon,
 )
 
 
@@ -144,10 +148,14 @@ class TestHVConversion:
     @given(st.randoms(use_true_random=False))
     def test_random_round_trip(self, pyrandom):
         ring = random_hull(random.Random(pyrandom.randint(0, 2**30)), max_points=9, bound=40)
-        back = h_to_v(v_to_h(ring))
-        assert back.vertices == ring.vertices
-        # built from the sweep's triples, it holds those its vertices give
-        assert back._triples == ring._triples
+        h = v_to_h(ring)
+        assert h_to_v(h).vertices == ring.vertices
+        # built from the vertex cycle, it equals the sweep's polygon of the same
+        # edge rows, whose triples are those the vertices give
+        swept = HPolygon(reference_edge_rows(ring.vertices))
+        assert h.rows == swept.rows and h == swept and hash(h) == hash(swept)
+        assert h_to_v(swept).vertices == ring.vertices
+        assert h_to_v(swept)._triples == ring._triples
 
 
 class TestHPolygon:
@@ -301,6 +309,117 @@ class TestIntegerConstruction:
             assert _outcome(lambda t: VPolygon(t).vertices, verts) == _outcome(
                 lambda t: (reference_check_vertices(t), t)[1], verts
             )
+
+
+def _cycle_check(t, rows):
+    """The cycle check on a vertex cycle and rows, raising what it raises."""
+    return _hpolygon_of_cycle(VPolygon._of_triples(tuple(t)), tuple(rows))
+
+
+def _triple(p):
+    return homogeneous((p.x, p.y))
+
+
+class TestCycleCheck:
+    """The O(m) check that a vertex cycle and a row set describe one polygon."""
+
+    # a convex pentagon, counterclockwise from its lex-min vertex
+    PENTAGON = (P(-1, 3), P(0, 0), P(4, 0), P(5, 3), P(2, 5))
+    EDGES = "rows are not the edge rows of the vertex cycle"
+    TURNS = "vertices not in strictly convex ccw order"
+
+    def parts(self):
+        ring = VPolygon(self.PENTAGON)
+        return list(ring._triples), list(v_to_h(ring).rows)
+
+    def test_accepts_the_edge_rows_in_any_order(self):
+        t, rows = self.parts()
+        for order in (rows, rows[::-1], rows[2:] + rows[:2]):
+            h = _cycle_check(t, order)
+            assert h.rows == tuple(order) and h == HPolygon(order)
+            assert h_to_v(h).vertices == self.PENTAGON
+
+    def test_rejects_a_moved_triple(self):
+        t, rows = self.parts()
+        # the top vertex moved up: the cycle stays strictly convex
+        t[4] = _triple(P(2, 6))
+        with pytest.raises(ValueError, match=self.EDGES):
+            _cycle_check(t, rows)
+
+    def test_rejects_a_looser_parallel_row(self):
+        t, rows = self.parts()
+        for i, (a1, a2, b) in enumerate(rows):
+            looser = list(rows)
+            looser[i] = canonical_row(2 * a1, 2 * a2, 2 * b + 1)
+            with pytest.raises(ValueError, match=self.EDGES):
+                _cycle_check(t, looser)
+
+    def test_rejects_a_reversed_cycle(self):
+        t, rows = self.parts()
+        with pytest.raises(ValueError, match=self.TURNS):
+            _cycle_check(t[:1] + t[:0:-1], rows)
+
+    def test_rejects_a_doubly_wound_cycle(self):
+        t, rows = self.parts()
+        # pentagram order, from the lex-min: every consecutive triple turns left
+        with pytest.raises(ValueError, match=self.TURNS):
+            _cycle_check([t[i] for i in (0, 2, 4, 1, 3)], rows)
+
+    def test_rejects_a_duplicated_row(self):
+        t, rows = self.parts()
+        with pytest.raises(ValueError, match=self.EDGES):
+            _cycle_check(t, rows[:1] + rows[:1] + rows[2:])
+        with pytest.raises(ValueError, match=self.EDGES):
+            _cycle_check(t, rows + rows[:1])
+
+
+def _random_map(rng, det_sign):
+    """An invertible map with small rational entries and a determinant of the given sign."""
+    while True:
+        m = AffineMap2(*(rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)),
+                       rat(rng.randint(-9, 9), rng.randint(1, 4)),
+                       rat(rng.randint(-9, 9), rng.randint(1, 4)))
+        if m.det * det_sign > 0:
+            return m
+
+
+def assert_transform_matches_reference(m, h):
+    rows, vertices = reference_transform_polygon(m, h)
+    image = transform_polygon(m, h)
+    assert image.rows == rows
+    assert h_to_v(image).vertices == vertices
+    assert h_to_v(image)._triples == tuple(_triple(p) for p in vertices)
+    swept = HPolygon(rows)
+    assert image == swept and hash(image) == hash(swept)
+
+
+class TestTransformPolygon:
+    """transform_polygon on integer matrices against the Fraction inverse."""
+
+    def test_family_polygons(self):
+        rng = random.Random(15)
+        for ell in range(1, 9):
+            h = build_p_ell(ell).h
+            maps = [_random_map(rng, sign) for sign in (1, -1, 1, -1)]
+            maps += [AffineMap2.translation(rat(-3, 2), rat(5)), AffineMap2(-1, 0, 0, 1),
+                     AffineMap2.scaling(rat(1, 7), rat(-2))]
+            for m in maps:
+                assert_transform_matches_reference(m, h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, -1]))
+    def test_random_hulls(self, pyrandom, det_sign):
+        rng = random.Random(pyrandom.randint(0, 2**30))
+        h = v_to_h(random_hull(rng, max_points=9, bound=40))
+        assert_transform_matches_reference(_random_map(rng, det_sign), h)
+
+    def test_singular_map_raises(self):
+        h = build_p_ell(3).h
+        for m in (AffineMap2(1, 2, 2, 4, 3, 0), AffineMap2(0, 0, 0, 0), AffineMap2(rat(1, 2), 1, 1, 2)):
+            with pytest.raises(SingularMap, match="^map is not invertible$"):
+                transform_polygon(m, h)
+            with pytest.raises(SingularMap):
+                reference_transform_polygon(m, h)
 
 
 class TestLargePolygons:

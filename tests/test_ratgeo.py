@@ -165,6 +165,11 @@ class TestAffineMap2:
         with pytest.raises(SingularMap):
             AffineMap2(rat(1), rat(2), rat(2), rat(4)).inverse()
 
+    def test_inverse_of_an_integer_map_is_exact(self):
+        inv = AffineMap2(2, 1, 0, 3, 1, 0).inverse()
+        assert inv == AffineMap2(rat(1, 2), rat(-1, 6), rat(0), rat(1, 3), rat(-1, 2), rat(0))
+        assert all(type(e) is Fraction for e in (inv.m00, inv.m01, inv.m10, inv.m11, inv.tx, inv.ty))
+
     @given(invertible_maps, rationals, rationals)
     def test_inverse_round_trip(self, m, x, y):
         p = Point2(x, y)
@@ -183,6 +188,20 @@ class TestPullbackCost:
     def test_quarter_turn_with_shear(self):
         rot = AffineMap2(rat(-1), rat(-1), rat(1), rat(-1))
         assert pullback_cost(rot, Direction2(0, 1)) == Direction2(-1, -1)
+
+    @given(invertible_maps, st.integers(-9, 9), st.integers(-9, 9))
+    def test_matches_the_inverse(self, m, cx, cy):
+        if cx == 0 and cy == 0:
+            return
+        c = primitive_direction(cx, cy)
+        inv = m.inverse()
+        assert pullback_cost(m, c) == primitive_direction(
+            inv.m00 * c.dx + inv.m10 * c.dy, inv.m01 * c.dx + inv.m11 * c.dy
+        )
+
+    def test_singular_map_raises(self):
+        with pytest.raises(SingularMap, match="^map is not invertible$"):
+            pullback_cost(AffineMap2(rat(1), rat(2), rat(2), rat(4)), Direction2(1, 0))
 
     @given(invertible_maps, st.integers(-9, 9), st.integers(-9, 9))
     def test_values_agree_up_to_positive_scale(self, m, cx, cy):
