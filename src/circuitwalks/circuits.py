@@ -13,19 +13,21 @@ order of their vectors.
 
 A circuit move travels from a feasible point along a circuit direction as far
 as the polytope allows; a monotone walk chains such moves while a fixed cost
-strictly increases.  Everything here is exact, and one integer kernel computes
-every maximal step, in any dimension d: rows are integer pairs (a, b) for
-a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
-gcd 1), each row's slack b*D - a.x is an integer, ratios are compared by
-cross-multiplying, and the moved state costs one gcd.
+strictly increases.  Everything here is exact: rows are integer pairs (a, b)
+for a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
+gcd 1), and the moved state costs one gcd.  maximal_moves defines the maximal
+step in any dimension d, by an integer min-ratio test over every row's slack
+b*D - a.x.  The polygon search runs on chord_moves, which bisects the front
+chain instead and computes one slack (Chazelle and Dobkin, 1987).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
 
 from .polytope import (
@@ -33,6 +35,7 @@ from .polytope import (
     HPolygon,
     LiftedPoint,
     LiftedPolytope,
+    _edge_rows,
     h_to_v,
     simplex_vertices,
 )
@@ -47,6 +50,8 @@ __all__ = [
     "enumerate_circuits",
     "blocking_rows",
     "maximal_moves",
+    "front_chains",
+    "chord_moves",
     "maximal_step",
     "max_step",
     "monotone_directions",
@@ -155,6 +160,60 @@ def maximal_moves(rows, state, moves):
         moved.append(D * ag)
         k = gcd(*moved)
         yield label, slack, ag, row, tuple([v // k for v in moved])
+
+
+def front_chains(h: HPolygon, gs) -> list:
+    """For each integer vector g of gs, the polygon's edges whose rows block g, counterclockwise.
+
+    The chain is (L, values, edges, corners): values[j] is L*phi_g at its j-th
+    vertex, L the vertices' common denominator; edges[j] is (row, a1, a2, b)
+    of the edge from vertex j to j + 1, corners[j] that of the row binding at j.
+    """
+    v = h_to_v(h)
+    t, n = v._triples, len(v._triples)  # noqa: SLF001 - kept by VPolygon
+    index = {row: i for i, row in enumerate(h.rows)}
+    edge = [(index[row],) + row for row in _edge_rows(v)] * 2  # edge k leaves vertex k
+    corner = list(map(min, edge[-1:] + edge, edge))  # the smaller row at vertex k
+    L = lcm(*[w for _, _, w in t])
+    scaled = [(x * (L // w), y * (L // w)) for x, y, w in t]
+    chains = []
+    for g1, g2 in gs:
+        phi = [g1 * y - g2 * x for x, y in scaled]
+        # phi_g rises along the front chain and falls along the back chain, so the
+        # front chain runs from the last vertex of least phi_g to the first of greatest
+        lo, hi = min(phi), max(phi)
+        k = phi.index(lo)
+        k = (k + (phi[(k + 1) % n] == lo)) % n
+        e = phi.index(hi)
+        m = (e - (phi[e - 1] == hi) - k) % n
+        phi += phi
+        chains.append((L, phi[k:k + m + 1], edge[k:k + m],
+                       [edge[k], *corner[k + 1:k + m], edge[k + m - 1]]))
+    return chains
+
+
+def chord_moves(state, moves):
+    """maximal_moves on a polygon, for each (label, g, g's front chain) of moves.
+
+    A move along g keeps phi_g(x) = g1*x2 - g2*x1 and ends on the front chain,
+    along which phi_g rises strictly (by a.g > 0 per unit of an edge's (-a2, a1)),
+    so bisecting the chain's values finds the edge or vertex it ends on; only
+    that row's slack is computed.  At a vertex inside the chain the smaller of
+    its two row indices binds, as the first in maximal_moves' blocking order.
+    """
+    x, y, D = state
+    for label, (g1, g2), (L, values, edges, corners) in moves:
+        q, r = divmod((g1 * y - g2 * x) * L, D)
+        j = bisect_right(values, q) - 1
+        row, a1, a2, b = edges[j] if r or values[j] != q else corners[j]
+        slack = b * D - a1 * x - a2 * y
+        ag = a1 * g1 + a2 * g2
+        if not slack:
+            yield label, 0, ag, row, None
+            continue
+        x2, y2, D2 = x * ag + slack * g1, y * ag + slack * g2, D * ag
+        k = gcd(x2, y2, D2)
+        yield label, slack, ag, row, (x2 // k, y2 // k, D2 // k)
 
 
 def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None]:

@@ -1,20 +1,22 @@
 """Shortest monotone circuit walks by exact breadth-first search.
 
-One integer kernel serves polygons and their simplex lifts alike.  A search
+One search loop serves polygons and their simplex lifts alike.  A search
 state in dimension d is the homogeneous integer vector (x_1, .., x_d, D)
 standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
-is the deduplication key.  The rows are integer (a, b) pairs for a.x <= b;
-each monotone direction's blocking rows are computed once per instance, every
-row's slack once per state, and a move is one integer min-ratio test plus one
-gcd.  The goal test is an integer comparison, and points are only built for
-the returned walk.  The walk validator runs on the same kernel.
+is the deduplication key.  The instance carries the move function: on a
+polygon chord_moves, a bisection of the direction's front chain, on a lift
+maximal_moves, a min-ratio test over its blocking rows.  The goal test is an
+integer comparison, and points are only built for the returned walk.  The
+walk validator runs on maximal_moves, so it checks a polygon search's walk
+independently of the kernel that found it.
 
 A search is pruned by backward sets, growing whichever side of the search is
 smaller, as in bidirectional search (Pohl, 1971).  A_r is the set of boundary
 points that reach the optimum within r moves.  A_0 is the optimal
 vertex t or edge.  A point y of A_r pulls back along a monotone circuit g when
 y is the front end of its g-chord (the move from y along g has length zero):
-the move from y along -g ends at the chord's back end x, and x joins A_{r+1},
+the move from y along -g, made by chord_moves on g's back chain (the front
+chain of -g), ends at the chord's back end x, and x joins A_{r+1},
 with the whole side edge of g (parallel to it) when the chord is one.  A
 closed interval of an edge on g's front chain pulls back to the arc of the
 back ends of its chords.  The stored sets need only be supersets: every
@@ -52,16 +54,16 @@ the answer.
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's blocking rows, the goal vector, the optimum and its backward
-sets, which keep the layers, pullbacks and membership tests they have
-built.  The last pair prepared is kept, compared by value, so a certificate's
-finds, proofs and validations from several starts share one instance.  A
-stored A_r gains nothing when later layers are built, and each search counts
-the layers it filters with by the growth rule above, replayed against the
-recorded layer sizes: it filters with exactly the layers a search alone
-would build, so no result, a capped one included, depends on the calls made
-before it.  The shared layers grow during a search, so the searches of one
-process run one at a time.
+direction's blocking rows and front chain, the goal vector, the optimum and
+its backward sets, which keep the layers, pullbacks and membership tests they
+have built.  The last pair prepared is kept, compared by value, so a
+certificate's finds, proofs and validations from several starts share one
+instance.  A stored A_r gains nothing when later layers are built, and each
+search counts the layers it filters with by the growth rule above, replayed
+against the recorded layer sizes: it filters with exactly the layers a search
+alone would build, so no result, a capped one included, depends on the calls
+made before it.  The shared layers grow during a search, so the searches of
+one process run one at a time.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ from .circuits import (
     Walk,
     blocking_rows,
     check_lifted_cost,
+    chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
+    front_chains,
     lifted_optimal_value,
     maximal_moves,
     monotone_directions,
@@ -151,8 +155,8 @@ class _Instance(NamedTuple):
 
     rows: tuple
     circuits: frozenset  # canonical
-    monotone: dict  # directed, strictly c-increasing: g -> g's blocking rows
-    moves: tuple  # (g, g's vector, g's blocking rows) per monotone g, in search order
+    monotone: dict  # directed, strictly c-increasing: g -> a lift's blocking rows of g, else None
+    expand: functools.partial  # state -> its moves, in search order
     goal: tuple  # (c, -opt) scaled to integers, without its last entry
     back: "_Backward"
 
@@ -164,18 +168,24 @@ def _prepare(h, c) -> _Instance:
     Raises BadDimension when a lifted cost does not fit h; an exception is
     never cached.
     """
-    if isinstance(h, LiftedPolytope):
+    lifted = isinstance(h, LiftedPolytope)
+    if lifted:
         check_lifted_cost(h, c)
         circuits, optimum = enumerate_lifted_circuits(h), lifted_optimal_value
     else:
         circuits, optimum = enumerate_circuits(h), optimal_value
     monotone = monotone_directions(circuits, c)
     rows = h.inequality_rows()
-    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
+    vectors = [g.vector for g in monotone]
+    # what stops a move along each g: a lift's blocking rows, a polygon's front chains
+    stops = [blocking_rows(rows, g) for g in vectors] if lifted else front_chains(h, vectors)
+    moves = tuple(zip(monotone, vectors, stops))
+    expand = functools.partial(maximal_moves, rows) if lifted else chord_moves
     opt, argmax = optimum(h, c)
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    return _Instance(rows, frozenset(circuits), {g: b for g, _, b in moves}, moves, goal,
+    return _Instance(rows, frozenset(circuits), {g: w if lifted else None for g, _, w in moves},
+                     functools.partial(expand, moves=moves), goal,
                      _Backward(h, rows, moves, argmax))
 
 
@@ -192,7 +202,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    rows, _, _, moves, goal, back = _prepare(h, c)
+    _, _, _, expand, goal, back = _prepare(h, c)
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
@@ -202,7 +212,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     for depth in range(cfg.max_depth):
         nxt, on = [], []
         for p in frontier:
-            for g, _, _, row, q in maximal_moves(rows, p, moves):
+            for g, _, _, row, q in expand(p):
                 if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
@@ -297,18 +307,18 @@ class _Backward:
         self.edge = [index[_meet(t[k], t[k + 1 - n])] for k in range(n)]
         self.pos = {row: k for k, row in enumerate(self.edge)}
         self.vertex = {v: k for k, v in enumerate(t)}
-        # per row, the moves (i, -g, blocking rows of -g) of each g = moves[i]
+        # per row, the moves (i, -g, back chain of g) of each g = moves[i]
         # that the row blocks: a point inside the edge is the front end of its
         # g-chord exactly for those g
         self.pulls = {row: [] for row in self.edge}
-        # per g, its side edges by front vertex
+        # per g, its side edges by front vertex: the edges on neither chain
         self.side = []
-        for i, (_, (g1, g2), blocking) in enumerate(moves):
-            ahead = blocking_rows(rows, (-g1, -g2))
-            for row, _ in blocking:
-                self.pulls[row].append((i, (-g1, -g2), ahead))
+        backs = front_chains(self.h, [(-g1, -g2) for _, (g1, g2), _ in moves])
+        for i, ((_, (g1, g2), front), back) in enumerate(zip(moves, backs)):
+            for row, *_ in front[2]:
+                self.pulls[row].append((i, (-g1, -g2), back))
             side = {}
-            for row in set(self.edge).difference(dict(blocking), dict(ahead)):
+            for row in set(self.edge).difference([e[0] for e in front[2] + back[2]]):
                 k = self.pos[row]
                 (a1, a2), _ = rows[row]
                 side[t[k + 1 - n] if a1 * g2 - a2 * g1 > 0 else t[k]] = (row, t[k], t[k + 1 - n])
@@ -327,7 +337,7 @@ class _Backward:
                 # a vertex is the front end for the g that either of its edges blocks
                 pulls = {m[0]: m for m in self.pulls[self.edge[k - 1]] + self.pulls[self.edge[k]]}
                 pulls = [pulls[i] for i in sorted(pulls)]
-            out = {i: (brow, b) for i, _, _, brow, b in maximal_moves(self.rows, p, pulls)}
+            out = {i: (brow, b) for i, _, _, brow, b in chord_moves(p, pulls)}
             self.cache[p] = out
         return out
 
@@ -475,8 +485,9 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
     circuit when its canonical form is one of the enumerated circuits.  The
     first violated condition is reported with its step index.  A monotone
-    step reads its blocking rows from the prepared instance; only a step
-    against the cost computes its own.
+    step on a lift reads its blocking rows from the prepared instance; other
+    steps compute their own.  Steps are checked by maximal_moves, so on a
+    polygon the validator checks the search's chord_moves independently.
     """
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")

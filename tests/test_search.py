@@ -8,8 +8,10 @@ from circuitwalks.circuits import (
     LiftedCost,
     NotAVertex,
     blocking_rows,
+    chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
+    front_chains,
     lifted_optimal_value,
     max_step,
     maximal_moves,
@@ -55,6 +57,7 @@ from circuitwalks.search import (
     shortest_monotone_walk,
     transform_walk,
 )
+from circuitwalks import search
 from circuitwalks.search import _Backward, _prepare
 
 from conftest import random_hull, reference_lifted_optimal_value
@@ -789,8 +792,9 @@ def _assert_sound(h, c, starts, depth=4, most=3):
     rows = h.inequality_rows()
     monotone = monotone_directions(enumerate_circuits(h), c)
     moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
+    vectors = [g.vector for g in monotone]
     argmax = optimal_value(h, c)[1]
-    back = _Backward(h, rows, moves, argmax)
+    back = _Backward(h, rows, tuple(zip(monotone, vectors, front_chains(h, vectors))), argmax)
     chord = back._chord() if len(argmax) == 1 else None
     member = {}
     for r in range(1, most + 1):
@@ -841,6 +845,77 @@ class TestBackwardSets:
             (46, 1, 1680), (-62, 13, 3360),
         ))
         assert _assert_sound(h, Direction2(1, -12), h_to_v(h).vertices, 3, 2)[2]
+
+
+def _assert_same_moves(h, c, starts, depth):
+    """chord_moves equals maximal_moves, label, slack, a.g, row and successor,
+    along every monotone g and -g from every state discovered within depth
+    moves of the starts.  Returns the counts of states at a vertex inside a
+    chain of one of the directions and of chains that wrap past row 0."""
+    rows = h.inequality_rows()
+    gs = [g.vector for g in monotone_directions(enumerate_circuits(h), c)]
+    gs += [(-g1, -g2) for g1, g2 in gs]
+    chains = front_chains(h, gs)
+    chords = tuple(zip(gs, gs, chains))
+    blocking = tuple((g, g, blocking_rows(rows, g)) for g in gs)
+    forward = blocking[:len(gs) // 2]
+    states = [homogeneous(h.coordinates(s)) for s in starts]
+    states += _discovered(h, rows, forward, starts, depth)
+    inner = 0
+    for q in states:
+        assert list(chord_moves(q, chords)) == list(maximal_moves(rows, q, blocking))
+        x, y, D = q
+        for (g1, g2), (L, values, _, _) in zip(gs, chains):
+            phi, r = divmod((g1 * y - g2 * x) * L, D)
+            inner += not r and phi in values[1:-1]
+    wraps = sum(any(e[0] < d[0] for d, e in zip(edges, edges[1:])) for _, _, edges, _ in chains)
+    return inner, wraps
+
+
+class TestChordMoves:
+    """The bisection kernel of the polygon search makes maximal_moves' moves."""
+
+    def test_family_levels(self):
+        for ell in range(5, 8):
+            art = build_p_ell(ell)
+            assert _assert_same_moves(art.h, art.c0, (art.u, art.w), ell)[0]
+
+    def test_reduction_from_s_and_corner_anchors(self):
+        for C in (2, 3):
+            red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), C)
+            starts = (red.s, red.corner.u_image, red.corner.w_image)
+            assert _assert_same_moves(red.h, red.c, starts, 4)[0]
+
+    def test_random_hulls(self):
+        rng = random.Random(1616)
+        inner = wraps = 0
+        for _ in range(200):
+            h = v_to_h(random_hull(rng, max_points=9, bound=30))
+            verts = h_to_v(h).vertices
+            i = rng.randrange(len(verts))
+            p, q, r = verts[i], verts[i - 1], verts[i - 2]
+            starts = (p, Point2((p.x + q.x) / 2, (p.y + q.y) / 2),
+                      Point2((p.x + q.x + r.x) / 3, (p.y + q.y + r.y) / 3))
+            counts = _assert_same_moves(h, _random_cost(rng, h), starts, 3)
+            inner, wraps = inner + counts[0], wraps + counts[1]
+        assert inner and wraps
+
+    def test_validator_and_lifts_do_not_use_it(self, monkeypatch):
+        art = build_p_ell(5)
+        walk = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(5)).walk
+        lp, s, c = lift_instance(art.h, art.u, art.c0, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chord_moves called")
+
+        monkeypatch.setattr(search, "chord_moves", refuse)
+        _prepare.cache_clear()
+        try:
+            assert is_valid_monotone_walk(art.h, art.c0, walk)
+            lifted = shortest_monotone_walk(lp, s, c, SearchConfig(5))
+            assert lifted.walk.length == 5 and is_valid_monotone_walk(lp, c, lifted.walk)
+        finally:
+            _prepare.cache_clear()
 
 
 # -- one prepared instance per (polytope, cost) --------------------------------
