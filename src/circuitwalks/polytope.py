@@ -234,13 +234,17 @@ def _from_lex_min(t: list) -> tuple:
 
 
 def _edge_rows(v: "VPolygon", rows=None) -> tuple:
-    """The edge rows of a vertex polygon, the one leaving its i-th vertex i-th.
+    """The edge rows of a vertex polygon, the one leaving its i-th vertex i-th,
+    computed once per polygon and kept with it.
 
     rows, if given, must be those edge rows in any order, else ValueError:
     with VPolygon's own check, this is the cycle check of the module docstring.
     """
-    t = v._triples
-    cycle = tuple(_meet(p, q) for p, q in zip(t, t[1:] + t[:1]))
+    cycle = v.__dict__.get("_edges")
+    if cycle is None:
+        t = v._triples
+        cycle = tuple([_meet(p, q) for p, q in zip(t, t[1:] + t[:1])])
+        object.__setattr__(v, "_edges", cycle)
     if rows is not None and (len(rows) != len(cycle) or set(rows) != set(cycle)):
         raise ValueError("rows are not the edge rows of the vertex cycle")
     return cycle
@@ -294,7 +298,7 @@ class HPolygon:
 
     def inequality_rows(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """The rows as (coefficients, bound) pairs."""
-        return tuple(((a1, a2), b) for a1, a2, b in self.rows)
+        return tuple([((a1, a2), b) for a1, a2, b in self.rows])
 
     def coordinates(self, p: Point2) -> tuple[Fraction, Fraction]:
         return (p.x, p.y)
@@ -490,6 +494,12 @@ class LiftedPolytope:
     def __post_init__(self) -> None:
         if self.extra_dims < 0:
             raise BadDimension("extra_dims must be nonnegative")
+        e = self.extra_dims
+        rows = [(a + (0,) * e, b) for a, b in self.base.inequality_rows()]
+        rows += [((0, 0) + tuple([-y for y in unit]), 0) for unit in simplex_vertices(e)[1:]]
+        if e:
+            rows.append(((0, 0) + (1,) * e, 1))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -500,13 +510,8 @@ class LiftedPolytope:
         return len(self.inequality_rows())
 
     def inequality_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Full-dimensional H-description as (coefficients, bound) pairs."""
-        e = self.extra_dims
-        rows = [(a + (0,) * e, b) for a, b in self.base.inequality_rows()]
-        rows += [((0, 0) + tuple(-y for y in unit), 0) for unit in simplex_vertices(e)[1:]]
-        if e:
-            rows.append(((0, 0) + (1,) * e, 1))
-        return tuple(rows)
+        """Full-dimensional H-description as (coefficients, bound) pairs, built once."""
+        return self._rows
 
     def contains(self, p: LiftedPoint) -> bool:
         if len(p.simplex) != self.extra_dims:

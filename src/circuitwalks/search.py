@@ -5,10 +5,12 @@ state in dimension d is the homogeneous integer vector (x_1, .., x_d, D)
 standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
 is the deduplication key.  The instance carries the move function: on a
 polygon chord_moves, a bisection of the direction's front chain, on a lift
-maximal_moves, a min-ratio test over its blocking rows.  The goal test is an
-integer comparison, and points are only built for the returned walk.  The
-walk validator runs on maximal_moves, so it checks a polygon search's walk
-independently of the kernel that found it.
+lifted_moves, which moves a base circuit by chord_moves on the base polygon's
+front chain and a circuit of the simplex by its one blocking row.  The goal
+test is an integer comparison, and points are only built for the returned
+walk.  The walk validator runs on maximal_moves, a min-ratio test over every
+blocking row, so it checks a search's walk independently of the kernel that
+found it.
 
 A search is pruned by backward sets, growing whichever side of the search is
 smaller, as in bidirectional search (Pohl, 1971).  A_r is the set of boundary
@@ -54,11 +56,11 @@ the answer.
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's blocking rows and front chain, the goal vector, the optimum and
-its backward sets, which keep the layers, pullbacks and membership tests they
-have built.  The last pair prepared is kept, compared by value, so a
-certificate's finds, proofs and validations from several starts share one
-instance.  A stored A_r gains nothing when later layers are built, and each
+direction's front chain, the goal vector, the optimum and its backward sets,
+which keep the layers, pullbacks and membership tests they have built, and
+the blocking rows of each direction a validation has stepped along.  The
+last pair prepared is kept, compared by value, so a certificate's finds,
+proofs and validations from several starts share one instance.  A stored A_r gains nothing when later layers are built, and each
 search counts the layers it filters with by the growth rule above, replayed
 against the recorded layer sizes: it filters with exactly the layers a search
 alone would build, so no result, a capped one included, depends on the calls
@@ -83,6 +85,8 @@ from .circuits import (
     enumerate_circuits,
     enumerate_lifted_circuits,
     front_chains,
+    lifted_chains,
+    lifted_moves,
     lifted_optimal_value,
     maximal_moves,
     monotone_directions,
@@ -91,7 +95,7 @@ from .circuits import (
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
-from .polytope import HPolygon, LiftedPolytope, _meet, h_to_v
+from .polytope import HPolygon, LiftedPolytope, _edge_rows, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
@@ -155,7 +159,8 @@ class _Instance(NamedTuple):
 
     rows: tuple
     circuits: frozenset  # canonical
-    monotone: dict  # directed, strictly c-increasing: g -> a lift's blocking rows of g, else None
+    monotone: frozenset  # directed, strictly c-increasing
+    blocking: dict  # directed g -> blocking_rows of g, filled by the validator
     expand: functools.partial  # state -> its moves, in search order
     goal: tuple  # (c, -opt) scaled to integers, without its last entry
     back: "_Backward"
@@ -175,17 +180,19 @@ def _prepare(h, c) -> _Instance:
     else:
         circuits, optimum = enumerate_circuits(h), optimal_value
     monotone = monotone_directions(circuits, c)
-    rows = h.inequality_rows()
     vectors = [g.vector for g in monotone]
-    # what stops a move along each g: a lift's blocking rows, a polygon's front chains
-    stops = [blocking_rows(rows, g) for g in vectors] if lifted else front_chains(h, vectors)
-    moves = tuple(zip(monotone, vectors, stops))
-    expand = functools.partial(maximal_moves, rows) if lifted else chord_moves
+    if lifted:
+        # the backward side of a lift is the chord test, which reads the vectors alone
+        moves = tuple([(g, v, None) for g, v in zip(monotone, vectors)])
+        expand = functools.partial(lifted_moves, moves=lifted_chains(h, monotone))
+    else:
+        moves = tuple(zip(monotone, vectors, front_chains(h, vectors)))
+        expand = functools.partial(chord_moves, moves=moves)
+    rows = h.inequality_rows()
     opt, argmax = optimum(h, c)
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    return _Instance(rows, frozenset(circuits), {g: w if lifted else None for g, _, w in moves},
-                     functools.partial(expand, moves=moves), goal,
+    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal,
                      _Backward(h, rows, moves, argmax))
 
 
@@ -202,7 +209,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    _, _, _, expand, goal, back = _prepare(h, c)
+    _, _, _, _, expand, goal, back = _prepare(h, c)
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
@@ -299,12 +306,13 @@ class _Backward:
 
     def _setup(self) -> None:
         rows, moves = self.rows, self.moves
-        t = h_to_v(self.h)._triples  # noqa: SLF001 - kept by VPolygon
+        hull = h_to_v(self.h)
+        t = hull._triples  # noqa: SLF001 - kept by VPolygon
         n = len(t)
-        index = {(a1, a2, b): i for i, ((a1, a2), b) in enumerate(rows)}
+        index = {row: i for i, row in enumerate(self.h.rows)}
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
         self.corner = t + t[:1]
-        self.edge = [index[_meet(t[k], t[k + 1 - n])] for k in range(n)]
+        self.edge = [index[row] for row in _edge_rows(hull)]
         self.pos = {row: k for k, row in enumerate(self.edge)}
         self.vertex = {v: k for k, v in enumerate(t)}
         # per row, the moves (i, -g, back chain of g) of each g = moves[i]
@@ -484,10 +492,10 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
 
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
     circuit when its canonical form is one of the enumerated circuits.  The
-    first violated condition is reported with its step index.  A monotone
-    step on a lift reads its blocking rows from the prepared instance; other
-    steps compute their own.  Steps are checked by maximal_moves, so on a
-    polygon the validator checks the search's chord_moves independently.
+    first violated condition is reported with its step index.  Steps are
+    checked by maximal_moves over the blocking rows of their direction, which
+    the prepared instance keeps from the first validation along it; the search
+    never runs maximal_moves, so the validator checks its walks independently.
     """
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
@@ -495,7 +503,9 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     for idx, g in enumerate(w.steps):
         if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        blocking = inst.monotone.get(g) or blocking_rows(inst.rows, g.vector)
+        blocking = inst.blocking.get(g)
+        if blocking is None:
+            blocking = inst.blocking[g] = blocking_rows(inst.rows, g.vector)
         state = homogeneous(h.coordinates(w.points[idx]))
         end = next(maximal_moves(inst.rows, state, ((g, g.vector, blocking),)))[4]
         if end is None:

@@ -12,6 +12,8 @@ from circuitwalks.circuits import (
     enumerate_circuits,
     enumerate_lifted_circuits,
     front_chains,
+    lifted_chains,
+    lifted_moves,
     lifted_optimal_value,
     max_step,
     maximal_moves,
@@ -57,7 +59,7 @@ from circuitwalks.search import (
     shortest_monotone_walk,
     transform_walk,
 )
-from circuitwalks import search
+from circuitwalks import circuits, search
 from circuitwalks.search import _Backward, _prepare
 
 from conftest import random_hull, reference_lifted_optimal_value
@@ -471,28 +473,9 @@ class TestDifferential:
         outcomes = set()
         kinds = set()
         for trial in range(160):
-            h = v_to_h(random_hull(rng, max_points=6, bound=20))
-            d = rng.randint(2, 5)
-            lp = product_with_simplex(h, d)
-            e = lp.extra_dims
-            verts = h_to_v(h).vertices
-            i = rng.randrange(len(verts))
-            p, q = verts[i], verts[(i + 1) % len(verts)]
-            base = rng.choice([p, Point2((p.x + q.x) / 2, (p.y + q.y) / 2)])
-            corners = simplex_vertices(e)
-            y0, y1 = rng.sample(corners, 2) if e else ((), ())
-            simplex = rng.choice([
-                tuple(rat(y) for y in y0),  # a vertex of the simplex
-                tuple(rat(a + b, 2) for a, b in zip(y0, y1)),  # an edge midpoint
-                tuple(rat(1, e + 2) for _ in range(e)),  # an interior point
-            ])
-            c = LiftedCost(
-                primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
-                tuple(rng.choice(LIFT_WEIGHTS) for _ in range(e)),
-            )
+            lp, s, c = _random_lift(rng)
             cap = rng.choice([2, 5, 20]) if trial % 5 == 0 else 3000
             depth = rng.randint(0, 4)
-            s = LiftedPoint(base, simplex)
             r = assert_same_search(lp, s, c, SearchConfig(depth, node_cap=cap),
                                    prune=trial not in LIFTS_COMPLETED_BY_PRUNING)
             if trial in LIFTS_COMPLETED_BY_PRUNING:
@@ -505,6 +488,35 @@ class TestDifferential:
                 kinds |= {step.kind for step in r.walk.steps}
         assert outcomes == {Found, NotFoundWithinDepth, NodeCapExceeded}
         assert kinds == {"base", "axis", "diff"}
+
+
+def _random_lift(rng, wall=False):
+    """A random polygon lifted to d = 2..5, a start at a vertex or an edge
+    midpoint of the polygon times a vertex, an edge midpoint or the centre of
+    the simplex, and a random cost.  With wall, the polygon gets a vertical
+    edge at x = -21, left of every random point."""
+    ring = random_hull(rng, max_points=6, bound=20)
+    if wall:
+        ring = hull2d(ring.vertices + (P(-21, -1), P(-21, 1)))
+    h = v_to_h(ring)
+    lp = product_with_simplex(h, rng.randint(2, 5))
+    e = lp.extra_dims
+    verts = h_to_v(h).vertices
+    i = rng.randrange(len(verts))
+    p, q = verts[i], verts[(i + 1) % len(verts)]
+    base = rng.choice([p, Point2((p.x + q.x) / 2, (p.y + q.y) / 2)])
+    corners = simplex_vertices(e)
+    y0, y1 = rng.sample(corners, 2) if e else ((), ())
+    simplex = rng.choice([
+        tuple(rat(y) for y in y0),  # a vertex of the simplex
+        tuple(rat(a + b, 2) for a, b in zip(y0, y1)),  # an edge midpoint
+        tuple(rat(1, e + 2) for _ in range(e)),  # an interior point
+    ])
+    c = LiftedCost(
+        primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3])),
+        tuple(rng.choice(LIFT_WEIGHTS) for _ in range(e)),
+    )
+    return lp, LiftedPoint(base, simplex), c
 
 
 def assert_same_optimum(lp, c):
@@ -773,7 +785,7 @@ def _discovered(h, rows, moves, starts, depth):
     """Every state a search from the starts discovers within depth moves, with
     the row its move ended on."""
     seen = {}
-    frontier = [homogeneous((s.x, s.y)) for s in starts]
+    frontier = [homogeneous(h.coordinates(s)) for s in starts]
     for _ in range(depth):
         nxt = []
         for p in frontier:
@@ -872,8 +884,37 @@ def _assert_same_moves(h, c, starts, depth):
     return inner, wraps
 
 
+def _assert_same_lifted_moves(lp, c, starts, depth):
+    """The lift search's kernel equals maximal_moves over the lifted blocking
+    rows, along every monotone g, and lifted_moves does along every directed
+    circuit, from every state discovered within depth moves of the starts.
+    Returns the counts of nonzero axis and diff moves and the planar parts of
+    the vertical monotone base circuits: (0, -1) sorts before the simplex
+    block, (0, 1) after it."""
+    rows = lp.inequality_rows()
+    monotone = monotone_directions(enumerate_lifted_circuits(lp), c)
+    both = tuple(sorted(monotone + tuple(g.flipped() for g in monotone)))
+    chains = lifted_chains(lp, both)
+    forward = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
+    blocking = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in both)
+    expand = _prepare(lp, c).expand
+    states = [homogeneous(lp.coordinates(s)) for s in starts]
+    states += _discovered(lp, rows, forward, starts, depth)
+    moved = {"axis": 0, "diff": 0}
+    for q in states:
+        assert list(expand(q)) == list(maximal_moves(rows, q, forward))
+        steps = list(lifted_moves(q, chains))
+        assert steps == list(maximal_moves(rows, q, blocking))
+        for g, _, _, _, end in steps:
+            if g.kind != "base" and end is not None:
+                moved[g.kind] += 1
+    vertical = [g.vector[:2] for g in monotone if g.vector[:2] in ((0, 1), (0, -1))]
+    return moved, vertical
+
+
 class TestChordMoves:
-    """The bisection kernel of the polygon search makes maximal_moves' moves."""
+    """The bisection kernel of the polygon search makes maximal_moves' moves,
+    and so does the lift search's kernel built on it."""
 
     def test_family_levels(self):
         for ell in range(5, 8):
@@ -900,20 +941,42 @@ class TestChordMoves:
             inner, wraps = inner + counts[0], wraps + counts[1]
         assert inner and wraps
 
-    def test_validator_and_lifts_do_not_use_it(self, monkeypatch):
+    def test_family_lifts(self):
+        for ell in range(4, 7):
+            art = build_p_ell(ell)
+            for d in (3, 5, 8):
+                for start in (art.u, art.w):
+                    lp, s, c = lift_instance(art.h, start, art.c0, d)
+                    _assert_same_lifted_moves(lp, c, (s,), ell)
+
+    def test_random_lifts(self):
+        rng = random.Random(1717)
+        moved = {"axis": 0, "diff": 0}
+        vertical = set()
+        for trial in range(160):
+            lp, s, c = _random_lift(rng, wall=trial % 2)
+            counts, sides = _assert_same_lifted_moves(lp, c, (s,), 3)
+            moved = {k: moved[k] + counts[k] for k in moved}
+            vertical |= set(sides)
+        assert all(moved.values())
+        assert vertical == {(0, 1), (0, -1)}
+
+    def test_validator_does_not_use_the_search_kernels(self, monkeypatch):
         art = build_p_ell(5)
-        walk = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(5)).walk
-        lp, s, c = lift_instance(art.h, art.u, art.c0, 3)
+        lp, s, c = lift_instance(art.h, art.u, art.c0, 5)
+        cases = [(h, c, shortest_monotone_walk(h, s, c, SearchConfig(5)).walk)
+                 for h, s, c in ((art.h, art.u, art.c0), (lp, s, c))]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("chord_moves called")
+            raise AssertionError("search kernel called")
 
-        monkeypatch.setattr(search, "chord_moves", refuse)
+        for module in (search, circuits):
+            for name in ("chord_moves", "lifted_moves"):
+                monkeypatch.setattr(module, name, refuse)
         _prepare.cache_clear()
         try:
-            assert is_valid_monotone_walk(art.h, art.c0, walk)
-            lifted = shortest_monotone_walk(lp, s, c, SearchConfig(5))
-            assert lifted.walk.length == 5 and is_valid_monotone_walk(lp, c, lifted.walk)
+            for h, c, walk in cases:
+                assert walk.length == 5 and is_valid_monotone_walk(h, c, walk)
         finally:
             _prepare.cache_clear()
 
