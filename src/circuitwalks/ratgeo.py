@@ -112,8 +112,8 @@ def primitive_direction(rx: Fraction, ry: Fraction) -> Direction2:
 
 def homogeneous(coords) -> tuple[int, ...]:
     """Rational coordinates as the state (x_1, .., x_d, D) for x/D, D > 0 and gcd 1."""
-    D = lcm(*(q.denominator for q in coords))
-    return tuple(q.numerator * (D // q.denominator) for q in coords) + (D,)
+    D = lcm(*[q.denominator for q in coords])
+    return (*[q.numerator * (D // q.denominator) for q in coords], D)
 
 
 def dehomogenize(state) -> tuple[Fraction, ...]:

@@ -6,7 +6,10 @@ standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
 is the deduplication key.  The instance carries the move function: on a
 polygon chord_moves, a bisection of the direction's front chain, on a lift
 lifted_moves, which moves a base circuit by chord_moves on the base polygon's
-front chain and a circuit of the simplex by its one blocking row.  The goal
+front chain and a circuit of the simplex by its one blocking row.  Each
+state carries the row it was moved onto (None at the start).  A state on a
+row that blocks g has a zero move along g, so the instance keeps, per row,
+the moves that row does not block, and a state tries only those.  The goal
 test is an integer comparison, and points are only built for the returned
 walk.  The walk validator runs on maximal_moves, a min-ratio test over every
 blocking row, so it checks a search's walk independently of the kernel that
@@ -24,11 +27,21 @@ closed interval of an edge on g's front chain pulls back to the arc of the
 back ends of its chords.  The stored sets need only be supersets: every
 point that reaches the optimum within r moves is in the stored A_r, and the
 argument below allows any false positive of the closed intervals.  A state
-discovered with r moves left is expanded only when it lies in A_r.  A_1 of a unique vertex t is the chord test, t - p
-a positive multiple of a monotone g (a longer step would raise c above its
-maximum), and a lift's search uses that test alone.  A polygon's backward
-layers are built only while the newest one is smaller than the layer of
-states it would filter.
+discovered with r moves left is expanded only when it lies in A_r.  A_1 of a
+unique vertex t is the chord test, t - p a positive multiple of a monotone g
+(a longer step would raise c above its maximum).  Backward layers are built
+only while the newest one is smaller than the layer of states it would
+filter.
+
+A lift is filtered by the backward sets of its base polygon.  A lifted
+circuit moves one factor, and only that factor's rows can block it, so the
+base moves of a lifted monotone walk, in order, make a monotone walk of the
+base polygon that ends at the base optimum.  A lifted state whose planar part
+lies outside the base polygon's A_r cannot reach the lifted optimum in r
+moves, so the base A_r are supersets of the lift's, and the argument below
+holds unchanged.  The test reads the planar part of a state moved onto a base
+row; a state moved onto a simplex row is kept.  A lift's chord test is on the
+lifted target.
 
 The filter returns the same walk, and pruned states stay in the parent map,
 so no state is discovered twice.  Call a state at depth j of the unfiltered
@@ -56,11 +69,12 @@ the answer.
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's front chain, the goal vector, the optimum and its backward sets,
-which keep the layers, pullbacks and membership tests they have built, and
-the blocking rows of each direction a validation has stepped along.  The
-last pair prepared is kept, compared by value, so a certificate's finds,
-proofs and validations from several starts share one instance.  A stored A_r gains nothing when later layers are built, and each
+direction's front chain, the moves per row, the goal vector, the chord test,
+the backward sets, which keep the layers, pullbacks and membership tests they
+have built, and the blocking rows of each direction a validation has stepped
+along.  The last pair prepared is kept, compared by value, so a certificate's
+finds, proofs and validations from several starts share one instance.  A
+stored A_r gains nothing when later layers are built, and each
 search counts the layers it filters with by the growth rule above, replayed
 against the recorded layer sizes: it filters with exactly the layers a search
 alone would build, so no result, a capped one included, depends on the calls
@@ -72,10 +86,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .circuits import (
     Walk,
@@ -161,8 +174,9 @@ class _Instance(NamedTuple):
     circuits: frozenset  # canonical
     monotone: frozenset  # directed, strictly c-increasing
     blocking: dict  # directed g -> blocking_rows of g, filled by the validator
-    expand: functools.partial  # state -> its moves, in search order
+    expand: Callable  # (state, row it was moved onto or None) -> its moves, in search order
     goal: tuple  # (c, -opt) scaled to integers, without its last entry
+    chord: Callable | None  # A_1 of a unique optimal vertex, else None
     back: "_Backward"
 
 
@@ -180,20 +194,61 @@ def _prepare(h, c) -> _Instance:
     else:
         circuits, optimum = enumerate_circuits(h), optimal_value
     monotone = monotone_directions(circuits, c)
-    vectors = [g.vector for g in monotone]
-    if lifted:
-        # the backward side of a lift is the chord test, which reads the vectors alone
-        moves = tuple([(g, v, None) for g, v in zip(monotone, vectors)])
-        expand = functools.partial(lifted_moves, moves=lifted_chains(h, monotone))
-    else:
-        moves = tuple(zip(monotone, vectors, front_chains(h, vectors)))
-        expand = functools.partial(chord_moves, moves=moves)
     rows = h.inequality_rows()
     opt, argmax = optimum(h, c)
+    # a state on a row has a zero move along each g the row blocks, so per row
+    # the table holds only the other moves; the root (row None) tries them all
+    if lifted:
+        m, before, simplex, after = lifted_chains(h, monotone)
+        table = {row: (m, b, simplex, a)
+                 for row, (b, a) in enumerate(zip(_unblocked(before, m), _unblocked(after, m)))}
+        for i in range(h.extra_dims + 1):
+            table[m + i] = (m, before, tuple([mv for mv in simplex if mv[2] != i]), after)
+        table[None] = (m, before, simplex, after)
+        kernel = lifted_moves
+        # the base polygon's backward sets filter its lifts (module docstring)
+        back = _Backward(h.base, h.base.inequality_rows(), before + after,
+                         tuple(dict.fromkeys(p.base for p in argmax)), lift=m)
+    else:
+        vectors = [g.vector for g in monotone]
+        moves = tuple(zip(monotone, vectors, front_chains(h, vectors)))
+        table = dict(enumerate(_unblocked(moves, h.m)))
+        table[None] = moves
+        kernel = chord_moves
+        back = _Backward(h, rows, moves, argmax)
+
+    def expand(state, row=None):
+        return kernel(state, table[row])
+
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal,
-                     _Backward(h, rows, moves, argmax))
+    chord = None
+    if len(argmax) == 1:
+        chord = _chord(homogeneous(h.coordinates(argmax[0])), [g.vector for g in monotone])
+    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, chord, back)
+
+
+def _unblocked(moves, n) -> list:
+    """For each row index below n, the moves (label, g, g's front chain)
+    whose chain does not hold the row."""
+    held = [{e[0] for e in chain[2]} for _, _, chain in moves]
+    return [tuple([mv for mv, rows in zip(moves, held) if row not in rows]) for row in range(n)]
+
+
+def _chord(target, vectors):
+    """A_1 of the unique optimal vertex target, as a test (state, row) -> bool:
+    target - state is a positive multiple of one of the monotone vectors (a
+    longer step would raise the cost above its maximum)."""
+    *t, T = target
+    monotone = set(vectors)
+
+    def keep(q, row):
+        *x, D = q
+        diff = [ti * D - xi * T for ti, xi in zip(t, x)]
+        k = gcd(*diff)
+        return tuple([v // k for v in diff]) in monotone
+
+    return keep
 
 
 def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) -> DistanceResult:
@@ -209,17 +264,18 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     """
     if not h.contains(s):
         raise ValueError("start point is outside the polytope")
-    _, _, _, _, expand, goal, back = _prepare(h, c)
+    inst = _prepare(h, c)
+    expand, goal, back = inst.expand, inst.goal, inst.back
     root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
     built = 0  # the backward layers this search filters with
     parent: dict = {root: None}
-    frontier = [root]
+    frontier = [(root, None)]  # each state with the row it was moved onto
     for depth in range(cfg.max_depth):
-        nxt, on = [], []
-        for p in frontier:
-            for g, _, _, row, q in expand(p):
+        nxt = []
+        for p, on in frontier:
+            for g, _, _, row, q in expand(p, on):
                 if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
@@ -227,49 +283,52 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
                     return NodeCapExceeded(discovered=len(parent), completed_depth=depth)
                 if sum(map(mul, goal, q)) == 0:
                     return Found(_reconstruct(h, parent, s, q))
-                nxt.append(q)
-                on.append(row)
+                nxt.append((q, row))
         left = cfg.max_depth - depth - 1
         if prune and left:
             # A_1 of a unique optimal vertex is the chord test.  Otherwise
             # layers are added while the newest is smaller than the states it
             # would filter, the rule a search alone on (h, c) would follow.
-            if left == 1 and back.target is not None:
-                keep = back._chord()
+            if left == 1 and inst.chord is not None:
+                keep = inst.chord
             else:
-                while back.planar and built < left and back._size(built) < len(nxt):
+                while built < left and back._size(built) < len(nxt):
                     built += 1
                 keep = back._lookup(left) if left <= built else None
             if keep is not None:
-                nxt = [q for q, row in zip(nxt, on) if keep(q, row)]
+                nxt = [e for e in nxt if keep(*e)]
         if not nxt:
             break
         frontier = nxt
     return NotFoundWithinDepth(cfg.max_depth)
 
 
+# an interval (t_lo, D_lo, t_hi, D_hi) by its start t_lo/D_lo, with D > 0
+_BY_START = functools.cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1])
+
+
 class _Backward:
-    """Backward sets of an instance, grown on demand; a lift only gets the chord test.
+    """Backward sets of a polygon under a cost, grown on demand.
 
     The points of the stored A_r are canonical states, each with the first r
     that holds it; the rest are closed intervals of edges, each end a state.
     An interval's vertices are points too, so a state lies in A_r when it is
     a point of A_r or lies in an interval of A_r on the row it was moved onto.
+    For a lift, h is the base polygon and lift its number of rows: the tests
+    read a lifted state's planar part, and keep a state on a simplex row.
     """
 
-    def __init__(self, h, rows, moves, argmax):
-        self.h, self.rows, self.moves = h, rows, moves
+    def __init__(self, h, rows, moves, argmax, lift=None):
+        self.h, self.rows, self.moves, self.lift = h, rows, moves, lift
         ends = [homogeneous(h.coordinates(v)) for v in argmax]
-        self.target = ends[0] if len(ends) == 1 else None
         self.level = dict.fromkeys(ends, 0)
         self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
         # the points (each with a row through it) and intervals new in the last layer
         self.fresh = ([(e, None) for e in ends], [])
         self.built = 0
         self.tests: dict = {}  # r -> _lookup(r)
-        self.planar = isinstance(h, HPolygon)
         self.pulls = None  # set up with the first layer
-        if self.planar and self.target is None:
+        if len(ends) == 2:
             # the optimal edge: the row its two vertices share
             a, b = ends
             row = next(i for i, ((a1, a2), c) in enumerate(rows)
@@ -285,18 +344,6 @@ class _Backward:
         while self.built < r:
             self._grow()
         return self.sizes[r]
-
-    def _chord(self):
-        *t, T = self.target
-        monotone = {vec for _, vec, _ in self.moves}
-
-        def keep(q, row):
-            *x, D = q
-            diff = [ti * D - xi * T for ti, xi in zip(t, x)]
-            k = gcd(*diff)
-            return tuple([v // k for v in diff]) in monotone
-
-        return keep
 
     def _tau(self, row, state):
         """The edge parameter of a state on the row, times its D: the row's
@@ -417,7 +464,7 @@ class _Backward:
         for row, arcs in self.arcs.items():
             ends = sorted(
                 ((self._tau(row, lo), lo[2], self._tau(row, hi), hi[2]) for lo, hi, j in arcs if j <= r),
-                key=lambda e: Fraction(e[0], e[1]),
+                key=_BY_START,
             )
             merged = []
             for e in ends:
@@ -447,8 +494,24 @@ class _Backward:
                     hi = mid
             return lo > 0 and tq * ivs[lo - 1][3] <= ivs[lo - 1][2] * D
 
+        if self.lift is not None:
+            keep = _on_base(keep, self.lift)
         self.tests[r] = keep
         return keep
+
+
+def _on_base(keep, m):
+    """The test keep of a base polygon's backward set on a lift's states: a
+    state is tested by its planar part, one on a simplex row (m on) is kept."""
+
+    def on_base(q, row):
+        if row >= m:
+            return True
+        x, y, *_, D = q
+        k = gcd(x, y, D)
+        return keep((x // k, y // k, D // k), row)
+
+    return on_base
 
 
 def _reconstruct(h, parent: dict, s, goal) -> Walk:
@@ -500,17 +563,18 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     if not h.contains(w.points[0]):
         return ValidationReport(False, None, "start point outside the polytope")
     inst = _prepare(h, c)
+    state = homogeneous(h.coordinates(w.points[0]))
     for idx, g in enumerate(w.steps):
         if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
         blocking = inst.blocking.get(g)
         if blocking is None:
             blocking = inst.blocking[g] = blocking_rows(inst.rows, g.vector)
-        state = homogeneous(h.coordinates(w.points[idx]))
         end = next(maximal_moves(inst.rows, state, ((g, g.vector, blocking),)))[4]
         if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
-        if homogeneous(h.coordinates(w.points[idx + 1])) != end:
+        state = homogeneous(h.coordinates(w.points[idx + 1]))
+        if state != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
         if g not in inst.monotone:
             return ValidationReport(False, idx, "step does not strictly increase the cost")

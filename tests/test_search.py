@@ -1,4 +1,8 @@
+import gc
 import random
+import weakref
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -60,7 +64,7 @@ from circuitwalks.search import (
     transform_walk,
 )
 from circuitwalks import circuits, search
-from circuitwalks.search import _Backward, _prepare
+from circuitwalks.search import _prepare
 
 from conftest import random_hull, reference_lifted_optimal_value
 
@@ -771,6 +775,42 @@ class TestPrunedSearch:
                     outcomes.add(type(r))
         assert faces and outcomes == {Found, NotFoundWithinDepth}
 
+    def test_family_lifts(self):
+        for ell in range(4, 8):
+            art = build_p_ell(ell)
+            for d in (3, 5, 8):
+                for start in (art.u, art.w):
+                    lp, s, c = lift_instance(art.h, start, art.c0, d)
+                    for depth in (ell - 1, ell):
+                        r = assert_same_pruned(lp, s, c, SearchConfig(depth))
+                        assert isinstance(r, Found) == (depth == ell)
+
+    def test_random_lifts(self, monkeypatch):
+        # count the states on simplex rows that the base polygon's sets keep
+        simplex_rows = []
+        on_base = search._on_base
+
+        def spy(keep, m):
+            test = on_base(keep, m)
+
+            def counted(q, row):
+                simplex_rows.append(row >= m)
+                return test(q, row)
+
+            return counted
+
+        monkeypatch.setattr(search, "_on_base", spy)
+        rng = random.Random(1818)
+        kinds = set()
+        for _ in range(120):
+            lp, s, c = _random_lift(rng)
+            for depth in range(1, 6):
+                r = assert_same_pruned(lp, s, c, SearchConfig(depth), reference=depth <= 2)
+                if isinstance(r, Found):
+                    kinds |= {step.kind for step in r.walk.steps[:-1]}
+        assert kinds == {"base", "axis", "diff"}
+        assert any(simplex_rows) and not all(simplex_rows)
+
     def test_filter_prunes(self):
         # the unfiltered search trips a cap that the filtered one stays under
         art = build_p_ell(8)
@@ -799,21 +839,16 @@ def _discovered(h, rows, moves, starts, depth):
 
 def _assert_sound(h, c, starts, depth=4, most=3):
     """Every state discovered within depth moves of the starts that reaches the
-    optimum within r <= most moves lies in the stored A_r, and in the chord
-    test's A_1; returns the count of such states by distance."""
-    rows = h.inequality_rows()
-    monotone = monotone_directions(enumerate_circuits(h), c)
-    moves = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
-    vectors = [g.vector for g in monotone]
-    argmax = optimal_value(h, c)[1]
-    back = _Backward(h, rows, tuple(zip(monotone, vectors, front_chains(h, vectors))), argmax)
-    chord = back._chord() if len(argmax) == 1 else None
-    member = {}
-    for r in range(1, most + 1):
-        back._grow()
-        member[r] = back._lookup(r)
+    optimum within r <= most moves passes the search's test of the stored A_r,
+    and the chord test of A_1; h is a polygon or a lift.  Returns the count of
+    such states by distance."""
+    inst = _prepare(h, c)
+    moves = tuple((g, g.vector, blocking_rows(inst.rows, g.vector)) for g in sorted(inst.monotone))
+    inst.back._size(most)
+    member = {r: inst.back._lookup(r) for r in range(1, most + 1)}
+    chord = inst.chord
     checked = [0] * (most + 1)
-    for q, row in _discovered(h, rows, moves, starts, depth).items():
+    for q, row in _discovered(h, inst.rows, moves, starts, depth).items():
         found = shortest_monotone_walk(h, h.point(dehomogenize(q)), c, SearchConfig(most),
                                        prune=False)
         if not isinstance(found, Found):
@@ -858,12 +893,62 @@ class TestBackwardSets:
         ))
         assert _assert_sound(h, Direction2(1, -12), h_to_v(h).vertices, 3, 2)[2]
 
+    def test_lifted_states_read_their_planar_part(self):
+        # the simplex's denominators scale a lifted state's planar part; the
+        # test of A_r reads it canonical, so each point of the base A_r passes
+        art = build_p_ell(6)
+        for d in (3, 5, 8):
+            lp = product_with_simplex(art.h, d)
+            back = _prepare(lp, LiftedCost(art.c0, (rat(0),) * (d - 2))).back
+            keep = back._lookup(3)
+            points = [p for p, r in back.level.items() if r <= 3]
+            assert points
+            for x, y, D in points:
+                # at the simplex point with every coordinate 1/(d - 1)
+                q = (x * (d - 1), y * (d - 1), *[D] * (d - 2), D * (d - 1))
+                k = gcd(*q)
+                assert keep(tuple([v // k for v in q]), 0)
+
+    def test_sound_on_random_lifts(self):
+        # the base polygon's sets, tested on the planar part of lifted states
+        rng = random.Random(4713)
+        checked = [0, 0, 0, 0]
+        for trial in range(60):
+            lp, s, c = _random_lift(rng)
+            if trial % 2:
+                # c is maximal on an edge of the base polygon
+                c = LiftedCost(_random_cost(rng, lp.base), c.simplex)
+            counts = _assert_sound(lp, c, (s,))
+            checked = [a + b for a, b in zip(checked, counts)]
+        assert all(checked)
+
+
+def _assert_row_skips(h, c, found):
+    """On each state of found, a dict state -> the row its move ended on, the
+    search's expand(q, row) is expand(q) without exactly the moves that row
+    blocks, and each of those has length zero.  Returns the skipped moves'
+    count by kind."""
+    inst = _prepare(h, c)
+    skipped = {}
+    for q, row in found.items():
+        a = inst.rows[row][0]
+        every = list(inst.expand(q))
+        blocked = [sum(map(mul, a, g.vector)) > 0 for g, *_ in every]
+        assert list(inst.expand(q, row)) == [mv for mv, b in zip(every, blocked) if not b]
+        for (g, _, _, _, end), b in zip(every, blocked):
+            if b:
+                assert end is None
+                kind = getattr(g, "kind", "base")
+                skipped[kind] = skipped.get(kind, 0) + 1
+    return skipped
+
 
 def _assert_same_moves(h, c, starts, depth):
     """chord_moves equals maximal_moves, label, slack, a.g, row and successor,
     along every monotone g and -g from every state discovered within depth
-    moves of the starts.  Returns the counts of states at a vertex inside a
-    chain of one of the directions and of chains that wrap past row 0."""
+    moves of the starts, and the search skips the moves of _assert_row_skips.
+    Returns the counts of states at a vertex inside a chain of one of the
+    directions, of chains that wrap past row 0 and of skipped moves."""
     rows = h.inequality_rows()
     gs = [g.vector for g in monotone_directions(enumerate_circuits(h), c)]
     gs += [(-g1, -g2) for g1, g2 in gs]
@@ -871,8 +956,8 @@ def _assert_same_moves(h, c, starts, depth):
     chords = tuple(zip(gs, gs, chains))
     blocking = tuple((g, g, blocking_rows(rows, g)) for g in gs)
     forward = blocking[:len(gs) // 2]
-    states = [homogeneous(h.coordinates(s)) for s in starts]
-    states += _discovered(h, rows, forward, starts, depth)
+    found = _discovered(h, rows, forward, starts, depth)
+    states = [homogeneous(h.coordinates(s)) for s in starts] + list(found)
     inner = 0
     for q in states:
         assert list(chord_moves(q, chords)) == list(maximal_moves(rows, q, blocking))
@@ -881,16 +966,17 @@ def _assert_same_moves(h, c, starts, depth):
             phi, r = divmod((g1 * y - g2 * x) * L, D)
             inner += not r and phi in values[1:-1]
     wraps = sum(any(e[0] < d[0] for d, e in zip(edges, edges[1:])) for _, _, edges, _ in chains)
-    return inner, wraps
+    return inner, wraps, sum(_assert_row_skips(h, c, found).values())
 
 
 def _assert_same_lifted_moves(lp, c, starts, depth):
     """The lift search's kernel equals maximal_moves over the lifted blocking
     rows, along every monotone g, and lifted_moves does along every directed
-    circuit, from every state discovered within depth moves of the starts.
-    Returns the counts of nonzero axis and diff moves and the planar parts of
-    the vertical monotone base circuits: (0, -1) sorts before the simplex
-    block, (0, 1) after it."""
+    circuit, from every state discovered within depth moves of the starts, and
+    the search skips the moves of _assert_row_skips.  Returns the counts of
+    nonzero axis and diff moves, the planar parts of the vertical monotone base
+    circuits ((0, -1) sorts before the simplex block, (0, 1) after it) and the
+    skipped moves' count by kind."""
     rows = lp.inequality_rows()
     monotone = monotone_directions(enumerate_lifted_circuits(lp), c)
     both = tuple(sorted(monotone + tuple(g.flipped() for g in monotone)))
@@ -898,8 +984,8 @@ def _assert_same_lifted_moves(lp, c, starts, depth):
     forward = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
     blocking = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in both)
     expand = _prepare(lp, c).expand
-    states = [homogeneous(lp.coordinates(s)) for s in starts]
-    states += _discovered(lp, rows, forward, starts, depth)
+    found = _discovered(lp, rows, forward, starts, depth)
+    states = [homogeneous(lp.coordinates(s)) for s in starts] + list(found)
     moved = {"axis": 0, "diff": 0}
     for q in states:
         assert list(expand(q)) == list(maximal_moves(rows, q, forward))
@@ -909,7 +995,7 @@ def _assert_same_lifted_moves(lp, c, starts, depth):
             if g.kind != "base" and end is not None:
                 moved[g.kind] += 1
     vertical = [g.vector[:2] for g in monotone if g.vector[:2] in ((0, 1), (0, -1))]
-    return moved, vertical
+    return moved, vertical, _assert_row_skips(lp, c, found)
 
 
 class TestChordMoves:
@@ -919,7 +1005,8 @@ class TestChordMoves:
     def test_family_levels(self):
         for ell in range(5, 8):
             art = build_p_ell(ell)
-            assert _assert_same_moves(art.h, art.c0, (art.u, art.w), ell)[0]
+            inner, _, skipped = _assert_same_moves(art.h, art.c0, (art.u, art.w), ell)
+            assert inner and skipped
 
     def test_reduction_from_s_and_corner_anchors(self):
         for C in (2, 3):
@@ -947,19 +1034,22 @@ class TestChordMoves:
             for d in (3, 5, 8):
                 for start in (art.u, art.w):
                     lp, s, c = lift_instance(art.h, start, art.c0, d)
-                    _assert_same_lifted_moves(lp, c, (s,), ell)
+                    assert _assert_same_lifted_moves(lp, c, (s,), ell)[2]["base"]
 
     def test_random_lifts(self):
         rng = random.Random(1717)
         moved = {"axis": 0, "diff": 0}
         vertical = set()
+        skipped = set()
         for trial in range(160):
             lp, s, c = _random_lift(rng, wall=trial % 2)
-            counts, sides = _assert_same_lifted_moves(lp, c, (s,), 3)
+            counts, sides, skips = _assert_same_lifted_moves(lp, c, (s,), 3)
             moved = {k: moved[k] + counts[k] for k in moved}
             vertical |= set(sides)
+            skipped |= set(skips)
         assert all(moved.values())
         assert vertical == {(0, 1), (0, -1)}
+        assert skipped == {"base", "axis", "diff"}
 
     def test_validator_does_not_use_the_search_kernels(self, monkeypatch):
         art = build_p_ell(5)
@@ -1052,6 +1142,24 @@ class TestPreparedInstance:
                       for depth in (4, 5) for cap in (20, 10**7)]
         results = _assert_history_free([group], seed=1416)
         assert {type(r) for r in results} == {Found, NotFoundWithinDepth, NodeCapExceeded}
+
+    def test_no_reference_cycles(self):
+        # an evicted instance is freed at once, not left to the cyclic collector
+        art = build_p_ell(6)
+        lp, s, c = lift_instance(art.h, art.u, art.c0, 5)
+        for h, start, cost in ((art.h, art.u, art.c0), (lp, s, c)):
+            walk = _cold(h, start, cost, SearchConfig(6)).walk
+            assert is_valid_monotone_walk(h, cost, walk)
+            shortest_monotone_walk(h, start, cost, SearchConfig(5))
+            gc.disable()
+            try:
+                back = _prepare(h, cost).back
+                assert back.tests  # the search grew layers and built their tests
+                back = weakref.ref(back)
+                _prepare.cache_clear()
+                assert back() is None
+            finally:
+                gc.enable()
 
     def test_cost_is_part_of_the_key(self):
         art = build_p_ell(6)
