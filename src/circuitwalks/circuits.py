@@ -168,6 +168,27 @@ def maximal_moves(rows, state, moves):
         yield label, slack, ag, row, tuple([v // k for v in moved])
 
 
+def _chain_frame(h: HPolygon) -> tuple:
+    """(L, scaled, edge, corner), the part of front_chains that depends on the
+    polygon alone, computed once per polygon and kept with it.
+
+    L is the vertices' common denominator and scaled[k] is L times vertex k;
+    edge[k] is (row, a1, a2, b) of the edge leaving vertex k and corner[k]
+    that of the smaller row at vertex k, both listed twice around.
+    """
+    frame = h.__dict__.get("_chain_frame")
+    if frame is None:
+        v = h_to_v(h)
+        t = v._triples  # noqa: SLF001 - kept by VPolygon
+        index = {row: i for i, row in enumerate(h.rows)}
+        edge = [(index[row],) + row for row in _edge_rows(v)] * 2
+        corner = list(map(min, edge[-1:] + edge, edge))
+        L = lcm(*[w for _, _, w in t])
+        frame = (L, [(x * (L // w), y * (L // w)) for x, y, w in t], edge, corner)
+        object.__setattr__(h, "_chain_frame", frame)
+    return frame
+
+
 def front_chains(h: HPolygon, gs) -> list:
     """For each integer vector g of gs, the polygon's edges whose rows block g, counterclockwise.
 
@@ -175,13 +196,8 @@ def front_chains(h: HPolygon, gs) -> list:
     vertex, L the vertices' common denominator; edges[j] is (row, a1, a2, b)
     of the edge from vertex j to j + 1, corners[j] that of the row binding at j.
     """
-    v = h_to_v(h)
-    t, n = v._triples, len(v._triples)  # noqa: SLF001 - kept by VPolygon
-    index = {row: i for i, row in enumerate(h.rows)}
-    edge = [(index[row],) + row for row in _edge_rows(v)] * 2  # edge k leaves vertex k
-    corner = list(map(min, edge[-1:] + edge, edge))  # the smaller row at vertex k
-    L = lcm(*[w for _, _, w in t])
-    scaled = [(x * (L // w), y * (L // w)) for x, y, w in t]
+    L, scaled, edge, corner = _chain_frame(h)
+    n = len(scaled)
     chains = []
     for g1, g2 in gs:
         phi = [g1 * y - g2 * x for x, y in scaled]
@@ -298,7 +314,7 @@ def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, .
         if n * den > num * w:
             num, den = n, w
     return Fraction(num, den), tuple(
-        p for p, (n, w) in zip(v.vertices, vals) if n * den == num * w
+        [p for p, (n, w) in zip(v.vertices, vals) if n * den == num * w]
     )
 
 
@@ -326,9 +342,9 @@ def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
         return -(c.dx * dx + c.dy * dy), primitive_direction(dx, dy)
 
     d = min((1, -1), key=side)
-    points = (s,) + tuple(verts[(i + k * d) % n]
-                          for k in range(1, (verts.index(argmax[0]) - i) * d % n + 1))
-    steps = tuple(primitive_direction(q.x - p.x, q.y - p.y) for p, q in zip(points, points[1:]))
+    points = (s, *[verts[(i + k * d) % n]
+                   for k in range(1, (verts.index(argmax[0]) - i) * d % n + 1)])
+    steps = tuple([primitive_direction(q.x - p.x, q.y - p.y) for p, q in zip(points, points[1:])])
     return Walk(points, steps)
 
 
@@ -369,7 +385,7 @@ class LiftedCircuit:
         return self if next(v for v in self.vector if v) > 0 else self.flipped()
 
     def flipped(self) -> "LiftedCircuit":
-        return LiftedCircuit(tuple(-v for v in self.vector))
+        return LiftedCircuit(tuple([-v for v in self.vector]))
 
 
 @dataclass(frozen=True)
@@ -400,9 +416,9 @@ def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
     """
     e = lp.extra_dims
     unit = simplex_vertices(e)[1:]
-    simplex = unit + tuple(tuple(map(sub, y, z)) for y, z in combinations(unit, 2))
-    base = tuple(g.vector + (0,) * e for g in enumerate_circuits(lp.base))
-    return tuple(LiftedCircuit(v) for v in base + tuple((0, 0) + y for y in simplex))
+    simplex = list(unit) + [(*map(sub, y, z),) for y, z in combinations(unit, 2)]
+    base = [g.vector + (0,) * e for g in enumerate_circuits(lp.base)]
+    return tuple([LiftedCircuit(v) for v in base + [(0, 0) + y for y in simplex]])
 
 
 def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Fraction:
@@ -480,6 +496,6 @@ def lifted_optimal_value(
     weights = (0,) + c.simplex
     top = max(weights)
     corners = [
-        tuple(map(Fraction, s)) for s, w in zip(simplex_vertices(lp.extra_dims), weights) if w == top
+        (*map(Fraction, s),) for s, w in zip(simplex_vertices(lp.extra_dims), weights) if w == top
     ]
-    return best + top, tuple(LiftedPoint(v, s) for v in base for s in corners)
+    return best + top, tuple([LiftedPoint(v, s) for v in base for s in corners])

@@ -405,7 +405,7 @@ def _slope_chain(inst: SubsetSumInstance, c: Direction2) -> tuple[SlopeChain, tu
             wits.append(primitive_direction(rat(inst.a[i - 1] + inst.a[i], 2), -1))
     chain = SlopeChain(
         instance=inst, cost=c, beta=beta,
-        vertices=tuple(Point2(*dehomogenize(v)) for v in t), witnesses=tuple(wits),
+        vertices=tuple([Point2(*dehomogenize(v)) for v in t]), witnesses=tuple(wits),
     )
     _check_slope_chain(chain, t)
     return chain, tuple(t)
@@ -537,7 +537,7 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
             raise ConstructionError("u's image is not the unique lowest-leftmost point")
         if i and (x * ww >= xw * w or y * ww >= yw * w):
             raise ConstructionError("w's image is not the unique highest-rightmost point")
-    points = tuple(Point2(*dehomogenize(v)) for v in image)
+    points = tuple([Point2(*dehomogenize(v)) for v in image])
     corner = CornerTransform(
         map=full,
         alpha=alpha,
@@ -652,7 +652,7 @@ def classify_reduction_circuits(red: ReductionInstance):
     inst = red.instance
     ck = red.ck
     frame = (Direction2(0, 1), Direction2(1, 0))
-    element = tuple(Direction2(1, w) for w in inst.a)
+    element = tuple([Direction2(1, w) for w in inst.a])
     # the corner map only adds a uniform scaling and a translation to the
     # squeeze that set the chain slopes, so its edges keep those slopes
     corner = sorted(primitive_direction(1, s) for s in red.corner.chain_slopes)
@@ -710,5 +710,5 @@ def lift_instance(
     """
     lp = product_with_simplex(h, d)
     extra = lp.extra_dims
-    top = tuple(rat(y) for y in (0,) * (extra - 1) + (1,)) if extra else ()
+    top = tuple([rat(y) for y in (0,) * (extra - 1) + (1,)]) if extra else ()
     return lp, LiftedPoint(s, top), LiftedCost(c, top)

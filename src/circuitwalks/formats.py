@@ -103,8 +103,8 @@ def _numbers(lines: _Lines, line: str, prefix: str, count: int | None,
 
 
 def _count(text: str) -> int:
-    """A nonnegative count, written in digits only."""
-    if not text.isdigit():
+    """A nonnegative count, written in ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected a count, got {text!r}")
     return int(text)
 

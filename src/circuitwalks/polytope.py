@@ -260,9 +260,9 @@ def _hpolygon_of_cycle(v: "VPolygon", rows: tuple | None = None) -> "HPolygon":
     return h
 
 
-def _contains(rows, coords) -> bool:
-    """True when a.x <= b*D for every row (a, b), with (x, D) the coordinates' state."""
-    *x, D = homogeneous(coords)
+def _inside(rows, state) -> bool:
+    """True when a.x <= b*D for every row (a, b), with (x, D) the state."""
+    *x, D = state
     return all(sum(map(mul, a, x)) <= b * D for a, b in rows)
 
 
@@ -278,7 +278,7 @@ class HPolygon:
     rows: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(canonical_row(*r) for r in self.rows)
+        rows = tuple([canonical_row(*r) for r in self.rows])
         object.__setattr__(self, "rows", rows)
         if len(rows) < 3:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
@@ -294,7 +294,7 @@ class HPolygon:
         return len(self.rows)
 
     def contains(self, p: Point2) -> bool:
-        return _contains(self.inequality_rows(), self.coordinates(p))
+        return _inside(self.inequality_rows(), self.state(p))
 
     def inequality_rows(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """The rows as (coefficients, bound) pairs."""
@@ -302,6 +302,10 @@ class HPolygon:
 
     def coordinates(self, p: Point2) -> tuple[Fraction, Fraction]:
         return (p.x, p.y)
+
+    def state(self, p: Point2) -> tuple[int, int, int]:
+        """The homogeneous state (X, Y, D) of the point p."""
+        return homogeneous((p.x, p.y))
 
     def point(self, coords) -> Point2:
         return Point2(*coords)
@@ -337,7 +341,7 @@ class VPolygon:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        t = tuple(homogeneous((p.x, p.y)) for p in self.vertices)
+        t = tuple([homogeneous((p.x, p.y)) for p in self.vertices])
         _check_ccw(t)
         object.__setattr__(self, "_triples", t)
 
@@ -348,7 +352,7 @@ class VPolygon:
         _check_ccw(t)
         v = object.__new__(cls)
         if vertices is None:
-            vertices = tuple(Point2(*dehomogenize(p)) for p in t)
+            vertices = tuple([Point2(*dehomogenize(p)) for p in t])
         object.__setattr__(v, "vertices", vertices)
         object.__setattr__(v, "_triples", t)
         return v
@@ -389,7 +393,7 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
     """
     # reversed: of equal points the first one given is kept
     by_triple = {homogeneous((p.x, p.y)): p for p in reversed(points)}
-    return VPolygon(tuple(by_triple[t] for t in _hull_of_triples(by_triple)))
+    return VPolygon(tuple([by_triple[t] for t in _hull_of_triples(by_triple)]))
 
 
 def v_to_h(v: VPolygon) -> HPolygon:
@@ -514,14 +518,19 @@ class LiftedPolytope:
         return self._rows
 
     def contains(self, p: LiftedPoint) -> bool:
+        return _inside(self.inequality_rows(), self.state(p))
+
+    def coordinates(self, p: LiftedPoint) -> tuple[Fraction, ...]:
+        return (p.base.x, p.base.y) + p.simplex
+
+    def state(self, p: LiftedPoint) -> tuple[int, ...]:
+        """The homogeneous state (x, D) of the point p; raises BadDimension
+        unless p has one simplex coordinate per simplex dimension."""
         if len(p.simplex) != self.extra_dims:
             raise BadDimension(
                 f"point has {len(p.simplex)} simplex coordinates, polytope has {self.extra_dims}"
             )
-        return _contains(self.inequality_rows(), self.coordinates(p))
-
-    def coordinates(self, p: LiftedPoint) -> tuple[Fraction, ...]:
-        return (p.base.x, p.base.y) + p.simplex
+        return homogeneous(self.coordinates(p))
 
     def point(self, coords) -> LiftedPoint:
         return LiftedPoint(Point2(coords[0], coords[1]), tuple(coords[2:]))
@@ -543,12 +552,12 @@ def simplex_vertices(extra_dims: int) -> tuple[tuple[int, ...], ...]:
     """Vertices of conv(0, e_1, .., e_extra) as coordinate tuples."""
     if extra_dims < 0:
         raise BadDimension("extra_dims must be nonnegative")
-    units = tuple(tuple(int(i == j) for j in range(extra_dims)) for i in range(extra_dims))
+    units = tuple([tuple([int(i == j) for j in range(extra_dims)]) for i in range(extra_dims)])
     return ((0,) * extra_dims,) + units
 
 
 def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
     """All vertices of the product: base vertex times simplex vertex."""
     base = h_to_v(lp.base).vertices
-    simplex = [tuple(map(Fraction, s)) for s in simplex_vertices(lp.extra_dims)]
-    return tuple(LiftedPoint(v, s) for v in base for s in simplex)
+    simplex = [(*map(Fraction, s),) for s in simplex_vertices(lp.extra_dims)]
+    return tuple([LiftedPoint(v, s) for v in base for s in simplex])

@@ -35,7 +35,7 @@ BACKEND = "fractions"
 rat = Fraction
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -119,7 +119,7 @@ def homogeneous(coords) -> tuple[int, ...]:
 def dehomogenize(state) -> tuple[Fraction, ...]:
     """Rational coordinates of the state (x_1, .., x_d, D)."""
     D = state[-1]
-    return tuple(Fraction(x, D) for x in state[:-1])
+    return tuple([Fraction(x, D) for x in state[:-1]])
 
 
 class SingularMap(ValueError):

@@ -40,42 +40,40 @@ def svg_document(inst: InstanceFile, walk: Walk | None = None) -> str:
     sx = _W / float(spanx + 2 * padx)
     sy = _H / float(spany + 2 * pady)
 
-    def to_px(p) -> tuple[float, float]:
-        return (float(p.x - x0) * sx, _H - float(p.y - y0) * sy)
+    def to_px(p) -> tuple[str, str]:
+        return _fmt(float(p.x - x0) * sx), _fmt(_H - float(p.y - y0) * sy)
 
-    def path(points, close: bool) -> str:
-        cmds = []
-        for i, p in enumerate(points):
-            px, py = to_px(p)
-            cmds.append(f"{'M' if i == 0 else 'L'} {_fmt(px)} {_fmt(py)}")
+    def path(pixels, close: bool) -> str:
+        cmds = [f"{'M' if i == 0 else 'L'} {px} {py}" for i, (px, py) in enumerate(pixels)]
         if close:
             cmds.append("Z")
         return " ".join(cmds)
 
+    # each point is converted once, for its path and for its circle
+    vert_px = [to_px(v) for v in verts]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W:g} {_H:g}">',
         f"<!-- display scaling is nonuniform: x is stretched by {sx:.6g} px/unit, "
         f"y by {sy:.6g} px/unit; the drawn shape is distorted for readability -->",
-        f'<path d="{path(verts, close=True)}" fill="#eef2fb" stroke="#27427c" '
+        f'<path d="{path(vert_px, close=True)}" fill="#eef2fb" stroke="#27427c" '
         f'stroke-width="1.5"/>',
     ]
-    for v in verts:
-        px, py = to_px(v)
-        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#27427c"/>')
+    for px, py in vert_px:
+        out.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="#27427c"/>')
     if walk is not None and len(walk.points) > 1:
+        walk_px = [to_px(p) for p in walk.points]
         out.append(
-            f'<path d="{path(walk.points, close=False)}" fill="none" '
+            f'<path d="{path(walk_px, close=False)}" fill="none" '
             f'stroke="#c2410c" stroke-width="2"/>'
         )
-        for p in walk.points:
-            px, py = to_px(p)
-            out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#c2410c"/>')
+        for px, py in walk_px:
+            out.append(f'<circle cx="{px}" cy="{py}" r="3" fill="#c2410c"/>')
     spx, spy = to_px(inst.start)
-    out.append(f'<circle cx="{_fmt(spx)}" cy="{_fmt(spy)}" r="5" fill="#15803d"/>')
+    out.append(f'<circle cx="{spx}" cy="{spy}" r="5" fill="#15803d"/>')
     if inst.target is not None:
         tpx, tpy = to_px(inst.target)
         out.append(
-            f'<circle cx="{_fmt(tpx)}" cy="{_fmt(tpy)}" r="5" fill="none" '
+            f'<circle cx="{tpx}" cy="{tpy}" r="5" fill="none" '
             f'stroke="#b91c1c" stroke-width="2"/>'
         )
     out.append("</svg>")

@@ -92,6 +92,7 @@ from typing import Callable, NamedTuple, Union
 
 from .circuits import (
     Walk,
+    _chain_frame,
     blocking_rows,
     check_lifted_cost,
     chord_moves,
@@ -108,7 +109,7 @@ from .circuits import (
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
-from .polytope import HPolygon, LiftedPolytope, _edge_rows, h_to_v
+from .polytope import HPolygon, LiftedPolytope, _inside, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
@@ -211,7 +212,7 @@ def _prepare(h, c) -> _Instance:
                          tuple(dict.fromkeys(p.base for p in argmax)), lift=m)
     else:
         vectors = [g.vector for g in monotone]
-        moves = tuple(zip(monotone, vectors, front_chains(h, vectors)))
+        moves = tuple([*zip(monotone, vectors, front_chains(h, vectors))])
         table = dict(enumerate(_unblocked(moves, h.m)))
         table[None] = moves
         kernel = chord_moves
@@ -262,11 +263,11 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     filter off and expands every state; only the node cap can tell the two
     apart.
     """
-    if not h.contains(s):
+    root = h.state(s)
+    if not _inside(h.inequality_rows(), root):
         raise ValueError("start point is outside the polytope")
     inst = _prepare(h, c)
     expand, goal, back = inst.expand, inst.goal, inst.back
-    root = homogeneous(h.coordinates(s))
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
     built = 0  # the backward layers this search filters with
@@ -353,13 +354,11 @@ class _Backward:
 
     def _setup(self) -> None:
         rows, moves = self.rows, self.moves
-        hull = h_to_v(self.h)
-        t = hull._triples  # noqa: SLF001 - kept by VPolygon
+        t = h_to_v(self.h)._triples  # noqa: SLF001 - kept by VPolygon
         n = len(t)
-        index = {row: i for i, row in enumerate(self.h.rows)}
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
         self.corner = t + t[:1]
-        self.edge = [index[row] for row in _edge_rows(hull)]
+        self.edge = [e[0] for e in _chain_frame(self.h)[2][:n]]
         self.pos = {row: k for k, row in enumerate(self.edge)}
         self.vertex = {v: k for k, v in enumerate(t)}
         # per row, the moves (i, -g, back chain of g) of each g = moves[i]
@@ -368,6 +367,8 @@ class _Backward:
         self.pulls = {row: [] for row in self.edge}
         # per g, its side edges by front vertex: the edges on neither chain
         self.side = []
+        # the back chain of g is the front chain of -g; the polygon's own part
+        # of the chains was kept with it by the front chains
         backs = front_chains(self.h, [(-g1, -g2) for _, (g1, g2), _ in moves])
         for i, ((_, (g1, g2), front), back) in enumerate(zip(moves, backs)):
             for row, *_ in front[2]:
@@ -531,10 +532,8 @@ def _reconstruct(h, parent: dict, s, goal) -> Walk:
 def transform_walk(m: AffineMap2, w: Walk) -> Walk:
     """Image of a planar walk under an invertible affine map."""
     m.inverse()  # fail fast on singular maps
-    points = tuple(m.apply(p) for p in w.points)
-    steps = tuple(
-        primitive_direction(*m.apply_vector(g.dx, g.dy)) for g in w.steps
-    )
+    points = tuple([m.apply(p) for p in w.points])
+    steps = tuple([primitive_direction(*m.apply_vector(g.dx, g.dy)) for g in w.steps])
     return Walk(points, steps)
 
 
@@ -560,10 +559,10 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     the prepared instance keeps from the first validation along it; the search
     never runs maximal_moves, so the validator checks its walks independently.
     """
-    if not h.contains(w.points[0]):
+    state = h.state(w.points[0])
+    if not _inside(h.inequality_rows(), state):
         return ValidationReport(False, None, "start point outside the polytope")
     inst = _prepare(h, c)
-    state = homogeneous(h.coordinates(w.points[0]))
     for idx, g in enumerate(w.steps):
         if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")

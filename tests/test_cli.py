@@ -1,3 +1,5 @@
+import argparse
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -265,6 +267,19 @@ class TestExports:
         assert a.read_text() == b.read_text()
         assert a.read_text().startswith("<svg")
 
+    def test_svg_bytes_pinned(self, pell3, tmp_path):
+        # SHA-256 of the SVG written when every point was converted to pixels
+        # once for its path and again for its circle
+        cert, out = tmp_path / "walk.cww", tmp_path / "c.svg"
+        run("solve", str(pell3), "--max-depth", "3", "-o", str(cert), "--quiet")
+        for extra, digest in (
+            ([], "21f22d3c2458fb191f649c06eae3533afbaea9c331d1f9943e07a8ecd592f4de"),
+            (["--certificate", str(cert)],
+             "477f1733d72b8a4a2a517d3584f1532d8afe74d183594292b10d80ae56a418ff"),
+        ):
+            assert run("render-svg", str(pell3), *extra, "-o", str(out), "--quiet") == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_svg_with_walk_overlay(self, pell3, tmp_path):
         cert = tmp_path / "walk.cww"
         run("solve", str(pell3), "--max-depth", "3", "-o", str(cert), "--quiet")
@@ -345,3 +360,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--quiet", "verify"])
         assert built == ["verify", None]
+
+
+class TestParserCache:
+    """Each command's parser is built once per process and shared by later calls."""
+
+    def test_commands_leave_no_parser_garbage(self, tmp_path):
+        inst, walk = str(tmp_path / "i.cwi"), str(tmp_path / "w.cww")
+        commands = [
+            ["gen-pell", "--ell", "5", "-o", inst],
+            ["approx", inst, "--depth", "2", "-o", walk],
+            ["verify", inst, "--certificate", walk],
+            ["render-svg", inst, "--certificate", walk, "-o", str(tmp_path / "f.svg")],
+            ["export-lp", inst, "-o", str(tmp_path / "i.lp")],
+        ]
+        for argv in commands:  # builds each command's parser
+            assert main(argv + ["--quiet"]) == 0
+        assert build_parser("verify") is build_parser("verify")
+        gc.collect()
+        enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in commands:
+                assert main(argv + ["--quiet"]) == 0
+            gc.collect()
+            parser_parts = (argparse.ArgumentParser, argparse.HelpFormatter, argparse.Action)
+            left = {type(o).__name__ for o in gc.garbage[before:] if isinstance(o, parser_parts)}
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[before:]
+            if enabled:
+                gc.enable()
+        assert not left
+
+    def test_parsed_values_do_not_leak_between_calls(self, capsys):
+        assert main(["verify", "--suite", "3dm", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify", "--suite", "3dm"]) == 0
+        assert "passed: 0 failures" in capsys.readouterr().out

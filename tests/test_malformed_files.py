@@ -110,6 +110,18 @@ def test_count_that_int_cannot_read_is_a_parse_error(read, text, line):
     assert info.value.line_no == line
 
 
+@pytest.mark.parametrize("text, line", [
+    ("cwi 1\ndim 2\nrows ٣\n-1 0 0\n0 -1 0\n1 1 1\ncost 1 1\nstart 0 0\n", 3),
+    ("cwi 1\ndim 2\nrows 3\n-1 0 0\n0 -1 0\n1 1 ١\ncost 1 1\nstart 0 0\n", 6),
+], ids=["count", "row"])
+def test_non_ascii_digits_are_2_at_their_line(tmp_path, capsys, text, line):
+    # int() reads Arabic-Indic and fullwidth digits; the formats take ASCII digits only
+    source = tmp_path / "triangle.cwi"
+    source.write_text(text, encoding="utf-8")
+    assert main(["solve", str(source), "--max-depth", "1", "--quiet"]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def run_on(tmp_path, capsys, command, text):
     source = tmp_path / "input.txt"
     source.write_text(text)

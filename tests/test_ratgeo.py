@@ -71,7 +71,7 @@ class TestParseFormat:
         assert format_rational(rat(9, 8)) == "9/8"
         assert format_rational(rat(-9, 8)) == "-9/8"
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "+ 1", "0x3", "1/2/3", "nan"])
+    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "+ 1", "0x3", "1/2/3", "nan", "٣", "１"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -599,6 +599,23 @@ class TestLiftedCostDimension:
                 with pytest.raises(BadDimension):
                     is_valid_monotone_walk(self.lp, c, w)
 
+    def test_start_is_checked_first(self):
+        # a start of the wrong length, then one outside, each before the cost is read
+        short = LiftedPoint(self.s.base, self.s.simplex[:-1])
+        outside = LiftedPoint(self.s.base, (rat(1),) * len(self.s.simplex))
+        for c in (self.c,) + self.bad:
+            _prepare.cache_clear()
+            with pytest.raises(BadDimension, match="point has 1 simplex coordinates"):
+                shortest_monotone_walk(self.lp, short, c, SearchConfig(3))
+            with pytest.raises(BadDimension, match="point has 1 simplex coordinates"):
+                is_valid_monotone_walk(self.lp, c, Walk((short,), ()))
+            with pytest.raises(ValueError, match="start point is outside the polytope") as info:
+                shortest_monotone_walk(self.lp, outside, c, SearchConfig(3))
+            assert type(info.value) is ValueError
+            report = is_valid_monotone_walk(self.lp, c, Walk((outside,), ()))
+            assert not report and report.reason == "start point outside the polytope"
+            assert _prepare.cache_info().currsize == 0
+
 
 def _last_layer(h, s, c, depth):
     """States discovered before the last of `depth` layers of the rational
@@ -1160,6 +1177,30 @@ class TestPreparedInstance:
                 assert back() is None
             finally:
                 gc.enable()
+
+    def test_chain_frame_is_computed_once(self, monkeypatch):
+        # the back chains reuse the front chains' per-polygon part, and equal
+        # the chains of a polygon that computes it afresh
+        calls = []
+        edge_rows = circuits._edge_rows
+        monkeypatch.setattr(circuits, "_edge_rows", lambda v: calls.append(v) or edge_rows(v))
+        for ell in (5, 8):
+            art = build_p_ell(ell)
+            lp, s, c = lift_instance(art.h, art.u, art.c0, 4)
+            for h, start, cost in ((HPolygon(art.h.rows), art.u, art.c0), (lp, s, c)):
+                _prepare.cache_clear()
+                calls.clear()
+                assert shortest_monotone_walk(h, start, cost, SearchConfig(ell - 1)) == \
+                    NotFoundWithinDepth(ell - 1)
+                back = _prepare(h, cost).back
+                assert back.pulls is not None and len(calls) == 1
+                fresh = HPolygon(back.h.rows)
+                gs = [g for _, g, _ in back.moves]
+                assert [chain for _, _, chain in back.moves] == front_chains(fresh, gs)
+                for i, (_, (g1, g2), _) in enumerate(back.moves):
+                    (pulled,) = front_chains(fresh, [(-g1, -g2)])
+                    assert all(chain == pulled for row in back.pulls.values()
+                               for j, _, chain in row if j == i)
 
     def test_cost_is_part_of_the_key(self):
         art = build_p_ell(6)
