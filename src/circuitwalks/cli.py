@@ -6,16 +6,12 @@ Exit codes: 0 success / walk found; 10 no walk within the depth bound;
 Every command accepts --quiet (suppress informational output); every command
 is deterministic.
 
-When the first argument names a command, main() builds only that command's
-subparser, since building all eight took most of a short command's run;
-otherwise it builds all of them, so help, usage and error texts are the same
-either way.  Each parser is built once per process and shared: argparse makes
-a HelpFormatter for every argument it adds, so building approx's parser and
-parsing takes about seven times as long as parsing with a parser already
-built (0.35 against 0.05 ms on 2 cores with Python 3.11; a level-8 pipeline
-command took 1.2 ms in all while it built its parser).  A one-shot process
-builds what it would build anyway; callers that run main() many times in one
-process, such as the test suite, build each parser once.
+The parser is built once per process, on first use, and shared: argparse
+makes a HelpFormatter for every argument it adds, so building the parser of
+all eight commands takes about 1.4 ms and parsing with it about 0.05 ms (on
+2 cores with Python 3.11), while each level-8 pipeline command runs in
+0.4-0.9 ms with the parser built.  Callers that run main() many times in one
+process, such as the test suite, build it once.
 """
 
 from __future__ import annotations
@@ -476,24 +472,18 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with every subcommand, or with only `command`'s.
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand.
 
-    Either way the top-level usage line lists every command, so the one-
-    command parser reads and reports its command's arguments exactly as the
-    full one does.  Built once per argument and shared by every caller, so
-    it must not be mutated; parsing does not mutate it.
+    Built once per process and shared by every caller, so it must not be
+    mutated; parsing does not mutate it.
     """
     parser = argparse.ArgumentParser(
         prog="circuitwalks",
         description="exact monotone circuit walks on polygons: generate, search, verify",
     )
-    # metavar stays unset for the full parser: argparse then names the action
-    # "command" in its missing and invalid command errors
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        func, help_text, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, keywords in (_QUIET,) + arguments:
             p.add_argument(*flags, **keywords)
@@ -502,15 +492,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, OSError, RuntimeError, ConstructionError) as exc:

@@ -217,11 +217,13 @@ class PromiseViolated:
     r: tuple[int, ...]
 
 
-def brute_force_essr(
-    inst: SubsetSumInstance, r_bound: int, space_cap: int = 4_000_000
-):
+ESSR_SPACE_CAP = 4_000_000
+
+
+def brute_force_essr(inst: SubsetSumInstance, r_bound: int):
     """Exhaustive scan of multiplicity vectors r with 0 <= r_i <= r_bound.
 
+    Raises SearchSpaceTooLarge when (r_bound + 1)**n exceeds ESSR_SPACE_CAP.
     Vectors with sum(r) > max(k, r_bound) are skipped.  A promise violation
     (sum r_i a_i == S with sum r_i != k) beats a feasible witness even when
     the witness enumerates first; the lexicographically first vector of the
@@ -229,9 +231,9 @@ def brute_force_essr(
     """
     if r_bound < 0:
         raise BadParameter("r_bound must be nonnegative")
-    if (r_bound + 1) ** inst.n > space_cap:
+    if (r_bound + 1) ** inst.n > ESSR_SPACE_CAP:
         raise SearchSpaceTooLarge(
-            f"(r_bound+1)**n = {(r_bound + 1) ** inst.n} exceeds cap {space_cap}"
+            f"(r_bound+1)**n = {(r_bound + 1) ** inst.n} exceeds cap {ESSR_SPACE_CAP}"
         )
     cap = max(inst.k, r_bound)
     witness: tuple[int, ...] | None = None

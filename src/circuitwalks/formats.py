@@ -13,6 +13,7 @@ the text (the first is 1), or one past the last line when the file ends early.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .constructions import SubsetSumInstance, ThreeDMInstance
@@ -109,6 +110,16 @@ def _count(text: str) -> int:
     return int(text)
 
 
+_INTEGER_TEXT = re.compile(r"[+-]?\d+\Z", re.ASCII)
+
+
+def _integer(text: str) -> int:
+    """An integer in parse_rational's grammar: ASCII digits after an optional sign."""
+    if not _INTEGER_TEXT.match(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def _record(line_no: int, build, *args, prefix: str = ""):
     """build(*args), its ValueError reported as a ParseError at line_no."""
     try:
@@ -172,7 +183,7 @@ def read_walk(text: str) -> Walk:
         points.append(Point2(x, y))
     steps = []
     for _ in range(n - 1):
-        dx, dy = _numbers(lines, lines.next("step"), "step", 2, int)
+        dx, dy = _numbers(lines, lines.next("step"), "step", 2, _integer)
         steps.append(_record(lines.line_no, Direction2, dx, dy))
     lines.done()
     return _record(points_at, Walk, tuple(points), tuple(steps))
@@ -199,7 +210,7 @@ def read_essr(text: str) -> SubsetSumInstance:
         key = line.split()[0]
         if key not in ("n", "a", "S", "k") or key in fields:
             raise ParseError(lines.line_no, f"expected each of n, a, S, k once, got {line!r}")
-        values = _numbers(lines, line, key, None if key == "a" else 1, int)
+        values = _numbers(lines, line, key, None if key == "a" else 1, _integer)
         fields[key] = (lines.line_no, values)
     lines.done()
     (_, (n,)), (a_at, a), (S_at, (S,)), (k_at, (k,)) = (fields[key] for key in "naSk")
@@ -217,9 +228,9 @@ def read_three_dm(text: str) -> ThreeDMInstance:
     lines.numbered = [(no, line) for no, line in lines.numbered if line.strip()]
     if lines.next("header").strip() != "3dm 1":
         raise ParseError(lines.line_no, "not a '3dm 1' file")
-    (n,) = _numbers(lines, lines.next("'n <elements>'"), "n", 1, int)
+    (n,) = _numbers(lines, lines.next("'n <elements>'"), "n", 1, _integer)
     n_at = lines.line_no
     triples = []
     while lines.peek() is not None:
-        triples.append(tuple(_numbers(lines, lines.next("triple"), "", 3, int)))
+        triples.append(tuple(_numbers(lines, lines.next("triple"), "", 3, _integer)))
     return _record(n_at, ThreeDMInstance, n, tuple(triples))

@@ -243,7 +243,8 @@ def _edge_rows(v: "VPolygon", rows=None) -> tuple:
     cycle = v.__dict__.get("_edges")
     if cycle is None:
         t = v._triples
-        cycle = tuple([_meet(p, q) for p, q in zip(t, t[1:] + t[:1])])
+        n = len(t)
+        cycle = tuple([_meet(t[i], t[(i + 1) % n]) for i in range(n)])
         object.__setattr__(v, "_edges", cycle)
     if rows is not None and (len(rows) != len(cycle) or set(rows) != set(cycle)):
         raise ValueError("rows are not the edge rows of the vertex cycle")
@@ -326,7 +327,7 @@ def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
         _orientation(t[0], t[i], t[i + 1]) <= 0 for i in range(1, len(t) - 1)
     ):
         raise ValueError("vertices not in strictly convex ccw order")
-    if any(_lex_order(p, t[0]) < 0 for p in t[1:]):
+    if any(_lex_order(p, t[0]) < 0 for p in t):
         raise ValueError("vertex list must start at the lexicographic minimum")
 
 

@@ -94,7 +94,6 @@ from .circuits import (
     Walk,
     _chain_frame,
     blocking_rows,
-    check_lifted_cost,
     chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
@@ -185,12 +184,11 @@ class _Instance(NamedTuple):
 def _prepare(h, c) -> _Instance:
     """The instance of h under the cost c, built once per value of the pair.
 
-    Raises BadDimension when a lifted cost does not fit h; an exception is
-    never cached.
+    Raises BadDimension, through lifted_optimal_value, when a lifted cost does
+    not fit h; an exception is never cached.
     """
     lifted = isinstance(h, LiftedPolytope)
     if lifted:
-        check_lifted_cost(h, c)
         circuits, optimum = enumerate_lifted_circuits(h), lifted_optimal_value
     else:
         circuits, optimum = enumerate_circuits(h), optimal_value

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from circuitwalks import cli
 from circuitwalks.cli import COMMANDS, build_parser, main
 from circuitwalks.constructions import SubsetSumInstance
 from circuitwalks.formats import (
@@ -333,15 +332,17 @@ class TestParser:
         assert list(PARSER_CASES) == list(COMMANDS) and len(COMMANDS) == 8
 
     @pytest.mark.parametrize("name", list(PARSER_CASES))
-    def test_one_command_parser_matches_the_full_one(self, name, capsys):
+    def test_one_parser_reads_every_command(self, name, capsys):
         valid, missing, bad_int = PARSER_CASES[name]
-        assert build_parser(name).parse_args(valid) == build_parser().parse_args(valid)
-        # --bogus is an unknown option: the top-level parser reports it with its usage line
-        failing = [[name, "--help"], missing, [name, "--bogus"]] + ([bad_int] if bad_int else [])
-        for argv in failing:
-            one = _exit(build_parser(name), argv, capsys)
-            assert one == _exit(build_parser(), argv, capsys)
-            assert one[0] == (0 if "--help" in argv else 2) and one[1] + one[2]
+        parser = build_parser()
+        assert parser.parse_args(valid).func is COMMANDS[name][0]
+        code, out, err = _exit(parser, [name, "--help"], capsys)
+        assert code == 0 and out.startswith(f"usage: circuitwalks {name} ") and not err
+        for argv in [missing, [name, "--bogus"]] + ([bad_int] if bad_int else []):
+            code, out, err = _exit(parser, argv, capsys)
+            assert code == 2 and not out and err.startswith("usage: circuitwalks")
+            assert "error: " in err.splitlines()[-1]
+            assert argv is not bad_int or "invalid int value" in err
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["--quiet"]])
     def test_top_level_lists_every_command(self, argv, capsys):
@@ -352,18 +353,9 @@ class TestParser:
         if argv == ["--help"]:
             assert all(help_text in out.out for _, help_text, _ in COMMANDS.values())
 
-    def test_main_builds_only_the_named_command(self, monkeypatch):
-        built = []
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
-        assert main(["verify", "--suite", "3dm", "--quiet"]) == 0
-        with pytest.raises(SystemExit):
-            main(["--quiet", "verify"])
-        assert built == ["verify", None]
-
 
 class TestParserCache:
-    """Each command's parser is built once per process and shared by later calls."""
+    """The parser is built once per process and shared by later calls."""
 
     def test_commands_leave_no_parser_garbage(self, tmp_path):
         inst, walk = str(tmp_path / "i.cwi"), str(tmp_path / "w.cww")
@@ -374,9 +366,9 @@ class TestParserCache:
             ["render-svg", inst, "--certificate", walk, "-o", str(tmp_path / "f.svg")],
             ["export-lp", inst, "-o", str(tmp_path / "i.lp")],
         ]
-        for argv in commands:  # builds each command's parser
+        for argv in commands:  # builds the parser
             assert main(argv + ["--quiet"]) == 0
-        assert build_parser("verify") is build_parser("verify")
+        assert build_parser() is build_parser()
         gc.collect()
         enabled, flags, before = gc.isenabled(), gc.get_debug(), len(gc.garbage)
         gc.disable()

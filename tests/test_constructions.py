@@ -153,8 +153,6 @@ class TestBruteForce:
         inst = SubsetSumInstance(a=(2, 3, 5, 7, 11, 13), S=41, k=5)
         with pytest.raises(SearchSpaceTooLarge):
             brute_force_essr(inst, r_bound=41)
-        with pytest.raises(SearchSpaceTooLarge):
-            brute_force_essr(inst, r_bound=10, space_cap=10**6)
 
     @settings(max_examples=40, deadline=None)
     @given(

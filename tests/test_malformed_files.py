@@ -134,6 +134,26 @@ def run_on(tmp_path, capsys, command, text):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command, text, line", [
+    ("gen-3dm", "3dm 1\nn 2\n0 0 0\n1 1 ١\n", 4),
+    ("gen-3dm", "3dm 1\nn ２\n0 0 0\n1 1 1\n", 2),
+    ("gen-reduction", "essr 1\nn 2\na 2 ٣\nS 5\nk 2\n", 3),
+    ("gen-reduction", "essr 1\nn 2\na 2 3\nS 1_0\nk 2\n", 4),
+], ids=["3dm-triple", "3dm-n", "essr-a", "essr-S"])
+def test_integers_take_ascii_digits_only(tmp_path, capsys, command, text, line):
+    # int() also reads non-ASCII digits and underscores, which would not round-trip
+    code, _, err = run_on(tmp_path, capsys, command, text)
+    assert code == 2 and f"line {line}:" in err
+
+
+def test_walk_steps_take_ascii_digits_only():
+    walk = "cww 1\npoints 2\n0 0\n1 0\nstep {} 0\n"
+    with pytest.raises(ParseError) as info:
+        read_walk(walk.format("١"))
+    assert info.value.line_no == 5
+    assert write_walk(read_walk(walk.format("+1"))) == walk.format("1")
+
+
 class TestThreeDMFiles:
     def test_line_numbers_count_blank_lines(self, tmp_path, capsys):
         code, _, err = run_on(tmp_path, capsys, "gen-3dm", "3dm 1\n\n\nn 1\n0 0\n")
