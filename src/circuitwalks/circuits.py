@@ -117,8 +117,12 @@ class Walk:
 
 
 def enumerate_circuits(h: HPolygon) -> tuple[Direction2, ...]:
-    """All circuit directions of the polygon, one per edge slope: canonical and sorted."""
-    return tuple(sorted({primitive_direction(-a2, a1).canonical() for a1, a2, _ in h.rows}))
+    """All circuit directions of the polygon, one per edge slope: canonical and
+    sorted, computed once per polygon and kept with it."""
+    if "_circuits" not in h.__dict__:
+        slopes = {primitive_direction(-a2, a1).canonical() for a1, a2, _ in h.rows}
+        object.__setattr__(h, "_circuits", tuple(sorted(slopes)))
+    return h.__dict__["_circuits"]
 
 
 def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:

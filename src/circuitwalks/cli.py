@@ -26,7 +26,6 @@ from .constructions import (
     ConstructionError,
     Feasible,
     PromiseViolated,
-    SearchSpaceTooLarge,
     SubsetSumInstance,
     ThreeDMInstance,
     brute_force_essr,
@@ -123,10 +122,7 @@ def cmd_gen_reduction(args) -> int:
         ("C", str(C)),
         ("epsilon", format_rational(red.epsilon)),
     ]
-    try:
-        outcome = brute_force_essr(inst, r_bound=inst.S)
-    except SearchSpaceTooLarge:
-        outcome = None
+    outcome = brute_force_essr(inst, r_bound=inst.S)
     if isinstance(outcome, PromiseViolated):
         print(
             f"warning: promise violated by multiplicities {outcome.r}; "
@@ -278,11 +274,7 @@ def _verify_reduction(args, rep: _Report) -> None:
         "circuit classes: 2 frame, n element, 2Ck corner directions",
     )
     rep.check(0 < red.epsilon < red.corner.box / 2, "epsilon sits inside (0, box/2)")
-    try:
-        outcome = brute_force_essr(inst, r_bound=inst.S)
-    except SearchSpaceTooLarge:
-        rep.info("instance too large to brute force; skipping the distance check")
-        return
+    outcome = brute_force_essr(inst, r_bound=inst.S)
     if isinstance(outcome, PromiseViolated):
         rep.check(False, f"promise violated by {outcome.r}")
         return

@@ -10,8 +10,8 @@ Four constructions live here:
 * a lift of any such polygon into fixed higher dimension by multiplying with
   a simplex (lift_instance),
 * a reduction from three-dimensional matching to the exact-sum promise
-  problem (reduce_three_dm) together with the brute-force baselines used to
-  cross-check small cases.
+  problem (reduce_three_dm), with a brute-force matching check and an
+  exact-sum solver by dynamic programming (brute_force_essr) to cross-check.
 
 Every numeric claim the builders rely on is asserted at construction time;
 a violated assumption raises ConstructionError instead of producing a
@@ -58,7 +58,6 @@ __all__ = [
     "BadCost",
     "BadInstance",
     "TriviallyInfeasible",
-    "SearchSpaceTooLarge",
     "ConstructionError",
     "PellArtifact",
     "build_p_ell",
@@ -99,10 +98,6 @@ class BadInstance(ValueError):
 
 class TriviallyInfeasible(ValueError):
     """Fewer triples than elements: no matching can exist."""
-
-
-class SearchSpaceTooLarge(ValueError):
-    """Brute-force enumeration would exceed the desk-scale cap."""
 
 
 class ConstructionError(AssertionError):
@@ -217,37 +212,52 @@ class PromiseViolated:
     r: tuple[int, ...]
 
 
-ESSR_SPACE_CAP = 4_000_000
-
-
 def brute_force_essr(inst: SubsetSumInstance, r_bound: int):
-    """Exhaustive scan of multiplicity vectors r with 0 <= r_i <= r_bound.
+    """The first multiplicity vector r, 0 <= r_i <= r_bound, in lexicographic
+    order with sum r_i a_i == S and sum r_i <= max(k, r_bound); a promise
+    violation (sum r_i != k) wins over a feasible witness (sum r_i == k).
 
-    Raises SearchSpaceTooLarge when (r_bound + 1)**n exceeds ESSR_SPACE_CAP.
-    Vectors with sum(r) > max(k, r_bound) are skipped.  A promise violation
-    (sum r_i a_i == S with sum r_i != k) beats a feasible witness even when
-    the witness enumerates first; the lexicographically first vector of the
-    winning kind is reported.
+    Named after the scan it replaced (cwbench/tracing.py binds the name).  By
+    the subset-sum recurrence (Garey and Johnson, SP13), reach[i] maps each sum
+    <= S of a_i.. to (low, over): the bitmask of its counts <= k and its least
+    count > k.  A weight whose multiplicity cannot bind (r_bound >= S // a_i)
+    is added a copy at a time over ascending sums, so the work is linear in S.
     """
     if r_bound < 0:
         raise BadParameter("r_bound must be nonnegative")
-    if (r_bound + 1) ** inst.n > ESSR_SPACE_CAP:
-        raise SearchSpaceTooLarge(
-            f"(r_bound+1)**n = {(r_bound + 1) ** inst.n} exceeds cap {ESSR_SPACE_CAP}"
-        )
-    cap = max(inst.k, r_bound)
-    witness: tuple[int, ...] | None = None
-    for r in itertools.product(range(r_bound + 1), repeat=inst.n):
-        used = sum(r)
-        if used > cap:
-            continue
-        if sum(m * w for m, w in zip(r, inst.a)) != inst.S:
-            continue
-        if used != inst.k:
-            return PromiseViolated(r)
-        if witness is None:
-            witness = r
-    return Feasible(witness) if witness is not None else Infeasible()
+    a, S, k = inst.a, inst.S, inst.k
+    cap, full = max(k, r_bound), (1 << (k + 1)) - 1
+    empty = (0, cap + 1)
+    reach = [{0: (1, cap + 1)}]
+    for w in reversed(a):
+        old, free = reach[0], r_bound >= S // w
+        new = dict(old)
+        for s in sorted(old):
+            low, over = (new if free else old)[s]
+            for t in range(s + w, min(S, s + r_bound * w) + 1, w):
+                low, over = low << 1 & full, (k if low >> k & 1 else over) + 1
+                got = new.get(t, empty)
+                new[t] = (got[0] | low, min(got[1], over))
+                if free and t in old:
+                    break
+        reach.insert(0, new)
+
+    def fits(state, used, feasible):  # a count c of state with used + c of the kind
+        (low, over), room = state, cap - used
+        want = 1 << k - used if used <= k else 0
+        return bool(low & want) if feasible else bool(low & (2 << room) - 1 & ~want) or over <= room
+
+    for feasible in (False, True):
+        if fits(reach[0].get(S, empty), 0, feasible):
+            r, rem = [], S
+            for w, table in zip(a, reach[1:]):
+                for m in range(min(r_bound, rem // w, cap - sum(r)) + 1):
+                    if fits(table.get(rem - m * w, empty), sum(r) + m, feasible):
+                        break
+                r.append(m)
+                rem -= m * w
+            return Feasible(tuple(r)) if feasible else PromiseViolated(tuple(r))
+    return Infeasible()
 
 
 # -- three-dimensional matching -----------------------------------------------

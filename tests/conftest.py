@@ -1,5 +1,6 @@
 """Shared fixtures plus a per-criterion verdict table for the acceptance tests."""
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from circuitwalks.circuits import AmbiguousOptimum, NotAVertex, Walk, optimal_value
-from circuitwalks.constructions import build_slope_chain
+from circuitwalks.constructions import Feasible, Infeasible, PromiseViolated, build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
     LiftedPolytope,
@@ -434,3 +435,24 @@ def reference_reduction_vertices(pell, corner: dict, inst):
         lambda p, q: primitive_direction(q.x - p.x, q.y - p.y).canonical(),
     )
     return v.vertices, tuple(sorted(directions))
+
+
+def reference_essr(inst, r_bound: int):
+    """brute_force_essr's verdict by a scan of the multiplicity vectors in lexicographic order.
+
+    r_i runs to min(r_bound, S // a_i), which keeps the order of every vector
+    that can hit S.  Vectors of more than max(k, r_bound) elements are skipped;
+    the first one that hits S with a count other than k wins over the first
+    that hits S with k elements.
+    """
+    cap = max(inst.k, r_bound)
+    witness = None
+    for r in itertools.product(*[range(min(r_bound, inst.S // w) + 1) for w in inst.a]):
+        used = sum(r)
+        if used > cap or sum(m * w for m, w in zip(r, inst.a)) != inst.S:
+            continue
+        if used != inst.k:
+            return PromiseViolated(r)
+        if witness is None:
+            witness = r
+    return Feasible(witness) if witness is not None else Infeasible()

@@ -120,6 +120,14 @@ class TestVerifySuites:
         out = capsys.readouterr().out
         assert "witness walk" in out
 
+    def test_reduction_of_five_weights_runs_its_search(self, capsys):
+        # (r_bound + 1)**n = 22**5 multiplicity vectors; all weights even, S odd
+        argv = ["--a", "2,4,6,8,10", "--S", "21", "--k", "2", "--C", "2"]
+        assert run("verify", "--suite", "reduction", *argv) == 0
+        out = capsys.readouterr().out
+        assert "completed search proves distance exceeds Ck = 4" in out
+        assert "too large" not in out
+
     def test_lift(self, capsys):
         assert run("verify", "--suite", "lift", "--ell", "2", "--d", "3") == 0
         out = capsys.readouterr().out
@@ -181,6 +189,15 @@ class TestReductionCommands:
         assert "promise" in capsys.readouterr().err
         assert "promise" in dict(read_instance(path.read_text()).meta)
 
+    def test_promise_checked_at_large_target(self, tmp_path, capsys):
+        path = tmp_path / "viol.cwi"
+        assert run(
+            "gen-reduction", "--a", "1,2", "--S", "2000", "--k", "2", "--C", "1",
+            "-o", str(path), "--quiet",
+        ) == 0
+        assert "promise violated" in capsys.readouterr().err
+        assert dict(read_instance(path.read_text()).meta)["promise"] == "violated 0,1000"
+
     def test_missing_C_is_an_error(self, capsys):
         assert run("gen-reduction", "--a", "2,3", "--S", "5", "--k", "2") == 1
 
@@ -205,6 +222,16 @@ class TestThreeDMCommand:
         assert inst == SubsetSumInstance(a=(15,), S=15, k=1)
         red = tmp_path / "m.cwi"
         assert run("gen-reduction", "--essr", str(essr), "--C", "2", "-o", str(red), "--quiet") == 0
+
+    def test_matching_reduction_bytes_pinned(self, tmp_path):
+        source = tmp_path / "m.3dm"
+        source.write_text("3dm 1\nn 2\n0 0 0\n1 1 1\n0 1 0\n")
+        essr, red = tmp_path / "m.essr", tmp_path / "m.cwi"
+        assert run("gen-3dm", str(source), "-o", str(essr), "--quiet") == 0
+        assert run("gen-reduction", "--essr", str(essr), "--C", "1", "-o", str(red), "--quiet") == 0
+        assert hashlib.sha256(red.read_bytes()).hexdigest() == (
+            "dcc1e98c661e63ca940d452a955e60c472d944f83080da0a376a4afb70982c12"
+        )
 
     def test_essr_round_trip(self):
         inst = SubsetSumInstance(a=(3, 5, 9), S=17, k=3)

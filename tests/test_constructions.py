@@ -15,7 +15,6 @@ from circuitwalks.constructions import (
     Feasible,
     Infeasible,
     PromiseViolated,
-    SearchSpaceTooLarge,
     SubsetSumInstance,
     ThreeDMInstance,
     TriviallyInfeasible,
@@ -41,6 +40,7 @@ from circuitwalks.search import is_valid_monotone_walk
 from conftest import (
     reference_corner_transform,
     reference_edge_rows,
+    reference_essr,
     reference_hpolygon,
     reference_reduction_vertices,
 )
@@ -149,10 +149,32 @@ class TestBruteForce:
         out = brute_force_essr(SubsetSumInstance(a=(1, 2), S=3, k=2), r_bound=3)
         assert out == PromiseViolated(r=(3, 0))
 
-    def test_space_cap(self):
+    def test_six_weights_at_r_bound_S(self):
+        # a box of (r_bound + 1)**6 = 42**6 multiplicity vectors
         inst = SubsetSumInstance(a=(2, 3, 5, 7, 11, 13), S=41, k=5)
-        with pytest.raises(SearchSpaceTooLarge):
-            brute_force_essr(inst, r_bound=41)
+        out = brute_force_essr(inst, r_bound=41)
+        assert out == reference_essr(inst, 41) == PromiseViolated(r=(0, 0, 4, 3, 0, 0))
+
+    def test_large_target_is_pseudo_polynomial(self):
+        out = brute_force_essr(SubsetSumInstance(a=(1, 2), S=20000, k=2), r_bound=20000)
+        assert out == PromiseViolated(r=(0, 10000))
+
+    def test_matches_lexicographic_scan(self):
+        rng = random.Random(271828)
+        for _ in range(8000):
+            a = tuple(sorted(rng.sample(range(1, 16), rng.randint(1, 4))))
+            S, k = rng.randint(1, 25), rng.randint(1, 5)
+            r_bound = S if rng.random() < 0.5 else rng.randint(0, 6)
+            inst = SubsetSumInstance(a=a, S=S, k=k)
+            assert brute_force_essr(inst, r_bound) == reference_essr(inst, r_bound), (inst, r_bound)
+
+    def test_matches_lexicographic_scan_on_three_dm(self):
+        universe = list(itertools.product(range(2), repeat=3))
+        for size in range(2, 6):
+            for triples in itertools.combinations(universe, size):
+                essr = reduce_three_dm(ThreeDMInstance(n_elements=2, triples=triples))
+                for r_bound in (2, essr.S):
+                    assert brute_force_essr(essr, r_bound) == reference_essr(essr, r_bound)
 
     @settings(max_examples=40, deadline=None)
     @given(

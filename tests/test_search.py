@@ -1202,6 +1202,20 @@ class TestPreparedInstance:
                     assert all(chain == pulled for row in back.pulls.values()
                                for j, _, chain in row if j == i)
 
+    def test_circuits_are_computed_once(self, monkeypatch):
+        # build_reduction's circuit census and the search's setup share one
+        # enumeration per polygon
+        calls = []
+        direction = circuits.primitive_direction
+        monkeypatch.setattr(circuits, "primitive_direction",
+                            lambda *v: calls.append(v) or direction(*v))
+        _prepare.cache_clear()
+        red = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
+        assert len(calls) == red.h.m
+        assert isinstance(shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(4)), Found)
+        assert len(calls) == red.h.m
+        assert enumerate_circuits(red.h) is enumerate_circuits(red.h)
+
     def test_cost_is_part_of_the_key(self):
         art = build_p_ell(6)
         other = Direction2(art.c0.dx, art.c0.dy + 1)
