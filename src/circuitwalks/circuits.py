@@ -18,11 +18,7 @@ for a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
 gcd 1), and the moved state costs one gcd.  maximal_moves defines the maximal
 step in any dimension d, by an integer min-ratio test over every row's slack
 b*D - a.x.  The polygon search runs on chord_moves, which bisects the front
-chain instead and computes one slack (Chazelle and Dobkin, 1987).  The lift
-search runs on lifted_moves: a circuit of the product moves one factor, and
-only that factor's rows can block it, so a base circuit makes the base
-polygon's chord move, carrying the simplex coordinates along, and a circuit
-of the simplex meets exactly one of the simplex's rows.
+chain instead and computes one slack (Chazelle and Dobkin, 1987).
 """
 
 from __future__ import annotations
@@ -68,8 +64,6 @@ __all__ = [
     "lifted_max_step",
     "lifted_move",
     "monotone_lifted_directions",
-    "lifted_chains",
-    "lifted_moves",
     "lifted_optimal_value",
 ]
 
@@ -226,15 +220,8 @@ def chord_moves(state, moves):
     so bisecting the chain's values finds the edge or vertex it ends on; only
     that row's slack is computed.  At a vertex inside the chain the smaller of
     its two row indices binds, as the first in maximal_moves' blocking order.
-    Coordinates between the planar pair and D, as in a lift's state, stay put.
     """
-    if len(state) == 3:
-        x, y, D = state
-        rest = None
-    else:
-        x, y, *rest, D = state
-        # the moved rest is ag * rest, so its part of the state's gcd is ag * gcd(rest)
-        common = gcd(*rest)
+    x, y, D = state
     for label, (g1, g2), (L, values, edges, corners) in moves:
         q, r = divmod((g1 * y - g2 * x) * L, D)
         j = bisect_right(values, q) - 1
@@ -245,12 +232,8 @@ def chord_moves(state, moves):
             yield label, 0, ag, row, None
             continue
         x2, y2, D2 = x * ag + slack * g1, y * ag + slack * g2, D * ag
-        if rest is None:
-            k = gcd(x2, y2, D2)
-            yield label, slack, ag, row, (x2 // k, y2 // k, D2 // k)
-        else:
-            k = gcd(x2, y2, D2, ag * common)
-            yield label, slack, ag, row, (x2 // k, y2 // k, *[v * ag // k for v in rest], D2 // k)
+        k = gcd(x2, y2, D2)
+        yield label, slack, ag, row, (x2 // k, y2 // k, D2 // k)
 
 
 def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None]:
@@ -437,50 +420,6 @@ def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Lift
 
 # one body serves both: a lifted circuit and cost have integer vectors like planar ones
 monotone_lifted_directions = monotone_directions
-
-
-def lifted_chains(lp: LiftedPolytope, gs) -> tuple:
-    """The moves (m, before, simplex, after) of lifted_moves along the sorted
-    directed circuits gs of lp: m base rows, the base circuits with their
-    front chains on the base polygon, sorting before and after the simplex's
-    circuits (0, 0, h), and those as (g, h, i) with m + i their blocking row.
-    """
-    e = lp.extra_dims
-    base, simplex = [], []
-    for g in gs:
-        v, h = g.vector[:2], g.vector[2:]
-        if any(v):
-            base.append((g, v))
-        else:
-            simplex.append((g, h, h.index(-1) if -1 in h else e))
-    chains = front_chains(lp.base, [v for _, v in base])
-    moves = [(g, v, chain) for (g, v), chain in zip(base, chains)]
-    k = sum(v < (0, 0) for _, v in base)
-    return lp.base.m, tuple(moves[:k]), tuple(simplex), tuple(moves[k:])
-
-
-def lifted_moves(state, moves):
-    """maximal_moves on a lift, for the moves (m, before, simplex, after) that
-    lifted_chains built, in their order.
-
-    A circuit of the product moves one factor, and only that factor's rows
-    can block it.  So a base circuit makes the base polygon's chord move.  A
-    simplex circuit -e_j or e_i - e_j meets only s_j >= 0 (row m + j), and e_i
-    only the sum row (m + e), each with a.g = 1: that row's slack is the step times D.
-    """
-    m, before, simplex, after = moves
-    yield from chord_moves(state, before)
-    x, y, *s, D = state
-    slacks = s + [D - sum(s)]
-    for label, h, i in simplex:
-        slack = slacks[i]
-        if not slack:
-            yield label, 0, 1, m + i, None
-            continue
-        moved = [x, y, *[v + slack * w for v, w in zip(s, h)], D]
-        k = gcd(*moved)
-        yield label, slack, 1, m + i, tuple([v // k for v in moved])
-    yield from chord_moves(state, after)
 
 
 def lifted_optimal_value(

@@ -40,8 +40,8 @@ from .constructions import (
 )
 from .formats import (InstanceFile, ParseError, read_essr, read_instance, read_three_dm,
                       read_walk, write_essr, write_instance, write_walk)
-from .polytope import h_to_v
-from .ratgeo import format_rational
+from .polytope import LiftedPoint, h_to_v
+from .ratgeo import format_rational, rat
 from .render import lp_document, svg_document
 from .search import (
     Found,
@@ -335,6 +335,21 @@ def _verify_lift(args, rep: _Report) -> None:
             ),
             "lifted shortest walk projects step-for-step onto the planar one",
         )
+        rep.check(bool(is_valid_monotone_walk(lp, c_d, lifted.walk)),
+                  "lifted walk is a valid monotone circuit walk of the lift's rows")
+    if d >= 3:
+        # from the simplex apex, the axis step to the top vertex sorts before the first base step
+        n = art.ell + 1
+        apex = LiftedPoint(art.u, (rat(0),) * (d - 2))
+        up = shortest_monotone_walk(lp, apex, c_d, SearchConfig(n))
+        rep.check(
+            isinstance(up, Found) and up.walk.length == n
+            and up.walk.steps[0].kind == "axis" and bool(is_valid_monotone_walk(lp, c_d, up.walk)),
+            f"from the simplex apex: a valid {n}-step walk, first an axis step",
+        )
+        below = shortest_monotone_walk(lp, apex, c_d, SearchConfig(n - 1))
+        rep.check(below == NotFoundWithinDepth(n - 1),
+                  f"from the simplex apex: no walk within {n - 1} steps")
 
 
 def _verify_3dm(args, rep: _Report) -> None:

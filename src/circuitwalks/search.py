@@ -1,19 +1,16 @@
 """Shortest monotone circuit walks by exact breadth-first search.
 
-One search loop serves polygons and their simplex lifts alike.  A search
-state in dimension d is the homogeneous integer vector (x_1, .., x_d, D)
-standing for the point x/D, kept canonical (D > 0, gcd 1) so the vector itself
-is the deduplication key.  The instance carries the move function: on a
-polygon chord_moves, a bisection of the direction's front chain, on a lift
-lifted_moves, which moves a base circuit by chord_moves on the base polygon's
-front chain and a circuit of the simplex by its one blocking row.  Each
-state carries the row it was moved onto (None at the start).  A state on a
-row that blocks g has a zero move along g, so the instance keeps, per row,
-the moves that row does not block, and a state tries only those.  The goal
-test is an integer comparison, and points are only built for the returned
-walk.  The walk validator runs on maximal_moves, a min-ratio test over every
-blocking row, so it checks a search's walk independently of the kernel that
-found it.
+The search runs on polygons.  A search state is the homogeneous integer
+triple (X, Y, D) standing for the point (X/D, Y/D), kept canonical (D > 0,
+gcd 1) so the triple itself is the deduplication key.  A move is made by
+chord_moves, a bisection of the direction's front chain.  Each state
+carries the row it was moved onto (None at the start).  A state on a row
+that blocks g has a zero move along g, so the instance keeps, per row, the
+moves that row does not block, and a state tries only those.  The goal test
+is an integer comparison, and points are only built for the returned walk.
+The walk validator runs on maximal_moves, a min-ratio test over every
+blocking row in any dimension, so it checks a search's walk, a lift's
+included, independently of the kernel that found it.
 
 A search is pruned by backward sets, growing whichever side of the search is
 smaller, as in bidirectional search (Pohl, 1971).  A_r is the set of boundary
@@ -32,16 +29,6 @@ unique vertex t is the chord test, t - p a positive multiple of a monotone g
 (a longer step would raise c above its maximum).  Backward layers are built
 only while the newest one is smaller than the layer of states it would
 filter.
-
-A lift is filtered by the backward sets of its base polygon.  A lifted
-circuit moves one factor, and only that factor's rows can block it, so the
-base moves of a lifted monotone walk, in order, make a monotone walk of the
-base polygon that ends at the base optimum.  A lifted state whose planar part
-lies outside the base polygon's A_r cannot reach the lifted optimum in r
-moves, so the base A_r are supersets of the lift's, and the argument below
-holds unchanged.  The test reads the planar part of a state moved onto a base
-row; a state moved onto a simplex row is kept.  A lift's chord test is on the
-lifted target.
 
 The filter returns the same walk, and pruned states stay in the parent map,
 so no state is discovered twice.  Call a state at depth j of the unfiltered
@@ -66,6 +53,27 @@ wins, so among all shortest walks the returned one carries the
 lexicographically smallest sequence of step directions; reruns cannot change
 the answer.
 
+A lift P x simplex is searched by the product rule.  A circuit of the
+product moves one factor, only that factor's rows block it, and the cost is
+separable, so a lifted monotone walk is a shuffle of a monotone walk of each
+factor, optimal exactly when both are.  In barycentric terms (lam_0 =
+1 - sum(y) at weight 0) every simplex circuit moves all the mass of one index
+to another, monotone when the weight rises.  Each supported index below the
+top weight must be emptied, one per step, so the simplex distance is their
+number k; a step keeps a walk shortest exactly when it empties one onto a
+supported or top-weight index, and the smallest such step each time gives
+the smallest shortest simplex walk.  The base search runs to the depth less
+k, and its walk is merged with the simplex walk by taking the smaller step
+vector at each position.  The merge is the smallest shortest walk over all
+pairs of factor walks, not only over the pair of smallest ones: a base and a
+simplex vector never tie (only the first has a nonzero planar part), and the
+smallest base walk starts with the smallest first step of any shortest base
+walk and continues with the smallest walk from there, as does the simplex
+walk, so after the smaller first step the rest is the same problem one step
+shorter.  On a lift the node cap counts base states, and a capped result's
+completed_depth is the base's plus k; so a capped lift may complete where a
+search over the lifted states gives up, never with another answer.
+
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
@@ -74,41 +82,44 @@ the backward sets, which keep the layers, pullbacks and membership tests they
 have built, and the blocking rows of each direction a validation has stepped
 along.  The last pair prepared is kept, compared by value, so a certificate's
 finds, proofs and validations from several starts share one instance.  A
-stored A_r gains nothing when later layers are built, and each
-search counts the layers it filters with by the growth rule above, replayed
-against the recorded layer sizes: it filters with exactly the layers a search
-alone would build, so no result, a capped one included, depends on the calls
-made before it.  The shared layers grow during a search, so the searches of
-one process run one at a time.
+lift is searched on its base polygon's instance, and a lift's validation
+keeps its rows and circuits in a cache of its own, so a lift's finds, proofs
+and validations prepare the base polygon once.  A stored A_r gains nothing
+when later layers are built, and each search counts the layers it filters
+with by the growth rule above, replayed against the recorded layer sizes: it
+filters with exactly the layers a search alone would build, so no result, a
+capped one included, depends on the calls made before it.  The shared layers
+grow during a search, so the searches of one process run one at a time.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple, Union
 
 from .circuits import (
+    LiftedCircuit,
     Walk,
     _chain_frame,
     blocking_rows,
+    check_lifted_cost,
     chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
     front_chains,
-    lifted_chains,
-    lifted_moves,
-    lifted_optimal_value,
     maximal_moves,
     monotone_directions,
     monotone_edge_walk,
     optimal_value,
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
-from .circuits import lifted_max_step, lifted_move, max_step, monotone_lifted_directions  # noqa: F401
-from .polytope import HPolygon, LiftedPolytope, _inside, h_to_v
+from .circuits import (  # noqa: F401
+    lifted_max_step, lifted_move, lifted_optimal_value, max_step, monotone_lifted_directions)
+from .polytope import HPolygon, LiftedPoint, LiftedPolytope, _inside, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
 __all__ = [
@@ -168,70 +179,59 @@ DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
 class _Instance(NamedTuple):
-    """What every search and validation on one (polytope, cost) pair shares."""
+    """What every search and validation on one (polytope, cost) pair shares;
+    a lift's holds only the fields its validation reads."""
 
     rows: tuple
     circuits: frozenset  # canonical
     monotone: frozenset  # directed, strictly c-increasing
     blocking: dict  # directed g -> blocking_rows of g, filled by the validator
-    expand: Callable  # (state, row it was moved onto or None) -> its moves, in search order
-    goal: tuple  # (c, -opt) scaled to integers, without its last entry
-    chord: Callable | None  # A_1 of a unique optimal vertex, else None
-    back: "_Backward"
+    # (state, row it was moved onto or None) -> its moves, in search order
+    expand: Callable | None = None
+    goal: tuple | None = None  # (c, -opt) scaled to integers, without its last entry
+    chord: Callable | None = None  # A_1 of a unique optimal vertex, else None
+    back: "_Backward | None" = None
 
 
 @functools.lru_cache(maxsize=1)
 def _prepare(h, c) -> _Instance:
-    """The instance of h under the cost c, built once per value of the pair.
-
-    Raises BadDimension, through lifted_optimal_value, when a lifted cost does
-    not fit h; an exception is never cached.
-    """
-    lifted = isinstance(h, LiftedPolytope)
-    if lifted:
-        circuits, optimum = enumerate_lifted_circuits(h), lifted_optimal_value
-    else:
-        circuits, optimum = enumerate_circuits(h), optimal_value
+    """The instance of the polygon h under the cost c, built once per value of the pair."""
+    circuits = enumerate_circuits(h)
     monotone = monotone_directions(circuits, c)
     rows = h.inequality_rows()
-    opt, argmax = optimum(h, c)
+    opt, argmax = optimal_value(h, c)
+    vectors = [g.vector for g in monotone]
+    moves = tuple([*zip(monotone, vectors, front_chains(h, vectors))])
     # a state on a row has a zero move along each g the row blocks, so per row
-    # the table holds only the other moves; the root (row None) tries them all
-    if lifted:
-        m, before, simplex, after = lifted_chains(h, monotone)
-        table = {row: (m, b, simplex, a)
-                 for row, (b, a) in enumerate(zip(_unblocked(before, m), _unblocked(after, m)))}
-        for i in range(h.extra_dims + 1):
-            table[m + i] = (m, before, tuple([mv for mv in simplex if mv[2] != i]), after)
-        table[None] = (m, before, simplex, after)
-        kernel = lifted_moves
-        # the base polygon's backward sets filter its lifts (module docstring)
-        back = _Backward(h.base, h.base.inequality_rows(), before + after,
-                         tuple(dict.fromkeys(p.base for p in argmax)), lift=m)
-    else:
-        vectors = [g.vector for g in monotone]
-        moves = tuple([*zip(monotone, vectors, front_chains(h, vectors))])
-        table = dict(enumerate(_unblocked(moves, h.m)))
-        table[None] = moves
-        kernel = chord_moves
-        back = _Backward(h, rows, moves, argmax)
+    # the table holds only the moves whose front chain does not hold the row;
+    # the root (row None) tries them all
+    held = [{e[0] for e in chain[2]} for _, _, chain in moves]
+    table = {row: tuple([mv for mv, on in zip(moves, held) if row not in on]) for row in range(h.m)}
+    table[None] = moves
 
     def expand(state, row=None):
-        return kernel(state, table[row])
+        return chord_moves(state, table[row])
 
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
     chord = None
     if len(argmax) == 1:
-        chord = _chord(homogeneous(h.coordinates(argmax[0])), [g.vector for g in monotone])
+        chord = _chord(homogeneous(h.coordinates(argmax[0])), vectors)
+    back = _Backward(h, rows, moves, argmax)
     return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, chord, back)
 
 
-def _unblocked(moves, n) -> list:
-    """For each row index below n, the moves (label, g, g's front chain)
-    whose chain does not hold the row."""
-    held = [{e[0] for e in chain[2]} for _, _, chain in moves]
-    return [tuple([mv for mv, rows in zip(moves, held) if row not in rows]) for row in range(n)]
+@functools.lru_cache(maxsize=1)
+def _prepare_lift(lp, c) -> _Instance:
+    """What a validation on the lift lp under the cost c reads, built once per
+    value of the pair and kept apart from _prepare's polygon instance.
+
+    Raises BadDimension when c does not fit lp; an exception is never cached.
+    """
+    check_lifted_cost(lp, c)
+    circuits = enumerate_lifted_circuits(lp)
+    monotone = monotone_directions(circuits, c)
+    return _Instance(lp.inequality_rows(), frozenset(circuits), frozenset(monotone), {})
 
 
 def _chord(target, vectors):
@@ -259,11 +259,29 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     completed search proves the distance exceeds cfg.max_depth, or
     NodeCapExceeded when it gave up early.  prune=False turns the backward
     filter off and expands every state; only the node cap can tell the two
-    apart.
+    apart.  A lift is searched by the product rule (module docstring).
     """
     root = h.state(s)
     if not _inside(h.inequality_rows(), root):
         raise ValueError("start point is outside the polytope")
+    if not isinstance(h, LiftedPolytope):
+        return _search(h, s, root, c, cfg.max_depth, cfg.node_cap, prune)
+    check_lifted_cost(h, c)
+    simplex = _simplex_walk(s.simplex, c.simplex)
+    k = len(simplex)
+    if cfg.max_depth < k:
+        return NotFoundWithinDepth(cfg.max_depth)
+    base = _search(h.base, s.base, h.base.state(s.base), c.base,
+                   cfg.max_depth - k, cfg.node_cap, prune)
+    if isinstance(base, Found):
+        return Found(_shuffle(s, base.walk, simplex))
+    if isinstance(base, NodeCapExceeded):
+        return NodeCapExceeded(base.discovered, base.completed_depth + k)
+    return NotFoundWithinDepth(cfg.max_depth)
+
+
+def _search(h, s, root, c, max_depth, node_cap, prune) -> DistanceResult:
+    """The search on the polygon h from the point s, whose state root is inside h."""
     inst = _prepare(h, c)
     expand, goal, back = inst.expand, inst.goal, inst.back
     if sum(map(mul, goal, root)) == 0:
@@ -271,19 +289,19 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     built = 0  # the backward layers this search filters with
     parent: dict = {root: None}
     frontier = [(root, None)]  # each state with the row it was moved onto
-    for depth in range(cfg.max_depth):
+    for depth in range(max_depth):
         nxt = []
         for p, on in frontier:
             for g, _, _, row, q in expand(p, on):
                 if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
-                if len(parent) > cfg.node_cap:
+                if len(parent) > node_cap:
                     return NodeCapExceeded(discovered=len(parent), completed_depth=depth)
                 if sum(map(mul, goal, q)) == 0:
                     return Found(_reconstruct(h, parent, s, q))
                 nxt.append((q, row))
-        left = cfg.max_depth - depth - 1
+        left = max_depth - depth - 1
         if prune and left:
             # A_1 of a unique optimal vertex is the chord test.  Otherwise
             # layers are added while the newest is smaller than the states it
@@ -299,7 +317,43 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
         if not nxt:
             break
         frontier = nxt
-    return NotFoundWithinDepth(cfg.max_depth)
+    return NotFoundWithinDepth(max_depth)
+
+
+def _simplex_walk(y, weights) -> list:
+    """The smallest shortest monotone walk of the simplex from y under the
+    weights, as (lifted step, simplex part it ends at) pairs: each step
+    empties an index below the top weight onto a supported or top-weight
+    one, the smallest such move first (module docstring)."""
+    lam = [Fraction(v) for v in (1 - sum(y), *y)]
+    w = (0, *weights)
+    top = max(w)
+    steps = []
+    while True:
+        moves = [(tuple([(i == b) - (i == a) for i in range(1, len(w))]), a, b)
+                 for a in range(len(w)) if lam[a] and w[a] < top
+                 for b in range(len(w)) if w[b] == top or (lam[b] and w[b] > w[a])]
+        if not moves:
+            return steps
+        v, a, b = min(moves)
+        lam[a], lam[b] = Fraction(0), lam[a] + lam[b]
+        steps.append((LiftedCircuit((0, 0) + v), tuple(lam[1:])))
+
+
+def _shuffle(s, base: Walk, simplex) -> Walk:
+    """The lifted walk from s that merges a base walk with a simplex walk of
+    _simplex_walk, taking the smaller step vector at each position."""
+    pad = (0,) * len(s.simplex)
+    moves = [[(LiftedCircuit(g.vector + pad), p) for g, p in zip(base.steps, base.points[1:])],
+             simplex]
+    ends = [s.base, tuple(map(Fraction, s.simplex))]
+    points, steps = [s], []
+    while moves[0] or moves[1]:
+        i = 1 if not moves[0] or (moves[1] and moves[1][0] < moves[0][0]) else 0
+        g, ends[i] = moves[i].pop(0)
+        steps.append(g)
+        points.append(LiftedPoint(*ends))
+    return Walk(tuple(points), tuple(steps))
 
 
 # an interval (t_lo, D_lo, t_hi, D_hi) by its start t_lo/D_lo, with D > 0
@@ -313,12 +367,10 @@ class _Backward:
     that holds it; the rest are closed intervals of edges, each end a state.
     An interval's vertices are points too, so a state lies in A_r when it is
     a point of A_r or lies in an interval of A_r on the row it was moved onto.
-    For a lift, h is the base polygon and lift its number of rows: the tests
-    read a lifted state's planar part, and keep a state on a simplex row.
     """
 
-    def __init__(self, h, rows, moves, argmax, lift=None):
-        self.h, self.rows, self.moves, self.lift = h, rows, moves, lift
+    def __init__(self, h, rows, moves, argmax):
+        self.h, self.rows, self.moves = h, rows, moves
         ends = [homogeneous(h.coordinates(v)) for v in argmax]
         self.level = dict.fromkeys(ends, 0)
         self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
@@ -493,24 +545,8 @@ class _Backward:
                     hi = mid
             return lo > 0 and tq * ivs[lo - 1][3] <= ivs[lo - 1][2] * D
 
-        if self.lift is not None:
-            keep = _on_base(keep, self.lift)
         self.tests[r] = keep
         return keep
-
-
-def _on_base(keep, m):
-    """The test keep of a base polygon's backward set on a lift's states: a
-    state is tested by its planar part, one on a simplex row (m on) is kept."""
-
-    def on_base(q, row):
-        if row >= m:
-            return True
-        x, y, *_, D = q
-        k = gcd(x, y, D)
-        return keep((x // k, y // k, D // k), row)
-
-    return on_base
 
 
 def _reconstruct(h, parent: dict, s, goal) -> Walk:
@@ -560,7 +596,7 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     state = h.state(w.points[0])
     if not _inside(h.inequality_rows(), state):
         return ValidationReport(False, None, "start point outside the polytope")
-    inst = _prepare(h, c)
+    inst = _prepare_lift(h, c) if isinstance(h, LiftedPolytope) else _prepare(h, c)
     for idx, g in enumerate(w.steps):
         if g.canonical() not in inst.circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")

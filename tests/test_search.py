@@ -1,7 +1,7 @@
 import gc
+import itertools
 import random
 import weakref
-from math import gcd
 from operator import mul
 
 import pytest
@@ -16,8 +16,6 @@ from circuitwalks.circuits import (
     enumerate_circuits,
     enumerate_lifted_circuits,
     front_chains,
-    lifted_chains,
-    lifted_moves,
     lifted_optimal_value,
     max_step,
     maximal_moves,
@@ -415,9 +413,9 @@ def reference_walk(h, s, c, cfg):
 
 
 # Trials of TestDifferential.test_random_lifts whose capped reference run gives
-# up where the search, filtering its last layer by the chord test, completes:
-# compared with the filter off.
-LIFTS_COMPLETED_BY_PRUNING = (40, 65)
+# up where the search completes: on a lift the cap counts the base polygon's
+# states only.  Each gives the uncapped answer.
+LIFTS_COMPLETED_UNDER_CAP = (5, 35, 40, 45, 60, 65, 75, 95, 100, 130, 145)
 
 LIFT_WEIGHTS = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
 
@@ -480,13 +478,19 @@ class TestDifferential:
             lp, s, c = _random_lift(rng)
             cap = rng.choice([2, 5, 20]) if trial % 5 == 0 else 3000
             depth = rng.randint(0, 4)
-            r = assert_same_search(lp, s, c, SearchConfig(depth, node_cap=cap),
-                                   prune=trial not in LIFTS_COMPLETED_BY_PRUNING)
-            if trial in LIFTS_COMPLETED_BY_PRUNING:
-                # the chord test of the last layer keeps the run under its cap
-                assert isinstance(r, NodeCapExceeded)
-                assert shortest_monotone_walk(lp, s, c, SearchConfig(depth, node_cap=cap)) == (
-                    reference_walk(lp, s, c, SearchConfig(depth)))
+            r = shortest_monotone_walk(lp, s, c, SearchConfig(depth, node_cap=cap))
+            want = reference_walk(lp, s, c, SearchConfig(depth, node_cap=cap))
+            uncapped = reference_walk(lp, s, c, SearchConfig(depth))
+            if trial in LIFTS_COMPLETED_UNDER_CAP:
+                assert isinstance(want, NodeCapExceeded) and r == uncapped
+            elif isinstance(r, NodeCapExceeded):
+                # completed_depth is the base's plus the simplex distance:
+                # never less than the reference's, and no walk is that short
+                assert isinstance(want, NodeCapExceeded)
+                assert want.completed_depth <= r.completed_depth < depth
+                assert not isinstance(uncapped, Found) or uncapped.walk.length > r.completed_depth
+            else:
+                assert r == want
             outcomes.add(type(r))
             if isinstance(r, Found):
                 kinds |= {step.kind for step in r.walk.steps}
@@ -521,6 +525,39 @@ def _random_lift(rng, wall=False):
         tuple(rng.choice(LIFT_WEIGHTS) for _ in range(e)),
     )
     return lp, LiftedPoint(base, simplex), c
+
+
+class TestSimplexWalks:
+    """Lifts whose base part starts at the base optimum walk in the simplex
+    only: the closed-form simplex walk against the rational lifted search."""
+
+    def test_against_the_reference(self):
+        rng = random.Random(2202)
+        kinds = set()
+        lengths = set()
+        for e in range(1, 6):
+            for _ in range(3):
+                h = v_to_h(random_hull(rng, max_points=6, bound=20))
+                lp = product_with_simplex(h, e + 2)
+                base = primitive_direction(rng.choice([1, 2, -1]), rng.choice([-1, 0, 1, 3]))
+                # one weight drawn again and again: ties among the simplex vertices
+                w = rng.choice(LIFT_WEIGHTS)
+                c = LiftedCost(base, tuple(rng.choice([w, w, rng.choice(LIFT_WEIGHTS)])
+                                           for _ in range(e)))
+                t = optimal_value(h, base)[1][0]
+                corners = [tuple(rat(y) for y in v) for v in simplex_vertices(e)]
+                starts = corners + [tuple((a + b) / 2 for a, b in zip(y0, y1))
+                                    for y0, y1 in itertools.combinations(corners, 2)]
+                starts.append(tuple(rat(1, e + 2) for _ in range(e)))
+                starts.append(tuple(rat(rng.randint(0, 3), 4 * e) for _ in range(e)))
+                for y in starts:
+                    for depth in range(e + 2):
+                        r = assert_same_search(lp, LiftedPoint(t, y), c, SearchConfig(depth))
+                        if isinstance(r, Found):
+                            kinds |= {step.kind for step in r.walk.steps}
+                            lengths.add(r.walk.length)
+        assert kinds == {"axis", "diff"}
+        assert lengths == {0, 1, 2, 3, 4, 5}
 
 
 def assert_same_optimum(lp, c):
@@ -802,21 +839,7 @@ class TestPrunedSearch:
                         r = assert_same_pruned(lp, s, c, SearchConfig(depth))
                         assert isinstance(r, Found) == (depth == ell)
 
-    def test_random_lifts(self, monkeypatch):
-        # count the states on simplex rows that the base polygon's sets keep
-        simplex_rows = []
-        on_base = search._on_base
-
-        def spy(keep, m):
-            test = on_base(keep, m)
-
-            def counted(q, row):
-                simplex_rows.append(row >= m)
-                return test(q, row)
-
-            return counted
-
-        monkeypatch.setattr(search, "_on_base", spy)
+    def test_random_lifts(self):
         rng = random.Random(1818)
         kinds = set()
         for _ in range(120):
@@ -826,7 +849,6 @@ class TestPrunedSearch:
                 if isinstance(r, Found):
                     kinds |= {step.kind for step in r.walk.steps[:-1]}
         assert kinds == {"base", "axis", "diff"}
-        assert any(simplex_rows) and not all(simplex_rows)
 
     def test_filter_prunes(self):
         # the unfiltered search trips a cap that the filtered one stays under
@@ -857,8 +879,7 @@ def _discovered(h, rows, moves, starts, depth):
 def _assert_sound(h, c, starts, depth=4, most=3):
     """Every state discovered within depth moves of the starts that reaches the
     optimum within r <= most moves passes the search's test of the stored A_r,
-    and the chord test of A_1; h is a polygon or a lift.  Returns the count of
-    such states by distance."""
+    and the chord test of A_1.  Returns the count of such states by distance."""
     inst = _prepare(h, c)
     moves = tuple((g, g.vector, blocking_rows(inst.rows, g.vector)) for g in sorted(inst.monotone))
     inst.back._size(most)
@@ -910,53 +931,23 @@ class TestBackwardSets:
         ))
         assert _assert_sound(h, Direction2(1, -12), h_to_v(h).vertices, 3, 2)[2]
 
-    def test_lifted_states_read_their_planar_part(self):
-        # the simplex's denominators scale a lifted state's planar part; the
-        # test of A_r reads it canonical, so each point of the base A_r passes
-        art = build_p_ell(6)
-        for d in (3, 5, 8):
-            lp = product_with_simplex(art.h, d)
-            back = _prepare(lp, LiftedCost(art.c0, (rat(0),) * (d - 2))).back
-            keep = back._lookup(3)
-            points = [p for p, r in back.level.items() if r <= 3]
-            assert points
-            for x, y, D in points:
-                # at the simplex point with every coordinate 1/(d - 1)
-                q = (x * (d - 1), y * (d - 1), *[D] * (d - 2), D * (d - 1))
-                k = gcd(*q)
-                assert keep(tuple([v // k for v in q]), 0)
-
-    def test_sound_on_random_lifts(self):
-        # the base polygon's sets, tested on the planar part of lifted states
-        rng = random.Random(4713)
-        checked = [0, 0, 0, 0]
-        for trial in range(60):
-            lp, s, c = _random_lift(rng)
-            if trial % 2:
-                # c is maximal on an edge of the base polygon
-                c = LiftedCost(_random_cost(rng, lp.base), c.simplex)
-            counts = _assert_sound(lp, c, (s,))
-            checked = [a + b for a, b in zip(checked, counts)]
-        assert all(checked)
-
 
 def _assert_row_skips(h, c, found):
     """On each state of found, a dict state -> the row its move ended on, the
     search's expand(q, row) is expand(q) without exactly the moves that row
-    blocks, and each of those has length zero.  Returns the skipped moves'
-    count by kind."""
+    blocks, and each of those has length zero.  Returns the count of skipped
+    moves."""
     inst = _prepare(h, c)
-    skipped = {}
+    skipped = 0
     for q, row in found.items():
         a = inst.rows[row][0]
         every = list(inst.expand(q))
         blocked = [sum(map(mul, a, g.vector)) > 0 for g, *_ in every]
         assert list(inst.expand(q, row)) == [mv for mv, b in zip(every, blocked) if not b]
-        for (g, _, _, _, end), b in zip(every, blocked):
+        for (_, _, _, _, end), b in zip(every, blocked):
             if b:
                 assert end is None
-                kind = getattr(g, "kind", "base")
-                skipped[kind] = skipped.get(kind, 0) + 1
+                skipped += 1
     return skipped
 
 
@@ -983,41 +974,11 @@ def _assert_same_moves(h, c, starts, depth):
             phi, r = divmod((g1 * y - g2 * x) * L, D)
             inner += not r and phi in values[1:-1]
     wraps = sum(any(e[0] < d[0] for d, e in zip(edges, edges[1:])) for _, _, edges, _ in chains)
-    return inner, wraps, sum(_assert_row_skips(h, c, found).values())
-
-
-def _assert_same_lifted_moves(lp, c, starts, depth):
-    """The lift search's kernel equals maximal_moves over the lifted blocking
-    rows, along every monotone g, and lifted_moves does along every directed
-    circuit, from every state discovered within depth moves of the starts, and
-    the search skips the moves of _assert_row_skips.  Returns the counts of
-    nonzero axis and diff moves, the planar parts of the vertical monotone base
-    circuits ((0, -1) sorts before the simplex block, (0, 1) after it) and the
-    skipped moves' count by kind."""
-    rows = lp.inequality_rows()
-    monotone = monotone_directions(enumerate_lifted_circuits(lp), c)
-    both = tuple(sorted(monotone + tuple(g.flipped() for g in monotone)))
-    chains = lifted_chains(lp, both)
-    forward = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in monotone)
-    blocking = tuple((g, g.vector, blocking_rows(rows, g.vector)) for g in both)
-    expand = _prepare(lp, c).expand
-    found = _discovered(lp, rows, forward, starts, depth)
-    states = [homogeneous(lp.coordinates(s)) for s in starts] + list(found)
-    moved = {"axis": 0, "diff": 0}
-    for q in states:
-        assert list(expand(q)) == list(maximal_moves(rows, q, forward))
-        steps = list(lifted_moves(q, chains))
-        assert steps == list(maximal_moves(rows, q, blocking))
-        for g, _, _, _, end in steps:
-            if g.kind != "base" and end is not None:
-                moved[g.kind] += 1
-    vertical = [g.vector[:2] for g in monotone if g.vector[:2] in ((0, 1), (0, -1))]
-    return moved, vertical, _assert_row_skips(lp, c, found)
+    return inner, wraps, _assert_row_skips(h, c, found)
 
 
 class TestChordMoves:
-    """The bisection kernel of the polygon search makes maximal_moves' moves,
-    and so does the lift search's kernel built on it."""
+    """The bisection kernel of the polygon search makes maximal_moves' moves."""
 
     def test_family_levels(self):
         for ell in range(5, 8):
@@ -1045,29 +1006,6 @@ class TestChordMoves:
             inner, wraps = inner + counts[0], wraps + counts[1]
         assert inner and wraps
 
-    def test_family_lifts(self):
-        for ell in range(4, 7):
-            art = build_p_ell(ell)
-            for d in (3, 5, 8):
-                for start in (art.u, art.w):
-                    lp, s, c = lift_instance(art.h, start, art.c0, d)
-                    assert _assert_same_lifted_moves(lp, c, (s,), ell)[2]["base"]
-
-    def test_random_lifts(self):
-        rng = random.Random(1717)
-        moved = {"axis": 0, "diff": 0}
-        vertical = set()
-        skipped = set()
-        for trial in range(160):
-            lp, s, c = _random_lift(rng, wall=trial % 2)
-            counts, sides, skips = _assert_same_lifted_moves(lp, c, (s,), 3)
-            moved = {k: moved[k] + counts[k] for k in moved}
-            vertical |= set(sides)
-            skipped |= set(skips)
-        assert all(moved.values())
-        assert vertical == {(0, 1), (0, -1)}
-        assert skipped == {"base", "axis", "diff"}
-
     def test_validator_does_not_use_the_search_kernels(self, monkeypatch):
         art = build_p_ell(5)
         lp, s, c = lift_instance(art.h, art.u, art.c0, 5)
@@ -1078,8 +1016,7 @@ class TestChordMoves:
             raise AssertionError("search kernel called")
 
         for module in (search, circuits):
-            for name in ("chord_moves", "lifted_moves"):
-                monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(module, "chord_moves", refuse)
         _prepare.cache_clear()
         try:
             for h, c, walk in cases:
@@ -1160,23 +1097,38 @@ class TestPreparedInstance:
         results = _assert_history_free([group], seed=1416)
         assert {type(r) for r in results} == {Found, NotFoundWithinDepth, NodeCapExceeded}
 
+    def test_lift_task_prepares_its_base_once(self, monkeypatch):
+        # the benchmark's lift task: a find, a validation on the lift's rows
+        # and a proof from each start prepare the base polygon's instance
+        # (one set of backward sets each) once, so the validation must not evict it
+        calls = []
+        backward = search._Backward
+        monkeypatch.setattr(search, "_Backward",
+                            lambda *args: calls.append(args) or backward(*args))
+        art = build_p_ell(5)
+        _prepare.cache_clear()
+        for start in (art.u, art.w):
+            lp, s, c = lift_instance(art.h, start, art.c0, 5)
+            walk = shortest_monotone_walk(lp, s, c, SearchConfig(5)).walk
+            assert walk.length == 5 and is_valid_monotone_walk(lp, c, walk)
+            assert shortest_monotone_walk(lp, s, c, SearchConfig(4)) == NotFoundWithinDepth(4)
+        assert len(calls) == 1 and calls[0][0] is art.h
+
     def test_no_reference_cycles(self):
         # an evicted instance is freed at once, not left to the cyclic collector
         art = build_p_ell(6)
-        lp, s, c = lift_instance(art.h, art.u, art.c0, 5)
-        for h, start, cost in ((art.h, art.u, art.c0), (lp, s, c)):
-            walk = _cold(h, start, cost, SearchConfig(6)).walk
-            assert is_valid_monotone_walk(h, cost, walk)
-            shortest_monotone_walk(h, start, cost, SearchConfig(5))
-            gc.disable()
-            try:
-                back = _prepare(h, cost).back
-                assert back.tests  # the search grew layers and built their tests
-                back = weakref.ref(back)
-                _prepare.cache_clear()
-                assert back() is None
-            finally:
-                gc.enable()
+        walk = _cold(art.h, art.u, art.c0, SearchConfig(6)).walk
+        assert is_valid_monotone_walk(art.h, art.c0, walk)
+        shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(5))
+        gc.disable()
+        try:
+            back = _prepare(art.h, art.c0).back
+            assert back.tests  # the search grew layers and built their tests
+            back = weakref.ref(back)
+            _prepare.cache_clear()
+            assert back() is None
+        finally:
+            gc.enable()
 
     def test_chain_frame_is_computed_once(self, monkeypatch):
         # the back chains reuse the front chains' per-polygon part, and equal
@@ -1186,21 +1138,20 @@ class TestPreparedInstance:
         monkeypatch.setattr(circuits, "_edge_rows", lambda v: calls.append(v) or edge_rows(v))
         for ell in (5, 8):
             art = build_p_ell(ell)
-            lp, s, c = lift_instance(art.h, art.u, art.c0, 4)
-            for h, start, cost in ((HPolygon(art.h.rows), art.u, art.c0), (lp, s, c)):
-                _prepare.cache_clear()
-                calls.clear()
-                assert shortest_monotone_walk(h, start, cost, SearchConfig(ell - 1)) == \
-                    NotFoundWithinDepth(ell - 1)
-                back = _prepare(h, cost).back
-                assert back.pulls is not None and len(calls) == 1
-                fresh = HPolygon(back.h.rows)
-                gs = [g for _, g, _ in back.moves]
-                assert [chain for _, _, chain in back.moves] == front_chains(fresh, gs)
-                for i, (_, (g1, g2), _) in enumerate(back.moves):
-                    (pulled,) = front_chains(fresh, [(-g1, -g2)])
-                    assert all(chain == pulled for row in back.pulls.values()
-                               for j, _, chain in row if j == i)
+            h = HPolygon(art.h.rows)
+            _prepare.cache_clear()
+            calls.clear()
+            assert shortest_monotone_walk(h, art.u, art.c0, SearchConfig(ell - 1)) == \
+                NotFoundWithinDepth(ell - 1)
+            back = _prepare(h, art.c0).back
+            assert back.pulls is not None and len(calls) == 1
+            fresh = HPolygon(back.h.rows)
+            gs = [g for _, g, _ in back.moves]
+            assert [chain for _, _, chain in back.moves] == front_chains(fresh, gs)
+            for i, (_, (g1, g2), _) in enumerate(back.moves):
+                (pulled,) = front_chains(fresh, [(-g1, -g2)])
+                assert all(chain == pulled for row in back.pulls.values()
+                           for j, _, chain in row if j == i)
 
     def test_circuits_are_computed_once(self, monkeypatch):
         # build_reduction's circuit census and the search's setup share one
