@@ -292,6 +292,8 @@ def _verify_reduction(args, rep: _Report) -> None:
                 isinstance(found, Found) and found.walk.length <= 2 * inst.k,
                 "search confirms distance at most 2k",
             )
+        else:
+            rep.info(f"2k = {2 * inst.k} beyond desk scale; skipping the search")
     else:
         if ck <= 4:
             result = shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(ck))

@@ -24,11 +24,9 @@ closed interval of an edge on g's front chain pulls back to the arc of the
 back ends of its chords.  The stored sets need only be supersets: every
 point that reaches the optimum within r moves is in the stored A_r, and the
 argument below allows any false positive of the closed intervals.  A state
-discovered with r moves left is expanded only when it lies in A_r.  A_1 of a
-unique vertex t is the chord test, t - p a positive multiple of a monotone g
-(a longer step would raise c above its maximum).  Backward layers are built
-only while the newest one is smaller than the layer of states it would
-filter.
+discovered with r moves left is expanded only when it lies in A_r.  Backward
+layers are built only while the newest one is smaller than the layer of
+states it would filter.
 
 The filter returns the same walk, and pruned states stay in the parent map,
 so no state is discovered twice.  Call a state at depth j of the unfiltered
@@ -77,8 +75,8 @@ search over the lifted states gives up, never with another answer.
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's front chain, the moves per row, the goal vector, the chord test,
-the backward sets, which keep the layers, pullbacks and membership tests they
+direction's front chain, the moves per row, the goal vector, the backward
+sets, which keep the layers, pullbacks and membership tests they
 have built, and the blocking rows of each direction a validation has stepped
 along.  The last pair prepared is kept, compared by value, so a certificate's
 finds, proofs and validations from several starts share one instance.  A
@@ -97,7 +95,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple, Union
 
@@ -189,7 +186,6 @@ class _Instance(NamedTuple):
     # (state, row it was moved onto or None) -> its moves, in search order
     expand: Callable | None = None
     goal: tuple | None = None  # (c, -opt) scaled to integers, without its last entry
-    chord: Callable | None = None  # A_1 of a unique optimal vertex, else None
     back: "_Backward | None" = None
 
 
@@ -214,11 +210,8 @@ def _prepare(h, c) -> _Instance:
 
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    chord = None
-    if len(argmax) == 1:
-        chord = _chord(homogeneous(h.coordinates(argmax[0])), vectors)
     back = _Backward(h, rows, moves, argmax)
-    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, chord, back)
+    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, back)
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,45 +227,28 @@ def _prepare_lift(lp, c) -> _Instance:
     return _Instance(lp.inequality_rows(), frozenset(circuits), frozenset(monotone), {})
 
 
-def _chord(target, vectors):
-    """A_1 of the unique optimal vertex target, as a test (state, row) -> bool:
-    target - state is a positive multiple of one of the monotone vectors (a
-    longer step would raise the cost above its maximum)."""
-    *t, T = target
-    monotone = set(vectors)
-
-    def keep(q, row):
-        *x, D = q
-        diff = [ti * D - xi * T for ti, xi in zip(t, x)]
-        k = gcd(*diff)
-        return tuple([v // k for v in diff]) in monotone
-
-    return keep
-
-
-def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) -> DistanceResult:
+def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     """Shortest strictly c-increasing circuit walk from s to a c-maximal point.
 
     h is an HPolygon with s a Point2 and c a Direction2, or a LiftedPolytope
     with s a LiftedPoint and c a LiftedCost.  Returns Found with the
     lexicographically smallest shortest walk, NotFoundWithinDepth when the
     completed search proves the distance exceeds cfg.max_depth, or
-    NodeCapExceeded when it gave up early.  prune=False turns the backward
-    filter off and expands every state; only the node cap can tell the two
-    apart.  A lift is searched by the product rule (module docstring).
+    NodeCapExceeded when it gave up early.  A lift is searched by the product
+    rule (module docstring).
     """
     root = h.state(s)
     if not _inside(h.inequality_rows(), root):
         raise ValueError("start point is outside the polytope")
     if not isinstance(h, LiftedPolytope):
-        return _search(h, s, root, c, cfg.max_depth, cfg.node_cap, prune)
+        return _search(h, s, root, c, cfg.max_depth, cfg.node_cap)
     check_lifted_cost(h, c)
     simplex = _simplex_walk(s.simplex, c.simplex)
     k = len(simplex)
     if cfg.max_depth < k:
         return NotFoundWithinDepth(cfg.max_depth)
     base = _search(h.base, s.base, h.base.state(s.base), c.base,
-                   cfg.max_depth - k, cfg.node_cap, prune)
+                   cfg.max_depth - k, cfg.node_cap)
     if isinstance(base, Found):
         return Found(_shuffle(s, base.walk, simplex))
     if isinstance(base, NodeCapExceeded):
@@ -280,7 +256,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig, *, prune: bool = True) ->
     return NotFoundWithinDepth(cfg.max_depth)
 
 
-def _search(h, s, root, c, max_depth, node_cap, prune) -> DistanceResult:
+def _search(h, s, root, c, max_depth, node_cap) -> DistanceResult:
     """The search on the polygon h from the point s, whose state root is inside h."""
     inst = _prepare(h, c)
     expand, goal, back = inst.expand, inst.goal, inst.back
@@ -302,17 +278,13 @@ def _search(h, s, root, c, max_depth, node_cap, prune) -> DistanceResult:
                     return Found(_reconstruct(h, parent, s, q))
                 nxt.append((q, row))
         left = max_depth - depth - 1
-        if prune and left:
-            # A_1 of a unique optimal vertex is the chord test.  Otherwise
+        if left:
             # layers are added while the newest is smaller than the states it
-            # would filter, the rule a search alone on (h, c) would follow.
-            if left == 1 and inst.chord is not None:
-                keep = inst.chord
-            else:
-                while built < left and back._size(built) < len(nxt):
-                    built += 1
-                keep = back._lookup(left) if left <= built else None
-            if keep is not None:
+            # would filter, the rule a search alone on (h, c) would follow
+            while built < left and back._size(built) < len(nxt):
+                built += 1
+            if left <= built:
+                keep = back._lookup(left)
                 nxt = [e for e in nxt if keep(*e)]
         if not nxt:
             break

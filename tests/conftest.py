@@ -1,13 +1,24 @@
 """Shared fixtures plus a per-criterion verdict table for the acceptance tests."""
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from circuitwalks.circuits import AmbiguousOptimum, NotAVertex, Walk, optimal_value
+from circuitwalks.circuits import (
+    AmbiguousOptimum,
+    NotAVertex,
+    Walk,
+    blocking_rows,
+    enumerate_circuits,
+    enumerate_lifted_circuits,
+    maximal_moves,
+    optimal_value,
+)
 from circuitwalks.constructions import Feasible, Infeasible, PromiseViolated, build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
@@ -20,7 +31,17 @@ from circuitwalks.polytope import (
     lifted_vertices,
     v_to_h,
 )
-from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, primitive_direction, pullback_cost, rat
+from circuitwalks.ratgeo import (
+    AffineMap2,
+    Direction2,
+    Point2,
+    dehomogenize,
+    homogeneous,
+    primitive_direction,
+    pullback_cost,
+    rat,
+)
+from circuitwalks.search import Found, NodeCapExceeded, NotFoundWithinDepth
 
 _acceptance = []
 
@@ -281,6 +302,69 @@ def reference_lifted_optimal_value(lp: LiftedPolytope, c):
     vals = [value(v) for v in verts]
     best = max(vals)
     return best, tuple(v for v, val in zip(verts, vals) if val == best)
+
+
+# -- forward BFS on maximal_moves: the second proof of the search's answers ------
+
+
+def bfs_walk(h, s, c, cfg):
+    """The search's answer by an unfiltered forward BFS on maximal_moves.
+
+    h is a polygon or a lift, searched over its own inequality_rows() in any
+    dimension: a lift's states and circuits are lifted ones, with no product
+    rule, and its optimum is the best vertex of the product.  The monotone
+    circuits are tried in sorted order and the first discovery of a state
+    wins.  Discovered states, the start included, count against cfg.node_cap
+    as in the search, so a capped result is the search's unless the search's
+    backward filter, or on a lift its count of base states only, keeps it
+    under the cap.  Nothing is shared with the search's move kernel, move
+    tables, backward filter or product rule.
+    """
+    rows, moves, goal = _bfs_instance(h, c)
+    root = h.state(s)
+    if sum(map(mul, goal, root)) == 0:
+        return Found(Walk((s,), ()))
+    parent = {root: None}
+    frontier = [root]
+    for depth in range(cfg.max_depth):
+        nxt = []
+        for p in frontier:
+            for g, _, _, _, q in maximal_moves(rows, p, moves):
+                if q is None or q in parent:
+                    continue
+                parent[q] = (p, g)
+                if len(parent) > cfg.node_cap:
+                    return NodeCapExceeded(len(parent), depth)
+                if sum(map(mul, goal, q)) == 0:
+                    points, steps = [], []
+                    while parent[q] is not None:
+                        points.append(h.point(dehomogenize(q)))
+                        q, g = parent[q]
+                        steps.append(g)
+                    return Found(Walk((s, *reversed(points)), tuple(reversed(steps))))
+                nxt.append(q)
+        if not nxt:
+            break
+        frontier = nxt
+    return NotFoundWithinDepth(cfg.max_depth)
+
+
+@functools.lru_cache(maxsize=1)
+def _bfs_instance(h, c):
+    """bfs_walk's rows, moves (label, vector, blocking rows) and goal vector
+    for the polytope h under the cost c, kept for the last pair."""
+    rows = h.inequality_rows()
+    if isinstance(h, LiftedPolytope):
+        circuits, opt = enumerate_lifted_circuits(h), reference_lifted_optimal_value(h, c)[0]
+    else:
+        circuits, opt = enumerate_circuits(h), optimal_value(h, c)[0]
+    cost = c.vector
+    gains = [(sum(map(mul, cost, g.vector)), g) for g in circuits]
+    directed = sorted(g if gain > 0 else g.flipped() for gain, g in gains if gain)
+    moves = tuple([(g, g.vector, blocking_rows(rows, g.vector)) for g in directed])
+    # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
+    goal = homogeneous((*cost, -opt))[:-1]
+    return rows, moves, goal
 
 
 # -- lifted circuits by kind: the reference for the integer-vector ones ---------

@@ -119,6 +119,16 @@ class TestVerifySuites:
         assert run("verify", "--suite", "reduction") == 0
         out = capsys.readouterr().out
         assert "witness walk" in out
+        assert "search confirms distance at most 2k" in out
+
+    def test_reduction_says_when_it_skips_the_feasible_search(self, capsys):
+        # feasible with 2k = 6 > 4: the search is skipped, and the report says so
+        argv = ["--a", "2,3", "--S", "7", "--k", "3", "--C", "1"]
+        assert run("verify", "--suite", "reduction", *argv) == 0
+        out = capsys.readouterr().out
+        assert "witness walk has 2k steps" in out
+        assert "[info] 2k = 6 beyond desk scale; skipping the search" in out
+        assert "search confirms" not in out
 
     def test_reduction_of_five_weights_runs_its_search(self, capsys):
         # (r_bound + 1)**n = 22**5 multiplicity vectors; all weights even, S odd

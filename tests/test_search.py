@@ -64,7 +64,7 @@ from circuitwalks.search import (
 from circuitwalks import circuits, search
 from circuitwalks.search import _prepare
 
-from conftest import random_hull, reference_lifted_optimal_value
+from conftest import bfs_walk, random_hull, reference_lifted_optimal_value
 
 
 def P(x, y):
@@ -420,10 +420,12 @@ LIFTS_COMPLETED_UNDER_CAP = (5, 35, 40, 45, 60, 65, 75, 95, 100, 130, 145)
 LIFT_WEIGHTS = [rat(-2), rat(-1), rat(-1, 2), rat(0), rat(1, 3), rat(1), rat(3, 2), rat(2)]
 
 
-def assert_same_search(h, s, c, cfg, prune=True):
-    got = shortest_monotone_walk(h, s, c, cfg, prune=prune)
+def assert_same_search(h, s, c, cfg):
+    """The search, bfs_walk and reference_walk agree: same result type, depth and walk."""
+    got = shortest_monotone_walk(h, s, c, cfg)
     want = reference_walk(h, s, c, cfg)
     assert got == want
+    assert bfs_walk(h, s, c, cfg) == want
     return got
 
 
@@ -675,8 +677,8 @@ def _last_layer(h, s, c, depth):
 
 
 # (ell, start, depth, cap) of the node cap comparisons below in which the
-# backward filter discovers fewer states, so the pruned search completes
-# where the reference gives up: compared with the filter off.
+# backward filter discovers fewer states, so the search completes where
+# bfs_walk and the reference, which expand every state, give up.
 COMPLETED_BY_PRUNING = {
     (3, "u", 2, 4), (3, "u", 2, 9), (3, "u", 3, 17), (3, "w", 2, 4), (3, "w", 2, 9),
     (4, "u", 3, 15), (4, "u", 3, 32), (4, "u", 4, 58), (4, "w", 3, 15), (4, "w", 3, 32),
@@ -684,8 +686,9 @@ COMPLETED_BY_PRUNING = {
 
 
 class TestLastLayer:
-    """Node caps around the last layer, where the backward filter starts with
-    the chord test, and optima on an edge or a face of a lift."""
+    """Node caps around the last layer, where bfs_walk expands every state
+    and the search only those in the stored A_1, and optima on an edge or a
+    face of a lift."""
 
     def test_node_cap_around_the_guard(self):
         tripped = set()
@@ -699,15 +702,18 @@ class TestLastLayer:
                     guard = before + frontier * moves
                     for cap in (before, after - 1, guard - 1, guard, guard + 1):
                         key = (ell, name, depth, cap)
-                        r = assert_same_search(art.h, start, art.c0, SearchConfig(depth, cap),
-                                               prune=key not in COMPLETED_BY_PRUNING)
-                        if isinstance(r, NodeCapExceeded):
-                            tripped.add(r.completed_depth == depth - 1)
+                        cfg = SearchConfig(depth, cap)
                         if key in COMPLETED_BY_PRUNING:
+                            r = bfs_walk(art.h, start, art.c0, cfg)
+                            assert r == reference_walk(art.h, start, art.c0, cfg)
                             # a capped run that completes gives the uncapped answer
-                            pruned = shortest_monotone_walk(art.h, start, art.c0, SearchConfig(depth, cap))
+                            pruned = shortest_monotone_walk(art.h, start, art.c0, cfg)
                             assert pruned == reference_walk(art.h, start, art.c0, SearchConfig(depth))
                             completed.add(key)
+                        else:
+                            r = assert_same_search(art.h, start, art.c0, cfg)
+                        if isinstance(r, NodeCapExceeded):
+                            tripped.add(r.completed_depth == depth - 1)
         assert tripped == {True}
         assert completed == COMPLETED_BY_PRUNING
 
@@ -775,13 +781,28 @@ class TestMaxStepReference:
 
 
 def assert_same_pruned(h, s, c, cfg, reference=False):
-    """The filtered search against the unfiltered one, and against
-    reference_walk when asked: same result type, depth and walk."""
+    """The filtered search against bfs_walk, and both against reference_walk
+    when asked: same result type, depth and walk."""
     got = shortest_monotone_walk(h, s, c, cfg)
-    assert got == shortest_monotone_walk(h, s, c, cfg, prune=False)
+    want = bfs_walk(h, s, c, cfg)
+    assert got == want
     if reference:
-        assert got == reference_walk(h, s, c, cfg)
+        assert want == reference_walk(h, s, c, cfg)
     return got
+
+
+def assert_distance(h, s, c, n):
+    """The search at n and at n - 1 steps against one run of bfs_walk at n.
+
+    bfs_walk finds an n-step walk, which the search must return.  A BFS
+    returns the first goal of the first layer that holds one, so the same
+    run proves that no walk of at most n - 1 steps exists, which the search
+    must report.
+    """
+    want = bfs_walk(h, s, c, SearchConfig(n))
+    assert isinstance(want, Found) and want.walk.length == n
+    assert shortest_monotone_walk(h, s, c, SearchConfig(n)) == want
+    assert shortest_monotone_walk(h, s, c, SearchConfig(n - 1)) == NotFoundWithinDepth(n - 1)
 
 
 def _random_cost(rng, h):
@@ -794,16 +815,15 @@ def _random_cost(rng, h):
 
 
 class TestPrunedSearch:
-    """The search filtered by backward sets returns the unfiltered search's walk."""
+    """The search filtered by backward sets returns bfs_walk's walk."""
 
     def test_family_levels(self):
         for ell in range(6, 10):
             art = build_p_ell(ell)
             for start in (art.u, art.w):
-                for depth in (ell - 1, ell):
-                    r = assert_same_pruned(art.h, start, art.c0, SearchConfig(depth),
-                                           reference=(ell, depth) == (6, 5))
-                    assert isinstance(r, Found) == (depth == ell)
+                assert_distance(art.h, start, art.c0, ell)
+                if ell == 6:
+                    assert_same_pruned(art.h, start, art.c0, SearchConfig(5), reference=True)
 
     def test_reduction_from_s_and_corner_anchors(self):
         red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), 3)
@@ -835,9 +855,7 @@ class TestPrunedSearch:
             for d in (3, 5, 8):
                 for start in (art.u, art.w):
                     lp, s, c = lift_instance(art.h, start, art.c0, d)
-                    for depth in (ell - 1, ell):
-                        r = assert_same_pruned(lp, s, c, SearchConfig(depth))
-                        assert isinstance(r, Found) == (depth == ell)
+                    assert_distance(lp, s, c, ell)
 
     def test_random_lifts(self):
         rng = random.Random(1818)
@@ -850,14 +868,41 @@ class TestPrunedSearch:
                     kinds |= {step.kind for step in r.walk.steps[:-1]}
         assert kinds == {"base", "axis", "diff"}
 
+    def test_lifts_off_the_simplex_optimum(self):
+        # the lifted search, base search and simplex walk merged, against
+        # bfs_walk over the lifted states: from u, with the simplex part at the
+        # apex, at an edge midpoint and at the barycentre, under seeded weights.
+        # bfs_walk equals the search at the length the search finds, and so
+        # proves no walk one step shorter.  From the barycentre at d = 8
+        # bfs_walk meets every face of the 6-simplex times the base states:
+        # 3.4 s at level 5 and 44 s at level 6, so that start runs at d <= 5.
+        rng = random.Random(2306)
+        kinds = set()
+        for ell in (5, 6):
+            art = build_p_ell(ell)
+            for d in (3, 5, 8):
+                e = d - 2
+                lp = product_with_simplex(art.h, d)
+                corners = [tuple(rat(y) for y in v) for v in simplex_vertices(e)]
+                y0, y1 = rng.sample(corners, 2)
+                starts = [corners[0], tuple((a + b) / 2 for a, b in zip(y0, y1))]
+                if d <= 5:
+                    starts.append((rat(1, e + 1),) * e)
+                for y in starts:
+                    s = LiftedPoint(art.u, y)
+                    c = LiftedCost(art.c0, tuple(rat(rng.randint(-3, 3)) for _ in range(e)))
+                    found = shortest_monotone_walk(lp, s, c, SearchConfig(ell + e))
+                    assert_distance(lp, s, c, found.walk.length)
+                    kinds |= {step.kind for step in found.walk.steps}
+        assert kinds == {"base", "axis", "diff"}
+
     def test_filter_prunes(self):
-        # the unfiltered search trips a cap that the filtered one stays under
+        # the unfiltered bfs_walk trips a cap that the filtered search stays under
         art = build_p_ell(8)
         cap = SearchConfig(8, node_cap=2000)
-        assert isinstance(shortest_monotone_walk(art.h, art.u, art.c0, cap, prune=False),
-                          NodeCapExceeded)
-        assert shortest_monotone_walk(art.h, art.u, art.c0, cap) == shortest_monotone_walk(
-            art.h, art.u, art.c0, SearchConfig(8), prune=False)
+        assert isinstance(bfs_walk(art.h, art.u, art.c0, cap), NodeCapExceeded)
+        assert shortest_monotone_walk(art.h, art.u, art.c0, cap) == bfs_walk(
+            art.h, art.u, art.c0, SearchConfig(8))
 
 
 def _discovered(h, rows, moves, starts, depth):
@@ -878,25 +923,21 @@ def _discovered(h, rows, moves, starts, depth):
 
 def _assert_sound(h, c, starts, depth=4, most=3):
     """Every state discovered within depth moves of the starts that reaches the
-    optimum within r <= most moves passes the search's test of the stored A_r,
-    and the chord test of A_1.  Returns the count of such states by distance."""
+    optimum within r <= most moves passes the search's test of the stored A_r.
+    Returns the count of such states by distance."""
     inst = _prepare(h, c)
     moves = tuple((g, g.vector, blocking_rows(inst.rows, g.vector)) for g in sorted(inst.monotone))
     inst.back._size(most)
     member = {r: inst.back._lookup(r) for r in range(1, most + 1)}
-    chord = inst.chord
     checked = [0] * (most + 1)
     for q, row in _discovered(h, inst.rows, moves, starts, depth).items():
-        found = shortest_monotone_walk(h, h.point(dehomogenize(q)), c, SearchConfig(most),
-                                       prune=False)
+        found = bfs_walk(h, h.point(dehomogenize(q)), c, SearchConfig(most))
         if not isinstance(found, Found):
             continue
         dist = found.walk.length
         checked[dist] += 1
         for r in range(max(dist, 1), most + 1):
             assert member[r](q, row)
-        if dist == 1 and chord:
-            assert chord(q, row)
     return checked
 
 
