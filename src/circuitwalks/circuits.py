@@ -194,22 +194,34 @@ def front_chains(h: HPolygon, gs) -> list:
     vertex, L the vertices' common denominator; edges[j] is (row, a1, a2, b)
     of the edge from vertex j to j + 1, corners[j] that of the row binding at j.
     """
+    return [front for front, _ in _chain_pairs(h, gs)]
+
+
+def _span(phi, a: int, b: int) -> tuple[int, int]:
+    """(k, m): m edges from the last vertex of phi's extremum at a to the first of that at b."""
+    n = len(phi)
+    k = (a + (phi[(a + 1) % n] == phi[a])) % n
+    return k, (b - (phi[b - 1] == phi[b]) - k) % n
+
+
+def _chain_pairs(h: HPolygon, gs) -> list:
+    """(front chain of g, front chain of -g) for each g of gs, both cut from one pass of phi_g."""
     L, scaled, edge, corner = _chain_frame(h)
-    n = len(scaled)
-    chains = []
+
+    def chain(values, k, m):
+        return (L, values, edge[k:k + m], [edge[k], *corner[k + 1:k + m], edge[k + m - 1]])
+
+    pairs = []
     for g1, g2 in gs:
         phi = [g1 * y - g2 * x for x, y in scaled]
-        # phi_g rises along the front chain and falls along the back chain, so the
-        # front chain runs from the last vertex of least phi_g to the first of greatest
-        lo, hi = min(phi), max(phi)
-        k = phi.index(lo)
-        k = (k + (phi[(k + 1) % n] == lo)) % n
-        e = phi.index(hi)
-        m = (e - (phi[e - 1] == hi) - k) % n
+        # phi_g rises along the front chain, from the last vertex of least phi_g to
+        # the first of greatest, and falls along the back chain, where phi_-g = -phi_g rises
+        lo, hi = phi.index(min(phi)), phi.index(max(phi))
+        (k, m), (kb, mb) = _span(phi, lo, hi), _span(phi, hi, lo)
         phi += phi
-        chains.append((L, phi[k:k + m + 1], edge[k:k + m],
-                       [edge[k], *corner[k + 1:k + m], edge[k + m - 1]]))
-    return chains
+        pairs.append((chain(phi[k:k + m + 1], k, m),
+                      chain([-v for v in phi[kb:kb + mb + 1]], kb, mb)))
+    return pairs
 
 
 def chord_moves(state, moves):

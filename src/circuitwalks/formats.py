@@ -6,6 +6,9 @@ round-trip exactly.  Writers emit canonical form (integer rows, primitive
 cost and steps); reading a canonical file and writing it again reproduces it
 byte for byte.
 
+Integer fields, integer row entries included, are read as int; a 'p/q' row
+entry is read as a Fraction and canonicalised with its row by HPolygon.
+
 Every reader reads through one line reader and raises ParseError, and
 nothing else, on a malformed file.  Its line number is the physical line of
 the text (the first is 1), or one past the last line when the file ends early.
@@ -120,6 +123,11 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _row_entry(text: str):
+    """A row entry: an int when written as an integer, else parse_rational's Fraction."""
+    return int(text) if _INTEGER_TEXT.match(text) else parse_rational(text)
+
+
 def _record(line_no: int, build, *args, prefix: str = ""):
     """build(*args), its ValueError reported as a ParseError at line_no."""
     try:
@@ -138,7 +146,7 @@ def read_instance(text: str) -> InstanceFile:
     rows_at = lines.line_no
     rows = []
     for _ in range(m):
-        rows.append(tuple(_numbers(lines, lines.next("row"), "", 3)))
+        rows.append(tuple(_numbers(lines, lines.next("row"), "", 3, _row_entry)))
     cx, cy = _numbers(lines, lines.next("cost"), "cost", 2)
     cost = _record(lines.line_no, primitive_direction, cx, cy)
     sx, sy = _numbers(lines, lines.next("start"), "start", 2)

@@ -43,7 +43,9 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_TEXT.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    d = int(den or 1)
+    if not den:
+        return Fraction(int(num))  # an int needs no normalising
+    d = int(den)
     if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(int(num), d)

@@ -1,8 +1,10 @@
 """Deterministic SVG figures and CPLEX-style LP exports.
 
-All geometry stays rational until the final coordinate conversion; the same
-instance always renders to the same bytes.  The display transform scales the
-axes independently (the reduction polygons are far taller than wide) and the
+All geometry stays rational until the final coordinate conversion: each pixel
+is one int/int division of a point's exact offset from the corner, which
+Python rounds correctly, so it is the float of the Fraction difference and the
+same instance always renders to the same bytes.  The display transform scales
+the axes independently (the reduction polygons are far taller than wide) and the
 factors are recorded in a comment at the top of the SVG.
 """
 
@@ -34,14 +36,17 @@ def svg_document(inst: InstanceFile, walk: Walk | None = None) -> str:
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     spanx = xmax - xmin
     spany = ymax - ymin
-    padx = spanx / 20 if spanx else rat(1, 20)
-    pady = spany / 20 if spany else rat(1, 20)
+    # exact even when the extremes are ints
+    padx, pady = rat(spanx or 1, 20), rat(spany or 1, 20)
     x0, y0 = xmin - padx, ymin - pady
     sx = _W / float(spanx + 2 * padx)
     sy = _H / float(spany + 2 * pady)
+    (xn, xd), (yn, yd) = x0.as_integer_ratio(), y0.as_integer_ratio()
 
     def to_px(p) -> tuple[str, str]:
-        return _fmt(float(p.x - x0) * sx), _fmt(_H - float(p.y - y0) * sy)
+        (pxn, pxd), (pyn, pyd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+        return (_fmt((pxn * xd - xn * pxd) / (pxd * xd) * sx),
+                _fmt(_H - (pyn * yd - yn * pyd) / (pyd * yd) * sy))
 
     def path(pixels, close: bool) -> str:
         cmds = [f"{'M' if i == 0 else 'L'} {px} {py}" for i, (px, py) in enumerate(pixels)]

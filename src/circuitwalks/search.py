@@ -75,8 +75,8 @@ search over the lifted states gives up, never with another answer.
 An instance, everything that depends on the polytope and the cost alone, is
 prepared once and shared by the searches and validations that follow on an
 equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's front chain, the moves per row, the goal vector, the backward
-sets, which keep the layers, pullbacks and membership tests they
+direction's front and back chains, the moves per row, the goal vector, the
+backward sets, which keep the layers, pullbacks and membership tests they
 have built, and the blocking rows of each direction a validation has stepped
 along.  The last pair prepared is kept, compared by value, so a certificate's
 finds, proofs and validations from several starts share one instance.  A
@@ -102,12 +102,12 @@ from .circuits import (
     LiftedCircuit,
     Walk,
     _chain_frame,
+    _chain_pairs,
     blocking_rows,
     check_lifted_cost,
     chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
-    front_chains,
     maximal_moves,
     monotone_directions,
     monotone_edge_walk,
@@ -197,7 +197,8 @@ def _prepare(h, c) -> _Instance:
     rows = h.inequality_rows()
     opt, argmax = optimal_value(h, c)
     vectors = [g.vector for g in monotone]
-    moves = tuple([*zip(monotone, vectors, front_chains(h, vectors))])
+    fronts, backs = zip(*_chain_pairs(h, vectors))
+    moves = tuple([*zip(monotone, vectors, fronts)])
     # a state on a row has a zero move along each g the row blocks, so per row
     # the table holds only the moves whose front chain does not hold the row;
     # the root (row None) tries them all
@@ -210,7 +211,7 @@ def _prepare(h, c) -> _Instance:
 
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
-    back = _Backward(h, rows, moves, argmax)
+    back = _Backward(h, rows, moves, backs, argmax)
     return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, back)
 
 
@@ -341,8 +342,8 @@ class _Backward:
     a point of A_r or lies in an interval of A_r on the row it was moved onto.
     """
 
-    def __init__(self, h, rows, moves, argmax):
-        self.h, self.rows, self.moves = h, rows, moves
+    def __init__(self, h, rows, moves, backs, argmax):
+        self.h, self.rows, self.moves, self.backs = h, rows, moves, backs
         ends = [homogeneous(h.coordinates(v)) for v in argmax]
         self.level = dict.fromkeys(ends, 0)
         self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
@@ -375,31 +376,30 @@ class _Backward:
         return a1 * state[1] - a2 * state[0]
 
     def _setup(self) -> None:
-        rows, moves = self.rows, self.moves
         t = h_to_v(self.h)._triples  # noqa: SLF001 - kept by VPolygon
         n = len(t)
+        edges = _chain_frame(self.h)[2]  # (row, a1, a2, b), listed twice around
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
-        self.corner = t + t[:1]
-        self.edge = [e[0] for e in _chain_frame(self.h)[2][:n]]
+        self.corner = ring = t + t[:1]
+        self.edge = [e[0] for e in edges[:n]]
         self.pos = {row: k for k, row in enumerate(self.edge)}
         self.vertex = {v: k for k, v in enumerate(t)}
         # per row, the moves (i, -g, back chain of g) of each g = moves[i]
         # that the row blocks: a point inside the edge is the front end of its
         # g-chord exactly for those g
         self.pulls = {row: [] for row in self.edge}
-        # per g, its side edges by front vertex: the edges on neither chain
+        # per g, its side edges (parallel to g, next to its front chain) by front vertex
         self.side = []
-        # the back chain of g is the front chain of -g; the polygon's own part
-        # of the chains was kept with it by the front chains
-        backs = front_chains(self.h, [(-g1, -g2) for _, (g1, g2), _ in moves])
-        for i, ((_, (g1, g2), front), back) in enumerate(zip(moves, backs)):
+        for i, ((_, (g1, g2), front), back) in enumerate(zip(self.moves, self.backs)):
             for row, *_ in front[2]:
                 self.pulls[row].append((i, (-g1, -g2), back))
             side = {}
-            for row in set(self.edge).difference([e[0] for e in front[2] + back[2]]):
-                k = self.pos[row]
-                (a1, a2), _ = rows[row]
-                side[t[k + 1 - n] if a1 * g2 - a2 * g1 > 0 else t[k]] = (row, t[k], t[k + 1 - n])
+            first = self.pos[front[2][0][0]]
+            for k in (first - 1, first + len(front[2])):
+                row, a1, a2, _ = edges[k]
+                if a1 * g1 + a2 * g2 == 0:
+                    ends = ring[k % n], ring[k % n + 1]
+                    side[ends[a1 * g2 - a2 * g1 > 0]] = (row, *ends)
             self.side.append(side)
         self.cache: dict = {}
 

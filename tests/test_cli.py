@@ -1,13 +1,17 @@
 import argparse
 import gc
 import hashlib
+import random
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from circuitwalks.cli import COMMANDS, build_parser, main
 from circuitwalks.constructions import SubsetSumInstance
 from circuitwalks.formats import (
+    InstanceFile,
     ParseError,
     read_essr,
     read_instance,
@@ -16,7 +20,12 @@ from circuitwalks.formats import (
     write_instance,
     write_walk,
 )
+from circuitwalks.polytope import h_to_v
+from circuitwalks.ratgeo import Direction2, Point2
+from circuitwalks.render import _H, _W, _fmt, svg_document
 from circuitwalks.search import Walk
+
+from conftest import random_hpolygon
 
 
 def run(*argv):
@@ -315,6 +324,52 @@ class TestExports:
         ):
             assert run("render-svg", str(pell3), *extra, "-o", str(out), "--quiet") == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_svg_bytes_pinned_on_a_reduction(self, tmp_path):
+        # SHA-256 of the SVGs of a C*k = 8 reduction with three weights, 90-125-bit
+        # rows, written when each pixel came from a Fraction subtraction
+        inst, cert, out = tmp_path / "i.cwi", tmp_path / "w.cww", tmp_path / "f.svg"
+        run("gen-reduction", "--a", "5,8,9", "--S", "16", "--k", "2", "--C", "4",
+            "-o", str(inst), "--quiet")
+        assert run("approx", str(inst), "--depth", "2", "-o", str(cert), "--quiet") == 0
+        for extra, digest in (
+            ([], "a59baa183cc8a46adcf192b52e659e6e85dbc7b7825b58f0a65dd9d20935c199"),
+            (["--certificate", str(cert)],
+             "70e71d1125b4a71efa42fe71c758bf446c78ee454a1b99ad9a684b5321b5bfb8"),
+        ):
+            assert run("render-svg", str(inst), *extra, "-o", str(out), "--quiet") == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_pixels_are_the_float_of_the_fraction_difference(self):
+        rng = random.Random(2626)
+
+        def coordinate():
+            kind = rng.choice(kinds)
+            if kind == 0:
+                return rng.randint(-60, 60)  # an int
+            if kind == 1:  # a huge denominator
+                return Fraction(rng.getrandbits(400) - 2**399, rng.getrandbits(380) + 1)
+            return Fraction(rng.randint(-600, 600), rng.randint(1, 30))
+
+        for _ in range(80):
+            # int points alone often hold both extremes
+            kinds = rng.choice([(0,), (1,), (0, 2), (0, 1, 2)])
+            h = random_hpolygon(rng, max_points=8, bound=40)
+            points = [Point2(coordinate(), coordinate()) for _ in range(rng.randint(1, 5))]
+            start, target = points[0], rng.choice([None, Point2(coordinate(), coordinate())])
+            walk = Walk(tuple(points), (Direction2(1, 0),) * (len(points) - 1))
+            svg = svg_document(InstanceFile(h, Direction2(1, 0), start, target), walk)
+            # the transform, in Fractions, and each point's pixel as a Fraction difference
+            verts = list(h_to_v(h).vertices)
+            drawn = verts + points + [start] + ([target] if target else [])
+            xs, ys = [Fraction(p.x) for p in drawn], [Fraction(p.y) for p in drawn]
+            (spanx, x0), (spany, y0) = [(max(v) - min(v), min(v)) for v in (xs, ys)]
+            padx, pady = Fraction(spanx or 1, 20), Fraction(spany or 1, 20)
+            x0, y0 = x0 - padx, y0 - pady
+            sx, sy = _W / float(spanx + 2 * padx), _H / float(spany + 2 * pady)
+            circles = verts + (points if len(points) > 1 else []) + drawn[len(verts) + len(points):]
+            want = [(_fmt(float(p.x - x0) * sx), _fmt(_H - float(p.y - y0) * sy)) for p in circles]
+            assert re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg) == want
 
     def test_svg_with_walk_overlay(self, pell3, tmp_path):
         cert = tmp_path / "walk.cww"

@@ -13,7 +13,7 @@ from circuitwalks.formats import (
 )
 from circuitwalks.polytope import v_to_h
 from circuitwalks.ratgeo import Direction2, Point2, rat
-from circuitwalks.search import Found, SearchConfig, shortest_monotone_walk
+from circuitwalks.search import Found, SearchConfig, approx_monotone_walk, shortest_monotone_walk
 
 from conftest import random_hull
 
@@ -121,6 +121,58 @@ class TestInstanceErrors:
         text = "cwi 1\ndim 2\nrows 3\n-1 0 0\n1 0 1\n2 0 5\ncost 1 0\nstart 0 0\n"
         e = self.err(text)
         assert "polygon" in str(e)
+
+
+def _rational_twins(rng, inst):
+    """A text of inst whose rows are rational, unreduced, sometimes '+'-signed
+    and out of boundary order, and its integer twin: the same rows in the
+    same order as canonical integers."""
+    text = write_instance(inst).splitlines()
+    rows = list(inst.polygon.rows)
+    rng.shuffle(rows)
+    scaled = []
+    for row in rows:
+        p, q, k = rng.randint(1, 9), rng.randint(1, 9), rng.randint(2, 4)
+        # each row scaled by p/q, an entry written as an integer only when it is one
+        entries = [str(v * p // q) if v * p % q == 0 and rng.random() < 0.3
+                   else f"{v * p * k}/{q * k}" for v in row]
+        scaled.append(" ".join("+" + e if e[0] != "-" and rng.random() < 0.3 else e for e in entries))
+    head, m = text[:3], len(rows)
+    twin = head + [" ".join(map(str, row)) for row in rows] + text[3 + m:]
+    return "\n".join(head + scaled + text[3 + m:]) + "\n", "\n".join(twin) + "\n"
+
+
+class TestRowEntries:
+    """Row entries written as integers are read as int; any other row reads
+    as its canonical integer twin."""
+
+    def instances(self):
+        for ell in (2, 5, 8):
+            yield family_instance(ell)
+        for a, S, C in (((2, 3), 5, 2), ((5, 8, 9), 16, 4)):
+            red = build_reduction(SubsetSumInstance(a=a, S=S, k=2), C)
+            yield InstanceFile(polygon=red.h, cost=red.c, start=red.s, target=red.t)
+
+    def test_rational_rows_read_as_their_integer_twin(self):
+        rng = random.Random(2424)
+        for inst in self.instances():
+            for _ in range(3):
+                rational, twin = _rational_twins(rng, inst)
+                assert "/" in rational.split("cost")[0] and "+" in rational
+                a, b = read_instance(rational), read_instance(twin)
+                assert a.polygon == b.polygon and a == b
+                assert write_instance(a) == twin
+                assert sorted(a.polygon.rows) == sorted(inst.polygon.rows)
+                walk = approx_monotone_walk(a.polygon, a.start, a.cost, 2)
+                assert walk == approx_monotone_walk(b.polygon, b.start, b.cost, 2)
+                assert walk == approx_monotone_walk(inst.polygon, inst.start, inst.cost, 2)
+
+    def test_stored_entries_are_ints(self):
+        rng = random.Random(2525)
+        for inst in self.instances():
+            for text in (write_instance(inst), *_rational_twins(rng, inst)):
+                rows = read_instance(text).polygon.rows
+                assert all(type(e) is int for row in rows for e in row)
 
 
 class TestWalkRoundTrip:

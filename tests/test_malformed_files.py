@@ -122,6 +122,16 @@ def test_non_ascii_digits_are_2_at_their_line(tmp_path, capsys, text, line):
     assert f"line {line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["1.5", "١"], ids=["decimal", "non-ascii"])
+def test_bad_row_entry_is_a_parse_error_at_its_line(entry):
+    # an entry that is not an ASCII integer is read by parse_rational, whose message it keeps
+    text = f"cwi 1\ndim 2\nrows 3\n-1 0 0\n0 -1 0\n1 1 {entry}\ncost 1 1\nstart 0 0\n"
+    with pytest.raises(ParseError) as info:
+        read_instance(text)
+    assert info.value.line_no == 6
+    assert str(info.value) == f"line 6: not a rational literal: {entry!r}"
+
+
 def run_on(tmp_path, capsys, command, text):
     source = tmp_path / "input.txt"
     source.write_text(text)

@@ -31,6 +31,7 @@ from circuitwalks.constructions import (
 )
 from circuitwalks.polytope import (
     BadDimension,
+    DegenerateHull,
     HPolygon,
     LiftedPoint,
     LiftedPolytope,
@@ -1067,6 +1068,76 @@ class TestChordMoves:
 
 
 # -- one prepared instance per (polytope, cost) --------------------------------
+
+
+def _symmetric_hull(rng):
+    """A polygon whose edges come in parallel pairs: the hull of a few points
+    and their reflections through a random centre."""
+    while True:
+        pts = [Point2(rat(rng.randint(-30, 30), rng.randint(1, 6)),
+                      rat(rng.randint(-30, 30), rng.randint(1, 6)))
+               for _ in range(rng.randint(2, 5))]
+        cx, cy = rat(rng.randint(-9, 9), 2), rat(rng.randint(-9, 9), 3)
+        try:
+            return v_to_h(hull2d(pts + [Point2(cx - p.x, cy - p.y) for p in pts]))
+        except DegenerateHull:
+            continue
+
+
+def _assert_chain_pairs(h, c):
+    """The back chain _prepare hands _Backward for each monotone g is the
+    front chain of -g, and _Backward.side is the set difference it replaced:
+    the edges on neither chain of g, by front vertex.  Returns the number of
+    side edges of each g."""
+    _prepare.cache_clear()
+    back = _prepare(h, c).back
+    assert [len(back.moves)] == list({len(back.moves), len(back.backs)})
+    fresh = HPolygon(h.rows)
+    for (_, (g1, g2), _), pulled in zip(back.moves, back.backs):
+        assert [pulled] == front_chains(fresh, [(-g1, -g2)])
+    back._setup()
+    rows, t = h.inequality_rows(), h_to_v(h)._triples
+    n = len(t)
+    counts = []
+    for i, (_, (g1, g2), front) in enumerate(back.moves):
+        (pulled,) = front_chains(fresh, [(-g1, -g2)])
+        side = {}
+        for row in set(back.edge).difference([e[0] for e in front[2] + pulled[2]]):
+            k = back.pos[row]
+            (a1, a2), _ = rows[row]
+            side[t[k + 1 - n] if a1 * g2 - a2 * g1 > 0 else t[k]] = (row, t[k], t[k + 1 - n])
+        assert back.side[i] == side
+        counts.append(len(side))
+    return counts
+
+
+class TestChainPairs:
+    """_prepare cuts each monotone g's front and back chain from one pass of phi_g."""
+
+    def test_family_levels(self):
+        rng = random.Random(2727)
+        for ell in range(2, 11):
+            art = build_p_ell(ell)
+            for c in (art.c0, _random_cost(rng, art.h), _random_cost(rng, art.h)):
+                assert set(_assert_chain_pairs(art.h, c)) <= {1, 2}
+
+    def test_reductions(self):
+        rng = random.Random(2828)
+        for a, S in (((2, 4), 5), ((5, 8, 9), 16)):
+            for C in (2, 3, 4):
+                red = build_reduction(SubsetSumInstance(a=a, S=S, k=2), C)
+                for c in (red.c, _random_cost(rng, red.h)):
+                    _assert_chain_pairs(red.h, c)
+
+    def test_hulls_with_parallel_edges(self):
+        rng = random.Random(2929)
+        counts = []
+        for _ in range(120):
+            h = _symmetric_hull(rng)
+            for c in (_random_cost(rng, h), _random_cost(rng, h)):
+                counts += _assert_chain_pairs(h, c)
+        # every circuit is an edge direction, parallel here to a pair of edges
+        assert set(counts) == {2}
 
 
 def _cold(h, s, c, cfg):
