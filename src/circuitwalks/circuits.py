@@ -35,7 +35,6 @@ from .polytope import (
     HPolygon,
     LiftedPoint,
     LiftedPolytope,
-    _edge_rows,
     h_to_v,
     simplex_vertices,
 )
@@ -177,9 +176,9 @@ def _chain_frame(h: HPolygon) -> tuple:
     frame = h.__dict__.get("_chain_frame")
     if frame is None:
         v = h_to_v(h)
-        t = v._triples  # noqa: SLF001 - kept by VPolygon
+        t = v.triples
         index = {row: i for i, row in enumerate(h.rows)}
-        edge = [(index[row],) + row for row in _edge_rows(v)] * 2
+        edge = [(index[row],) + row for row in v.edges] * 2
         corner = list(map(min, edge[-1:] + edge, edge))
         L = lcm(*[w for _, _, w in t])
         frame = (L, [(x * (L // w), y * (L // w)) for x, y, w in t], edge, corner)
@@ -305,15 +304,15 @@ def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, .
     Values c.(X, Y)/W are compared on the vertices' homogeneous triples by
     cross-multiplying (W > 0); only the maximum becomes a rational.
     """
-    v = h_to_v(h)
+    t = h_to_v(h).triples
     dx, dy = c.dx, c.dy
-    vals = [(dx * x + dy * y, w) for x, y, w in v._triples]  # noqa: SLF001 - kept by VPolygon
+    vals = [(dx * x + dy * y, w) for x, y, w in t]
     num, den = vals[0]
     for n, w in vals:
         if n * den > num * w:
             num, den = n, w
     return Fraction(num, den), tuple(
-        [p for p, (n, w) in zip(v.vertices, vals) if n * den == num * w]
+        [Point2(*dehomogenize(p)) for p, (n, w) in zip(t, vals) if n * den == num * w]
     )
 
 

@@ -264,7 +264,7 @@ def _verify_reduction(args, rep: _Report) -> None:
     red = build_reduction(inst, args.C)
     ck = red.ck
     rep.check(
-        len(red.v.vertices) == inst.n + 2 * ck + 4,
+        len(red.v.triples) == inst.n + 2 * ck + 4,
         f"vertex census is n + 2Ck + 4 = {inst.n + 2 * ck + 4}",
     )
     groups = classify_reduction_circuits(red)

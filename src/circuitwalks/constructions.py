@@ -148,7 +148,7 @@ def build_p_ell(ell: int) -> PellArtifact:
         rows = [(-1, 0, 0), *_map_rows(mat, rows[1:]), (1, 2, 2), (1, -2, 2)]
         cycle = [w, *_map_triples(mat, cycle), u]
     try:
-        h = _hpolygon_of_cycle(VPolygon._of_triples(tuple(cycle)), tuple(rows))
+        h = _hpolygon_of_cycle(VPolygon(tuple(cycle)), tuple(rows))
     except ValueError:
         raise ConstructionError("the rows are not the edges of the vertex cycle") from None
     v = h_to_v(h)
@@ -504,7 +504,7 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
     # the old left wall, becomes the chord below the chain
     if (pell.v.vertices[0], pell.v.vertices[-1]) != (pell.w, pell.u):
         raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
-    cycle = pell.v._triples  # noqa: SLF001 - kept by VPolygon
+    cycle = pell.v.triples
     # (1 - |y|) / x at the vertices between w and u
     alpha = min(rat(w - abs(y), x) for x, y, w in cycle[1:-1]) / 4
     beta = rat(1, 6 * ck)
@@ -619,19 +619,15 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
         raise ConstructionError("pulled-back cost is not (-1, 6*C*k)")
     chain, links = _slope_chain(inst, c)
     s = Point2(rat(0), rat(0))
-    apex = Point2(rat(1), inst.S + corner.epsilon)
     e, d = corner.epsilon.numerator, corner.epsilon.denominator
     # x rises strictly along the chain and falls strictly along the corner
     # arc, so the cycle winds once and VPolygon's strict turn check proves
     # that every point is a vertex of the hull
     try:
-        v = VPolygon._of_triples(
-            ((0, 0, 1), *links, (d, inst.S * d + e, d), *image),
-            (s, *chain.vertices, apex, *corner.image),
-        )
+        v = VPolygon(((0, 0, 1), *links, (d, inst.S * d + e, d), *image))
     except ValueError:
         raise ConstructionError("some intended vertex fell inside the hull") from None
-    if len(v.vertices) != inst.n + 2 * ck + 4:
+    if len(v.triples) != inst.n + 2 * ck + 4:
         raise ConstructionError("vertex census mismatch")
     h = v_to_h(v)
     t = corner.t_image

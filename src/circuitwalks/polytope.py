@@ -2,8 +2,9 @@
 
 H-form stores rows a1*x + a2*y <= b as primitive integer triples: each row is
 scaled by a positive rational until gcd(|a1|, |a2|, |b|) == 1.  V-form stores
-vertices counterclockwise starting at the lexicographic minimum.  Conversions
-are exact in both directions; nothing here ever touches a float.
+the vertices' triples (below) counterclockwise starting at the lexicographic
+minimum.  Conversions are exact in both directions; nothing here ever touches
+a float.
 
 Every sign test in building a polygon runs on integers.  A point is the
 homogeneous triple (X, Y, D) for (X/D, Y/D), with D > 0 and gcd 1, so equal
@@ -11,12 +12,14 @@ points are equal triples: it lies inside a row (e1, e2, f) when
 e1*X + e2*Y <= f*D, and three points turn counterclockwise when the 3x3
 determinant of their triples is positive.  One cross product turns two rows
 into the triple of their corner and two vertices into the row of their edge.
-Rationals are built only for the vertices that are kept.
+A vertex polygon is the cycle of its vertices' triples; its points, as
+rationals, are built on first read.
 
 A polygon is built from its vertex cycle, a tuple of triples, and its rows
-by one O(m) check: the cycle turns strictly counterclockwise, winds once and
-starts at the lexicographic minimum (VPolygon's check), and the rows are, as a
-set and in number, the cycle's edge rows, the meets of consecutive vertices.
+by one O(m) check: the cycle's triples are canonical, turn strictly
+counterclockwise, wind once and start at the lexicographic minimum (VPolygon's
+check), and the rows are, as a set and in number, the cycle's edge rows, the
+meets of consecutive vertices.
 The first makes the cycle the vertex list of a convex polygon P in boundary
 order; the second makes the rows P's edges, each with P on its inner side.  A
 convex polygon is the intersection of the halfplanes of its edges, so the
@@ -216,13 +219,14 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
     corners.append(_meet(edges[-1], edges[0]))
     kept = set(edges)
     try:
-        hull = VPolygon._of_triples(_from_lex_min(list(corners)))
-        _edge_rows(hull, kept)
+        hull = VPolygon(_from_lex_min(list(corners)))
     except ValueError:
         raise empty from None
-    t = hull._triples
-    if any(a1 * x + a2 * y > b * w for a1, a2, b in rows if (a1, a2, b) not in kept
-           for x, y, w in t):
+    # one corner per kept edge, so equal sets are the cycle check
+    if set(hull.edges) != kept or any(
+        a1 * x + a2 * y > b * w for a1, a2, b in rows if (a1, a2, b) not in kept
+        for x, y, w in hull.triples
+    ):
         raise empty
     return hull
 
@@ -233,30 +237,18 @@ def _from_lex_min(t: list) -> tuple:
     return tuple(t[first:] + t[:first])
 
 
-def _edge_rows(v: "VPolygon", rows=None) -> tuple:
-    """The edge rows of a vertex polygon, the one leaving its i-th vertex i-th,
-    computed once per polygon and kept with it.
-
-    rows, if given, must be those edge rows in any order, else ValueError:
-    with VPolygon's own check, this is the cycle check of the module docstring.
-    """
-    cycle = v.__dict__.get("_edges")
-    if cycle is None:
-        t = v._triples
-        n = len(t)
-        cycle = tuple([_meet(t[i], t[(i + 1) % n]) for i in range(n)])
-        object.__setattr__(v, "_edges", cycle)
-    if rows is not None and (len(rows) != len(cycle) or set(rows) != set(cycle)):
-        raise ValueError("rows are not the edge rows of the vertex cycle")
-    return cycle
-
-
 def _hpolygon_of_cycle(v: "VPolygon", rows: tuple | None = None) -> "HPolygon":
     """HPolygon of the vertex polygon v and its canonical edge rows, by default
-    in boundary order; raises ValueError when rows are not its edge rows."""
-    cycle = _edge_rows(v, rows)
+    in boundary order; raises ValueError when rows are not its edge rows.
+
+    With VPolygon's own check, this is the cycle check of the module docstring.
+    """
+    if rows is None:
+        rows = v.edges
+    elif len(rows) != len(v.edges) or set(rows) != set(v.edges):
+        raise ValueError("rows are not the edge rows of the vertex cycle")
     h = object.__new__(_HPolygon)
-    object.__setattr__(h, "rows", cycle if rows is None else rows)
+    object.__setattr__(h, "rows", rows)
     object.__setattr__(h, "_hull", v)
     return h
 
@@ -286,7 +278,7 @@ class HPolygon:
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
         hull = _hull_of_rows(rows)
-        if len(hull.vertices) != len(rows):
+        if len(hull.triples) != len(rows):
             raise ValueError("redundant row; use remove_redundant first")
         object.__setattr__(self, "_hull", hull)
 
@@ -318,8 +310,10 @@ _HPolygon = HPolygon
 
 
 def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
-    """Raise unless the triples turn strictly counterclockwise, once around,
-    from the lexicographic minimum."""
+    """Raise unless the triples are canonical and turn strictly
+    counterclockwise, once around, from the lexicographic minimum."""
+    if any(w <= 0 or gcd(x, y, w) != 1 for x, y, w in t):
+        raise ValueError("vertex triples must be canonical: D > 0 and gcd 1")
     if len(t) < 3:
         raise DegenerateHull("a polygon needs at least three vertices")
     # the fan around t[0] too: a pentagram turns left everywhere but winds twice
@@ -333,30 +327,31 @@ def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
 
 @dataclass(frozen=True)
 class VPolygon:
-    """Strictly convex vertex list, counterclockwise from the lex-min vertex.
+    """Strictly convex polygon as the canonical triples (X, Y, D) of its
+    vertices, counterclockwise from the lex-min vertex.
 
-    The vertices' homogeneous triples, on which the convexity check runs, are
-    kept in the same order as _triples.
+    The vertices as points and the edge rows are built on first read.
     """
 
-    vertices: tuple[Point2, ...]
+    triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        t = tuple([homogeneous((p.x, p.y)) for p in self.vertices])
-        _check_ccw(t)
-        object.__setattr__(self, "_triples", t)
+        _check_ccw(self.triples)
 
     @classmethod
-    def _of_triples(cls, t: tuple[tuple[int, int, int], ...], vertices=None) -> "VPolygon":
-        """The polygon of canonical triples, checked on them; the vertices are
-        built from them unless given, as the points of the same triples."""
-        _check_ccw(t)
-        v = object.__new__(cls)
-        if vertices is None:
-            vertices = tuple([Point2(*dehomogenize(p)) for p in t])
-        object.__setattr__(v, "vertices", vertices)
-        object.__setattr__(v, "_triples", t)
-        return v
+    def of_points(cls, points) -> "VPolygon":
+        """The polygon whose vertex list is points, in that order."""
+        return cls(tuple([homogeneous((p.x, p.y)) for p in points]))
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple([Point2(*dehomogenize(t)) for t in self.triples])
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The canonical edge rows, the one leaving the i-th vertex i-th."""
+        t = self.triples
+        return tuple([_meet(p, q) for p, q in zip(t, t[1:] + t[:1])])
 
 
 def _hull_of_triples(points) -> list[tuple[int, int, int]]:
@@ -392,9 +387,7 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
     Raises DegenerateHull when fewer than three distinct points remain or all
     of them lie on one line.
     """
-    # reversed: of equal points the first one given is kept
-    by_triple = {homogeneous((p.x, p.y)): p for p in reversed(points)}
-    return VPolygon(tuple([by_triple[t] for t in _hull_of_triples(by_triple)]))
+    return VPolygon(tuple(_hull_of_triples({homogeneous((p.x, p.y)) for p in points})))
 
 
 def v_to_h(v: VPolygon) -> HPolygon:
@@ -470,10 +463,10 @@ def transform_polygon(m: AffineMap2, h: HPolygon) -> HPolygon:
     """
     mat = _affine_matrix(m)
     rows = _map_rows(mat, h.rows)
-    t = _map_triples(mat, h._hull._triples)  # noqa: SLF001 - cache owned by this module
+    t = _map_triples(mat, h_to_v(h).triples)
     if mat[0] * mat[4] < mat[1] * mat[3]:
         t.reverse()
-    return _hpolygon_of_cycle(VPolygon._of_triples(_from_lex_min(t)), tuple(rows))
+    return _hpolygon_of_cycle(VPolygon(_from_lex_min(t)), tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .circuits import (
     LiftedCircuit,
@@ -183,8 +183,8 @@ class _Instance(NamedTuple):
     circuits: frozenset  # canonical
     monotone: frozenset  # directed, strictly c-increasing
     blocking: dict  # directed g -> blocking_rows of g, filled by the validator
-    # (state, row it was moved onto or None) -> its moves, in search order
-    expand: Callable | None = None
+    # row a state was moved onto, or None at the root -> its moves, in search order
+    table: dict | None = None
     goal: tuple | None = None  # (c, -opt) scaled to integers, without its last entry
     back: "_Backward | None" = None
 
@@ -205,14 +205,10 @@ def _prepare(h, c) -> _Instance:
     held = [{e[0] for e in chain[2]} for _, _, chain in moves]
     table = {row: tuple([mv for mv, on in zip(moves, held) if row not in on]) for row in range(h.m)}
     table[None] = moves
-
-    def expand(state, row=None):
-        return chord_moves(state, table[row])
-
     # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
     goal = homogeneous(c.vector + (-opt,))[:-1]
     back = _Backward(h, rows, moves, backs, argmax)
-    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, expand, goal, back)
+    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, table, goal, back)
 
 
 @functools.lru_cache(maxsize=1)
@@ -260,7 +256,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
 def _search(h, s, root, c, max_depth, node_cap) -> DistanceResult:
     """The search on the polygon h from the point s, whose state root is inside h."""
     inst = _prepare(h, c)
-    expand, goal, back = inst.expand, inst.goal, inst.back
+    table, goal, back = inst.table, inst.goal, inst.back
     if sum(map(mul, goal, root)) == 0:
         return Found(Walk((s,), ()))
     built = 0  # the backward layers this search filters with
@@ -269,7 +265,7 @@ def _search(h, s, root, c, max_depth, node_cap) -> DistanceResult:
     for depth in range(max_depth):
         nxt = []
         for p, on in frontier:
-            for g, _, _, row, q in expand(p, on):
+            for g, _, _, row, q in chord_moves(p, table[on]):
                 if q is None or q in parent:
                     continue
                 parent[q] = (p, g)
@@ -376,7 +372,7 @@ class _Backward:
         return a1 * state[1] - a2 * state[0]
 
     def _setup(self) -> None:
-        t = h_to_v(self.h)._triples  # noqa: SLF001 - kept by VPolygon
+        t = h_to_v(self.h).triples
         n = len(t)
         edges = _chain_frame(self.h)[2]  # (row, a1, a2, b), listed twice around
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]

@@ -47,7 +47,7 @@ def test_package_runs_with_hpolygon_rebound_to_a_function():
         art = constructions.build_p_ell(4)
         image = polytope.transform_polygon(AffineMap2(rat(1, 2), rat(-1), rat(2), rat(1), rat(3), 0), art.h)
         assert image.m == art.h.m
-        square = polytope.VPolygon(tuple(Point2(rat(x), rat(y)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))))
+        square = polytope.VPolygon.of_points(tuple(Point2(rat(x), rat(y)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))))
         assert polytope.v_to_h(square).rows == ((0, -1, 0), (1, 0, 1), (0, 1, 1), (-1, 0, 0))
         red = constructions.build_reduction(constructions.SubsetSumInstance(a=(2, 3), S=5, k=2), 1)
         text = formats.write_instance(formats.InstanceFile(polygon=red.h, cost=red.c, start=red.s))

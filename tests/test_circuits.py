@@ -38,8 +38,8 @@ def P(x, y):
     return Point2(rat(x), rat(y))
 
 
-TRIANGLE = v_to_h(VPolygon((P(0, -1), P(1, 0), P(0, 1))))
-UNIT_SQUARE = v_to_h(VPolygon((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
+TRIANGLE = v_to_h(VPolygon.of_points((P(0, -1), P(1, 0), P(0, 1))))
+UNIT_SQUARE = v_to_h(VPolygon.of_points((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
 
 
 class TestEnumerate:
@@ -156,7 +156,7 @@ class TestEdgeWalk:
             monotone_edge_walk(TRIANGLE, P(0, 0), Direction2(1, 0))
 
     def test_tie_at_start_takes_smaller_step(self):
-        diamond = v_to_h(VPolygon((P(-1, 0), P(0, -1), P(1, 0), P(0, 1))))
+        diamond = v_to_h(VPolygon.of_points((P(-1, 0), P(0, -1), P(1, 0), P(0, 1))))
         walk = monotone_edge_walk(diamond, P(0, -1), Direction2(0, 1))
         assert walk.steps == (Direction2(-1, 1), Direction2(1, 1))
         assert walk == reference_edge_walk(diamond, P(0, -1), Direction2(0, 1))

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from circuitwalks.circuits import optimal_value
 from circuitwalks.cli import COMMANDS, build_parser, main
 from circuitwalks.constructions import SubsetSumInstance
 from circuitwalks.formats import (
@@ -22,8 +23,8 @@ from circuitwalks.formats import (
 )
 from circuitwalks.polytope import h_to_v
 from circuitwalks.ratgeo import Direction2, Point2
-from circuitwalks.render import _H, _W, _fmt, svg_document
-from circuitwalks.search import Walk
+from circuitwalks.render import _H, _W, _fmt, lp_document, svg_document
+from circuitwalks.search import Walk, is_valid_monotone_walk
 
 from conftest import random_hpolygon
 
@@ -325,20 +326,58 @@ class TestExports:
             assert run("render-svg", str(pell3), *extra, "-o", str(out), "--quiet") == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_svg_bytes_pinned_on_a_reduction(self, tmp_path):
-        # SHA-256 of the SVGs of a C*k = 8 reduction with three weights, 90-125-bit
-        # rows, written when each pixel came from a Fraction subtraction
-        inst, cert, out = tmp_path / "i.cwi", tmp_path / "w.cww", tmp_path / "f.svg"
-        run("gen-reduction", "--a", "5,8,9", "--S", "16", "--k", "2", "--C", "4",
-            "-o", str(inst), "--quiet")
+    @staticmethod
+    def assert_pinned(tmp_path, gen, digests):
+        """SHA-256 of the depth-2 approx walk file, the SVG without and with
+        that walk, and the LP export of the instance gen writes."""
+        inst, cert = tmp_path / "i.cwi", tmp_path / "w.cww"
+        svg, lp = tmp_path / "f.svg", tmp_path / "i.lp"
+        assert run(*gen, "-o", str(inst), "--quiet") == 0
         assert run("approx", str(inst), "--depth", "2", "-o", str(cert), "--quiet") == 0
-        for extra, digest in (
-            ([], "a59baa183cc8a46adcf192b52e659e6e85dbc7b7825b58f0a65dd9d20935c199"),
-            (["--certificate", str(cert)],
-             "70e71d1125b4a71efa42fe71c758bf446c78ee454a1b99ad9a684b5321b5bfb8"),
-        ):
-            assert run("render-svg", str(inst), *extra, "-o", str(out), "--quiet") == 0
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert run("render-svg", str(inst), "-o", str(svg), "--quiet") == 0
+        files = [cert.read_bytes(), svg.read_bytes()]
+        assert run("render-svg", str(inst), "--certificate", str(cert), "-o", str(svg),
+                   "--quiet") == 0
+        assert run("export-lp", str(inst), "-o", str(lp), "--quiet") == 0
+        files += [svg.read_bytes(), lp.read_bytes()]
+        assert [hashlib.sha256(f).hexdigest() for f in files] == digests
+
+    def test_svg_bytes_pinned_on_a_reduction(self, tmp_path):
+        # a C*k = 8 reduction with three weights, 90-125-bit rows; the SVGs were
+        # pinned when each pixel came from a Fraction subtraction, and every file
+        # when each vertex polygon kept its points as its data
+        self.assert_pinned(tmp_path, ("gen-reduction", "--a", "5,8,9", "--S", "16", "--k", "2",
+                                      "--C", "4"), [
+            "2893d62228adfdf1b5f09e4a5912e3a388942d02d97e3c6af928deb55b836b6f",
+            "a59baa183cc8a46adcf192b52e659e6e85dbc7b7825b58f0a65dd9d20935c199",
+            "70e71d1125b4a71efa42fe71c758bf446c78ee454a1b99ad9a684b5321b5bfb8",
+            "1ed99c738366fe67fa7b55a41009bbc2a39873dfaa460fbf788d32205f2054fb",
+        ])
+
+    def test_bytes_pinned_on_level_8(self, tmp_path):
+        # depth 2 is too shallow, so the walk is the 8-step edge walk from u to t
+        self.assert_pinned(tmp_path, ("gen-pell", "--ell", "8"), [
+            "3217881fd6edc1fb7ac3b13128ac24aa08fa551e4050be5486c073a15ab6f749",
+            "5b831055b96d4617c9e000a34ec490b6a3b644d6dda32a2c90a26667520397e9",
+            "987931e11194d84fe2b320aab7c7df12860d7467b9872c9985884ab0f526b8bf",
+            "f5e93a8858a89a38773f941a56cab4193783c48b9af0b34d929026c31da7c435",
+        ])
+
+    def test_points_are_built_on_first_read(self, tmp_path):
+        # export-lp and verify read a polygon's triples only; render-svg draws its points
+        inst, cert = tmp_path / "i.cwi", tmp_path / "w.cww"
+        assert run("gen-pell", "--ell", "5", "-o", str(inst), "--quiet") == 0
+        assert run("approx", str(inst), "--depth", "2", "-o", str(cert), "--quiet") == 0
+        text = inst.read_text()
+        lp = read_instance(text)
+        lp_document(lp)
+        assert "vertices" not in h_to_v(lp.polygon).__dict__
+        ver = read_instance(text)
+        optimal_value(ver.polygon, ver.cost)
+        assert is_valid_monotone_walk(ver.polygon, ver.cost, read_walk(cert.read_text()))
+        assert "vertices" not in h_to_v(ver.polygon).__dict__
+        svg_document(ver)
+        assert "vertices" in h_to_v(ver.polygon).__dict__
 
     def test_pixels_are_the_float_of_the_fraction_difference(self):
         rng = random.Random(2626)

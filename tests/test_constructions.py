@@ -115,7 +115,7 @@ class TestFamily:
             swept = HPolygon(art.h.rows)
             assert art.h == swept and hash(art.h) == hash(swept)
             assert h_to_v(swept).vertices == art.v.vertices
-            assert h_to_v(swept)._triples == art.v._triples
+            assert h_to_v(swept).triples == art.v.triples
         for ell in range(1, 6):
             assert build_p_ell(ell).v.vertices == reference_hpolygon(build_p_ell(ell).h.rows)
 

@@ -108,38 +108,61 @@ class TestHull2d:
 class TestVPolygon:
     def test_rejects_clockwise(self):
         with pytest.raises(ValueError):
-            VPolygon(tuple(reversed(SQUARE)))
+            VPolygon.of_points(tuple(reversed(SQUARE)))
 
     def test_rejects_collinear_triple(self):
         with pytest.raises(ValueError):
-            VPolygon((P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)))
+            VPolygon.of_points((P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)))
 
     def test_must_start_at_min(self):
         with pytest.raises(ValueError):
-            VPolygon((P(1, 0), P(1, 1), P(0, 1), P(0, 0)))
+            VPolygon.of_points((P(1, 0), P(1, 1), P(0, 1), P(0, 0)))
 
     def test_accepts_ccw_from_min(self):
-        v = VPolygon((P(0, -1), P(1, 0), P(0, 1)))
+        v = VPolygon.of_points((P(0, -1), P(1, 0), P(0, 1)))
         assert len(v.vertices) == 3
 
     def test_rejects_doubly_wound_cycle(self):
         # a convex pentagon's vertices in pentagram order, from the lex-min: every
         # consecutive triple turns left, but the cycle winds twice
         with pytest.raises(ValueError, match="vertices not in strictly convex ccw order"):
-            VPolygon((P(-1, 3), P(4, 0), P(2, 5), P(0, 0), P(5, 3)))
+            VPolygon.of_points((P(-1, 3), P(4, 0), P(2, 5), P(0, 0), P(5, 3)))
+
+    def test_rejects_non_canonical_triples(self):
+        # D > 0 and gcd 1 make equal points equal triples, so equal polygons are equal values
+        t = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+        for i, bad in ((1, (2, 0, 2)), (0, (0, 0, 3)), (1, (-1, 0, -1)), (2, (1, 1, 0))):
+            with pytest.raises(ValueError, match="canonical"):
+                VPolygon(tuple(t[:i] + [bad] + t[i + 1:]))
+        v = VPolygon(tuple(t))
+        assert v.vertices == SQUARE
+        assert v == VPolygon.of_points(SQUARE) and hash(v) == hash(VPolygon.of_points(SQUARE))
+
+    def test_of_points_is_homogeneous_per_point(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            pts = [P(rat(rng.randint(-40, 40), rng.randint(1, 9)),
+                     rat(rng.randint(-40, 40), rng.randint(1, 9))) for _ in range(8)]
+            try:
+                ring = hull2d(pts).vertices
+            except DegenerateHull:
+                continue
+            v = VPolygon.of_points(ring)
+            assert v.triples == tuple(homogeneous((p.x, p.y)) for p in ring)
+            assert v.vertices == ring
 
 
 class TestHVConversion:
     def test_square_round_trip(self):
-        h = v_to_h(VPolygon(SQUARE))
+        h = v_to_h(VPolygon.of_points(SQUARE))
         assert h_to_v(h).vertices == SQUARE
 
     def test_rows_follow_edge_order(self):
-        h = v_to_h(VPolygon((P(0, -1), P(1, 0), P(0, 1))))
+        h = v_to_h(VPolygon.of_points((P(0, -1), P(1, 0), P(0, 1))))
         assert h.rows == ((1, -1, 1), (1, 1, 1), (-1, 0, 0))
 
     def test_contains_boundary_and_interior(self):
-        h = v_to_h(VPolygon(SQUARE))
+        h = v_to_h(VPolygon.of_points(SQUARE))
         assert h.contains(P(0, 0))
         assert h.contains(P(rat(1, 2), rat(1, 3)))
         assert not h.contains(P(2, 0))
@@ -155,7 +178,7 @@ class TestHVConversion:
         swept = HPolygon(reference_edge_rows(ring.vertices))
         assert h.rows == swept.rows and h == swept and hash(h) == hash(swept)
         assert h_to_v(swept).vertices == ring.vertices
-        assert h_to_v(swept)._triples == ring._triples
+        assert h_to_v(swept).triples == ring.triples
 
 
 class TestHPolygon:
@@ -306,14 +329,14 @@ class TestIntegerConstruction:
         v = minimal[1]
         first_mid = P((v[0].x + v[1].x) / 2, (v[0].y + v[1].y) / 2)
         for verts in (v, v[::-1], v[1:] + v[:1], v[:1] + (first_mid,) + v[1:]):
-            assert _outcome(lambda t: VPolygon(t).vertices, verts) == _outcome(
+            assert _outcome(lambda t: VPolygon.of_points(t).vertices, verts) == _outcome(
                 lambda t: (reference_check_vertices(t), t)[1], verts
             )
 
 
 def _cycle_check(t, rows):
     """The cycle check on a vertex cycle and rows, raising what it raises."""
-    return _hpolygon_of_cycle(VPolygon._of_triples(tuple(t)), tuple(rows))
+    return _hpolygon_of_cycle(VPolygon(tuple(t)), tuple(rows))
 
 
 def _triple(p):
@@ -329,8 +352,8 @@ class TestCycleCheck:
     TURNS = "vertices not in strictly convex ccw order"
 
     def parts(self):
-        ring = VPolygon(self.PENTAGON)
-        return list(ring._triples), list(v_to_h(ring).rows)
+        ring = VPolygon.of_points(self.PENTAGON)
+        return list(ring.triples), list(v_to_h(ring).rows)
 
     def test_accepts_the_edge_rows_in_any_order(self):
         t, rows = self.parts()
@@ -388,7 +411,7 @@ def assert_transform_matches_reference(m, h):
     image = transform_polygon(m, h)
     assert image.rows == rows
     assert h_to_v(image).vertices == vertices
-    assert h_to_v(image)._triples == tuple(_triple(p) for p in vertices)
+    assert h_to_v(image).triples == tuple(_triple(p) for p in vertices)
     swept = HPolygon(rows)
     assert image == swept and hash(image) == hash(swept)
 
@@ -506,7 +529,7 @@ class TestIntegerContainment:
 
 class TestLifting:
     def base(self):
-        return v_to_h(VPolygon((P(0, -1), P(1, 0), P(0, 1))))
+        return v_to_h(VPolygon.of_points((P(0, -1), P(1, 0), P(0, 1))))
 
     def test_extra_zero_is_the_polygon(self):
         lp = LiftedPolytope(self.base(), 0)

@@ -288,7 +288,7 @@ class TestApprox:
             approx_monotone_walk(art.h, art.u, art.c0, 0)
 
     # On the unit square, cost (0, 1) is maximal on an edge and (1/2, 0) is no vertex.
-    SQUARE = v_to_h(VPolygon((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
+    SQUARE = v_to_h(VPolygon.of_points((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
 
     def _raised(self, s, c, depth, node_cap=10_000_000):
         with pytest.raises(ValueError) as info:
@@ -976,16 +976,17 @@ class TestBackwardSets:
 
 def _assert_row_skips(h, c, found):
     """On each state of found, a dict state -> the row its move ended on, the
-    search's expand(q, row) is expand(q) without exactly the moves that row
-    blocks, and each of those has length zero.  Returns the count of skipped
-    moves."""
+    search's moves from q on row, chord_moves over table[row], are its moves
+    over table[None] without exactly the moves that row blocks, and each of
+    those has length zero.  Returns the count of skipped moves."""
     inst = _prepare(h, c)
     skipped = 0
     for q, row in found.items():
         a = inst.rows[row][0]
-        every = list(inst.expand(q))
+        every = list(chord_moves(q, inst.table[None]))
         blocked = [sum(map(mul, a, g.vector)) > 0 for g, *_ in every]
-        assert list(inst.expand(q, row)) == [mv for mv, b in zip(every, blocked) if not b]
+        assert list(chord_moves(q, inst.table[row])) == [
+            mv for mv, b in zip(every, blocked) if not b]
         for (_, _, _, _, end), b in zip(every, blocked):
             if b:
                 assert end is None
@@ -1096,7 +1097,7 @@ def _assert_chain_pairs(h, c):
     for (_, (g1, g2), _), pulled in zip(back.moves, back.backs):
         assert [pulled] == front_chains(fresh, [(-g1, -g2)])
     back._setup()
-    rows, t = h.inequality_rows(), h_to_v(h)._triples
+    rows, t = h.inequality_rows(), h_to_v(h).triples
     n = len(t)
     counts = []
     for i, (_, (g1, g2), front) in enumerate(back.moves):
@@ -1244,10 +1245,11 @@ class TestPreparedInstance:
 
     def test_chain_frame_is_computed_once(self, monkeypatch):
         # the back chains reuse the front chains' per-polygon part, and equal
-        # the chains of a polygon that computes it afresh
+        # the chains of a polygon that computes it afresh; the frame's one lcm
+        # counts the frames built
         calls = []
-        edge_rows = circuits._edge_rows
-        monkeypatch.setattr(circuits, "_edge_rows", lambda v: calls.append(v) or edge_rows(v))
+        lcm = circuits.lcm
+        monkeypatch.setattr(circuits, "lcm", lambda *w: calls.append(w) or lcm(*w))
         for ell in (5, 8):
             art = build_p_ell(ell)
             h = HPolygon(art.h.rows)
