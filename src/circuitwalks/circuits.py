@@ -18,7 +18,9 @@ for a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
 gcd 1), and the moved state costs one gcd.  maximal_moves defines the maximal
 step in any dimension d, by an integer min-ratio test over every row's slack
 b*D - a.x.  The polygon search runs on chord_moves, which bisects the front
-chain instead and computes one slack (Chazelle and Dobkin, 1987).
+chain instead and computes one slack (Chazelle and Dobkin, 1987).  The
+optimum and the edge walk compare the cost on the vertices' triples, and
+build points only for what they return.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "enumerate_circuits",
     "blocking_rows",
     "maximal_moves",
-    "front_chains",
     "chord_moves",
     "maximal_step",
     "max_step",
@@ -166,7 +167,7 @@ def maximal_moves(rows, state, moves):
 
 
 def _chain_frame(h: HPolygon) -> tuple:
-    """(L, scaled, edge, corner), the part of front_chains that depends on the
+    """(L, scaled, edge, corner), the part of _chain_pairs that depends on the
     polygon alone, computed once per polygon and kept with it.
 
     L is the vertices' common denominator and scaled[k] is L times vertex k;
@@ -186,16 +187,6 @@ def _chain_frame(h: HPolygon) -> tuple:
     return frame
 
 
-def front_chains(h: HPolygon, gs) -> list:
-    """For each integer vector g of gs, the polygon's edges whose rows block g, counterclockwise.
-
-    The chain is (L, values, edges, corners): values[j] is L*phi_g at its j-th
-    vertex, L the vertices' common denominator; edges[j] is (row, a1, a2, b)
-    of the edge from vertex j to j + 1, corners[j] that of the row binding at j.
-    """
-    return [front for front, _ in _chain_pairs(h, gs)]
-
-
 def _span(phi, a: int, b: int) -> tuple[int, int]:
     """(k, m): m edges from the last vertex of phi's extremum at a to the first of that at b."""
     n = len(phi)
@@ -204,7 +195,15 @@ def _span(phi, a: int, b: int) -> tuple[int, int]:
 
 
 def _chain_pairs(h: HPolygon, gs) -> list:
-    """(front chain of g, front chain of -g) for each g of gs, both cut from one pass of phi_g."""
+    """(front chain of g, front chain of -g) for each integer vector g of gs,
+    both cut from one pass of phi_g.
+
+    The front chain of g is the polygon's edges whose rows block g,
+    counterclockwise, as (L, values, edges, corners): values[j] is L*phi_g at
+    its j-th vertex, L the vertices' common denominator; edges[j] is (row, a1,
+    a2, b) of the edge from vertex j to j + 1, corners[j] that of the row
+    binding at j.
+    """
     L, scaled, edge, corner = _chain_frame(h)
 
     def chain(values, k, m):
@@ -298,11 +297,11 @@ def monotone_directions(circuits, c) -> tuple:
     return tuple(sorted(out))
 
 
-def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, ...]]:
-    """Maximum of c over h and every vertex attaining it, in boundary order.
+def _optimum(h: HPolygon, c: Direction2) -> tuple[tuple[int, int], tuple]:
+    """The maximum of c over h as (num, den), den > 0, and the triples of every
+    vertex attaining it, in boundary order.
 
-    Values c.(X, Y)/W are compared on the vertices' homogeneous triples by
-    cross-multiplying (W > 0); only the maximum becomes a rational.
+    Values c.(X, Y)/W are compared on the vertices' triples by cross-multiplying (W > 0).
     """
     t = h_to_v(h).triples
     dx, dy = c.dx, c.dy
@@ -311,9 +310,14 @@ def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, .
     for n, w in vals:
         if n * den > num * w:
             num, den = n, w
-    return Fraction(num, den), tuple(
-        [Point2(*dehomogenize(p)) for p, (n, w) in zip(t, vals) if n * den == num * w]
-    )
+    return (num, den), tuple([p for p, (n, w) in zip(t, vals) if n * den == num * w])
+
+
+def optimal_value(h: HPolygon, c: Direction2) -> tuple[Fraction, tuple[Point2, ...]]:
+    """Maximum of c over h and every vertex attaining it, in boundary order:
+    _optimum's result as a rational and points."""
+    (num, den), argmax = _optimum(h, c)
+    return Fraction(num, den), tuple([Point2(*dehomogenize(p)) for p in argmax])
 
 
 def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
@@ -323,27 +327,34 @@ def monotone_edge_walk(h: HPolygon, s: Point2, c: Direction2):
     edge) to the maximum on both sides, so only s can have two improving
     neighbours.  The walk leaves s towards the larger gain, an exact tie going
     to the lexicographically smaller step direction, and then follows the
-    cycle in that direction up to the maximum.  Edges are circuits, so the
-    result is a monotone circuit walk of at most m - 1 steps.
+    cycle in that direction up to the maximum.  Gains are compared on the
+    vertices' triples by cross-multiplying, and points are built only for the
+    walk.  Edges are circuits, so the result is a monotone circuit walk of at
+    most m - 1 steps.
     """
-    _, argmax = optimal_value(h, c)
+    _, argmax = _optimum(h, c)
     if len(argmax) > 1:
         raise AmbiguousOptimum("cost attains its maximum on an edge")
-    verts = h_to_v(h).vertices
-    if s not in verts:
+    t = h_to_v(h).triples
+    p = homogeneous((s.x, s.y))
+    if p not in t:
         raise NotAVertex(f"({s.x}, {s.y}) is not a vertex")
-    n, i = len(verts), verts.index(s)
+    n, i = len(t), t.index(p)
+    xs, ys, ws = p
 
     def side(d):
-        q = verts[(i + d) % n]
-        dx, dy = q.x - s.x, q.y - s.y
-        return -(c.dx * dx + c.dy * dy), primitive_direction(dx, dy)
+        # the gain c.(q - s) times W_q * W_s, W_q, and the step from s to the neighbour q
+        x, y, w = t[(i + d) % n]
+        dx, dy = x * ws - xs * w, y * ws - ys * w
+        return c.dx * dx + c.dy * dy, w, primitive_direction(dx, dy)
 
-    d = min((1, -1), key=side)
-    points = (s, *[verts[(i + k * d) % n]
-                   for k in range(1, (verts.index(argmax[0]) - i) * d % n + 1)])
-    steps = tuple([primitive_direction(q.x - p.x, q.y - p.y) for p, q in zip(points, points[1:])])
-    return Walk(points, steps)
+    (g1, w1, e1), (g2, w2, e2) = side(1), side(-1)
+    # the larger gain g / (W_q * W_s) by cross-multiplying, then the smaller step
+    d = 1 if (g1 * w2, e2) > (g2 * w1, e1) else -1
+    ring = [t[(i + k * d) % n] for k in range((t.index(argmax[0]) - i) * d % n + 1)]
+    steps = tuple([primitive_direction(x1 * w0 - x0 * w1, y1 * w0 - y0 * w1)
+                   for (x0, y0, w0), (x1, y1, w1) in zip(ring, ring[1:])])
+    return Walk((s, *[Point2(*dehomogenize(q)) for q in ring[1:]]), steps)
 
 
 # -- lifted variants ---------------------------------------------------------
@@ -441,7 +452,7 @@ def lifted_optimal_value(
     The cost is separable over the product, so its maximum is the base
     optimum plus the largest simplex weight, where the apex 0 weighs 0.  The
     maximal vertices are the base's maximal vertices times the simplex's,
-    listed in lifted_vertices order: base vertex first, then simplex vertex.
+    listed by base vertex, then by simplex vertex.
     Raises BadDimension unless c has one weight per simplex coordinate.
     """
     check_lifted_cost(lp, c)

@@ -40,7 +40,7 @@ from .constructions import (
 )
 from .formats import (InstanceFile, ParseError, read_essr, read_instance, read_three_dm,
                       read_walk, write_essr, write_instance, write_walk)
-from .polytope import LiftedPoint, h_to_v
+from .polytope import LiftedPoint
 from .ratgeo import format_rational, rat
 from .render import lp_document, svg_document
 from .search import (

@@ -151,16 +151,15 @@ def build_p_ell(ell: int) -> PellArtifact:
         h = _hpolygon_of_cycle(VPolygon(tuple(cycle)), tuple(rows))
     except ValueError:
         raise ConstructionError("the rows are not the edges of the vertex cycle") from None
-    v = h_to_v(h)
     c0 = Direction2(1, 0)
     if h.m != 2 * ell + 1:
         raise ConstructionError("row count drifted from 2*ell + 1")
     # each level adds a vertex at either end, so level 1's (1, 0) stays in the middle
-    t = v.vertices[ell]
+    u, w, t = [Point2(*dehomogenize(cycle[i])) for i in (-1, 0, ell)]
     best, argmax = optimal_value(h, c0)
     if argmax != (t,) or best != t.x:
         raise ConstructionError("t is not the unique rightmost vertex")
-    return PellArtifact(ell=ell, h=h, v=v, u=v.vertices[-1], w=v.vertices[0], t=t, c0=c0)
+    return PellArtifact(ell=ell, h=h, v=h_to_v(h), u=u, w=w, t=t, c0=c0)
 
 
 # -- exact-sum instances and brute force --------------------------------------
@@ -366,6 +365,7 @@ def sqrt_sum_leq(A: int, B: int, L: int, M: int) -> bool:
 class SlopeChain:
     """Concave vertex chain encoding the weights as consecutive edge slopes.
 
+    triples holds the canonical triples (X, Y, D) of the points v_0 .. v_n.
     All points sit in the lower-right corner of the unit box on or below the
     zero line of the cost; consecutive slopes are exactly a_1 < .. < a_n.
     beta equals 1 when -c.dx >= c.dy, in which case the last point touches
@@ -375,7 +375,7 @@ class SlopeChain:
     instance: SubsetSumInstance
     cost: Direction2
     beta: Fraction
-    vertices: tuple[Point2, ...]
+    triples: tuple[tuple[int, int, int], ...]
     witnesses: tuple[Direction2, ...]
 
 
@@ -383,15 +383,8 @@ def build_slope_chain(inst: SubsetSumInstance, c: Direction2) -> SlopeChain:
     """Chain v_0 .. v_n with slope a_i between v_{i-1} and v_i.
 
     Requires an upper-left pointing cost (c.dx < 0 < c.dy).  Each vertex has
-    nonpositive cost value and a witness cost maximized uniquely at it.
-    """
-    return _slope_chain(inst, c)[0]
-
-
-def _slope_chain(inst: SubsetSumInstance, c: Direction2) -> tuple[SlopeChain, tuple]:
-    """build_slope_chain's chain and the homogeneous triples of its vertices.
-
-    With beta = p/q and T the total weight, v_i is
+    nonpositive cost value and a witness cost maximized uniquely at it.  With
+    beta = p/q and T the total weight, v_i is
     (q*T - (n - i)*p, p*(a_1 + .. + a_i), q*T) over its last entry.
     """
     if not (c.dx < 0 < c.dy):
@@ -415,17 +408,14 @@ def _slope_chain(inst: SubsetSumInstance, c: Direction2) -> tuple[SlopeChain, tu
             wits.append(primitive_direction(2 * inst.a[-1], -1))
         else:
             wits.append(primitive_direction(rat(inst.a[i - 1] + inst.a[i], 2), -1))
-    chain = SlopeChain(
-        instance=inst, cost=c, beta=beta,
-        vertices=tuple([Point2(*dehomogenize(v)) for v in t]), witnesses=tuple(wits),
-    )
-    _check_slope_chain(chain, t)
-    return chain, tuple(t)
+    chain = SlopeChain(instance=inst, cost=c, beta=beta, triples=tuple(t), witnesses=tuple(wits))
+    _check_slope_chain(chain)
+    return chain
 
 
-def _check_slope_chain(chain: SlopeChain, t: list) -> None:
-    """The chain's claims, on the triples t of its vertices by cross-multiplication."""
-    inst, c = chain.instance, chain.cost
+def _check_slope_chain(chain: SlopeChain) -> None:
+    """The chain's claims, on the triples of its vertices by cross-multiplication."""
+    inst, c, t = chain.instance, chain.cost, chain.triples
     for i in range(inst.n):
         (x0, y0, w0), (x1, y1, w1) = t[i], t[i + 1]
         dx, dy = x1 * w0 - x0 * w1, y1 * w0 - y0 * w1
@@ -456,8 +446,8 @@ class CornerTransform:
     All image edge slopes are positive and tiny, the image of u is the
     leftmost and lowest point, the image of w the rightmost and highest, and
     the image of t sits at height exactly S.  epsilon is how far w's image
-    pokes above S.  image is the tuple of the images of the family polygon's
-    vertices, counterclockwise from w's image to u's image.
+    pokes above S.  triples holds the canonical triples of the images of the
+    family polygon's vertices, counterclockwise from w's image to u's image.
     """
 
     map: AffineMap2
@@ -468,9 +458,7 @@ class CornerTransform:
     s1: Fraction
     epsilon: Fraction
     chain_slopes: tuple[Fraction, ...]
-    image: tuple[Point2, ...]
-    u_image: Point2
-    w_image: Point2
+    triples: tuple[tuple[int, int, int], ...]
     t_image: Point2
 
 
@@ -483,16 +471,9 @@ def build_corner_transform(
     conv((0,1), (0,-1), (1/4,0)), so after the sqrt(2)-scaled 135-degree
     rotation [[-1,-1],[1,-1]] every edge except the old left wall has slope
     strictly between 1/3 and 3, and after the y-squeeze beta = 1/(6*C*k)
-    strictly between 1/(18*C*k) and 1/(2*C*k).
-    """
-    return _corner_transform(pell, inst, C)[0]
-
-
-def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
-    """build_corner_transform's result and the triples of its image, in order.
-
-    The maps act on the family polygon's vertex triples as integer matrices,
-    and every claim is checked on the image triples by cross-multiplication.
+    strictly between 1/(18*C*k) and 1/(2*C*k).  The maps act on the family
+    polygon's vertex triples as integer matrices, and every claim is checked
+    on the image triples by cross-multiplication.
     """
     if C < 1:
         raise BadParameter("C must be positive")
@@ -502,9 +483,10 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
     # pre has positive determinant, so it maps the counterclockwise vertex
     # cycle to the image's; the cycle runs from w to u, and its closing edge,
     # the old left wall, becomes the chord below the chain
-    if (pell.v.vertices[0], pell.v.vertices[-1]) != (pell.w, pell.u):
-        raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
     cycle = pell.v.triples
+    u, t = homogeneous((pell.u.x, pell.u.y)), homogeneous((pell.t.x, pell.t.y))
+    if (cycle[0], cycle[-1]) != (homogeneous((pell.w.x, pell.w.y)), u):
+        raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
     # (1 - |y|) / x at the vertices between w and u
     alpha = min(rat(w - abs(y), x) for x, y, w in cycle[1:-1]) / 4
     beta = rat(1, 6 * ck)
@@ -529,12 +511,13 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
     # scaling(gamma, gamma) after pre, then the shift that puts u's image on
     # x = 0 and t's on y = S
     scaled = AffineMap2(-gamma * alpha, -gamma, gamma * alpha * beta, -gamma * beta)
-    u1, t1 = scaled.apply(pell.u), scaled.apply(pell.t)
-    full = AffineMap2(scaled.m00, scaled.m01, scaled.m10, scaled.m11, -u1.x, inst.S - t1.y)
+    (ux, _, uw), (_, ty, tw) = _map_triples(_affine_matrix(scaled), [u, t])
+    full = AffineMap2(scaled.m00, scaled.m01, scaled.m10, scaled.m11,
+                      rat(-ux, uw), inst.S - rat(ty, tw))
     mat = _affine_matrix(full)
     image = _map_triples(mat, cycle)
     (xw, yw, ww), (xu, yu, wu) = image[0], image[-1]
-    xt, yt, wt = _map_triples(mat, [homogeneous((pell.t.x, pell.t.y))])[0]
+    xt, yt, wt = _map_triples(mat, [t])[0]
     epsilon = rat(yw - inst.S * ww, ww)
     if not (0 < epsilon <= 2 * gamma * beta and epsilon < box / 2):
         raise ConstructionError("epsilon outside (0, box/2)")
@@ -549,8 +532,7 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
             raise ConstructionError("u's image is not the unique lowest-leftmost point")
         if i and (x * ww >= xw * w or y * ww >= yw * w):
             raise ConstructionError("w's image is not the unique highest-rightmost point")
-    points = tuple([Point2(*dehomogenize(v)) for v in image])
-    corner = CornerTransform(
+    return CornerTransform(
         map=full,
         alpha=alpha,
         beta=beta,
@@ -559,12 +541,9 @@ def _corner_transform(pell: PellArtifact, inst: SubsetSumInstance, C: int):
         s1=s1,
         epsilon=epsilon,
         chain_slopes=tuple(sorted(slopes)),
-        image=points,
-        u_image=points[-1],
-        w_image=points[0],
+        triples=tuple(image),
         t_image=Point2(rat(xt, wt), rat(yt, wt)),
     )
-    return corner, tuple(image)
 
 
 # -- the reduction polygon -----------------------------------------------------
@@ -599,9 +578,10 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
 
     Its counterclockwise vertex cycle is: the origin s, the slope chain along
     the bottom right, the top-right anchor (1, S + epsilon), then the squeezed
-    corner polygon beside (0, S) from w's image to u's image.  Every census
-    claim (vertex count, edge count, circuit classes) is asserted before
-    returning.
+    corner polygon beside (0, S) from w's image to u's image.  The cycle is
+    joined from the triples of the origin, the chain, the anchor and the
+    corner; s and t are the only points built.  Every census claim (vertex
+    count, edge count, circuit classes) is asserted before returning.
     """
     if C < 1:
         raise BadParameter("C must be positive")
@@ -613,18 +593,18 @@ def build_reduction(inst: SubsetSumInstance, C: int) -> ReductionInstance:
             stacklevel=2,
         )
     pell = build_p_ell(ck)
-    corner, image = _corner_transform(pell, inst, C)
+    corner = build_corner_transform(pell, inst, C)
     c = pullback_cost(corner.map, pell.c0)
     if c != Direction2(-1, 6 * ck):
         raise ConstructionError("pulled-back cost is not (-1, 6*C*k)")
-    chain, links = _slope_chain(inst, c)
+    chain = build_slope_chain(inst, c)
     s = Point2(rat(0), rat(0))
     e, d = corner.epsilon.numerator, corner.epsilon.denominator
     # x rises strictly along the chain and falls strictly along the corner
     # arc, so the cycle winds once and VPolygon's strict turn check proves
     # that every point is a vertex of the hull
     try:
-        v = VPolygon(((0, 0, 1), *links, (d, inst.S * d + e, d), *image))
+        v = VPolygon(((0, 0, 1), *chain.triples, (d, inst.S * d + e, d), *corner.triples))
     except ValueError:
         raise ConstructionError("some intended vertex fell inside the hull") from None
     if len(v.triples) != inst.n + 2 * ck + 4:

@@ -74,7 +74,6 @@ __all__ = [
     "LiftedPoint",
     "product_with_simplex",
     "simplex_vertices",
-    "lifted_vertices",
 ]
 
 
@@ -548,10 +547,3 @@ def simplex_vertices(extra_dims: int) -> tuple[tuple[int, ...], ...]:
         raise BadDimension("extra_dims must be nonnegative")
     units = tuple([tuple([int(i == j) for j in range(extra_dims)]) for i in range(extra_dims)])
     return ((0,) * extra_dims,) + units
-
-
-def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
-    """All vertices of the product: base vertex times simplex vertex."""
-    base = h_to_v(lp.base).vertices
-    simplex = [(*map(Fraction, s),) for s in simplex_vertices(lp.extra_dims)]
-    return tuple([LiftedPoint(v, s) for v in base for s in simplex])

@@ -103,6 +103,7 @@ from .circuits import (
     Walk,
     _chain_frame,
     _chain_pairs,
+    _optimum,
     blocking_rows,
     check_lifted_cost,
     chord_moves,
@@ -111,11 +112,11 @@ from .circuits import (
     maximal_moves,
     monotone_directions,
     monotone_edge_walk,
-    optimal_value,
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import (  # noqa: F401
-    lifted_max_step, lifted_move, lifted_optimal_value, max_step, monotone_lifted_directions)
+    lifted_max_step, lifted_move, lifted_optimal_value, max_step, monotone_lifted_directions,
+    optimal_value)
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, _inside, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
@@ -195,7 +196,7 @@ def _prepare(h, c) -> _Instance:
     circuits = enumerate_circuits(h)
     monotone = monotone_directions(circuits, c)
     rows = h.inequality_rows()
-    opt, argmax = optimal_value(h, c)
+    (num, den), argmax = _optimum(h, c)
     vectors = [g.vector for g in monotone]
     fronts, backs = zip(*_chain_pairs(h, vectors))
     moves = tuple([*zip(monotone, vectors, fronts)])
@@ -205,8 +206,8 @@ def _prepare(h, c) -> _Instance:
     held = [{e[0] for e in chain[2]} for _, _, chain in moves]
     table = {row: tuple([mv for mv, on in zip(moves, held) if row not in on]) for row in range(h.m)}
     table[None] = moves
-    # c.x/D == opt  <=>  (c, -opt).(x, D) == 0, with (c, -opt) scaled to integers
-    goal = homogeneous(c.vector + (-opt,))[:-1]
+    # c.x/D == num/den  <=>  (den*c, -num).(x, D) == 0
+    goal = (den * c.dx, den * c.dy, -num)
     back = _Backward(h, rows, moves, backs, argmax)
     return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, table, goal, back)
 
@@ -330,7 +331,8 @@ _BY_START = functools.cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1])
 
 
 class _Backward:
-    """Backward sets of a polygon under a cost, grown on demand.
+    """Backward sets of a polygon under a cost, grown on demand from A_0, the
+    triples ends of the optimal vertex or of the optimal edge's two vertices.
 
     The points of the stored A_r are canonical states, each with the first r
     that holds it; the rest are closed intervals of edges, each end a state.
@@ -338,9 +340,8 @@ class _Backward:
     a point of A_r or lies in an interval of A_r on the row it was moved onto.
     """
 
-    def __init__(self, h, rows, moves, backs, argmax):
+    def __init__(self, h, rows, moves, backs, ends):
         self.h, self.rows, self.moves, self.backs = h, rows, moves, backs
-        ends = [homogeneous(h.coordinates(v)) for v in argmax]
         self.level = dict.fromkeys(ends, 0)
         self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
         # the points (each with a row through it) and intervals new in the last layer

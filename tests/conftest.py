@@ -13,6 +13,7 @@ from circuitwalks.circuits import (
     AmbiguousOptimum,
     NotAVertex,
     Walk,
+    _chain_pairs,
     blocking_rows,
     enumerate_circuits,
     enumerate_lifted_circuits,
@@ -22,13 +23,14 @@ from circuitwalks.circuits import (
 from circuitwalks.constructions import Feasible, Infeasible, PromiseViolated, build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
+    LiftedPoint,
     LiftedPolytope,
     UnboundedOrEmpty,
     VPolygon,
     canonical_row,
     h_to_v,
     hull2d,
-    lifted_vertices,
+    simplex_vertices,
     v_to_h,
 )
 from circuitwalks.ratgeo import (
@@ -84,6 +86,28 @@ def rng():
 
 def random_hpolygon(rng: random.Random, max_points: int = 12, bound: int = 100):
     return v_to_h(random_hull(rng, max_points, bound))
+
+
+def as_points(triples) -> tuple[Point2, ...]:
+    """The points (X/D, Y/D) of canonical triples (X, Y, D), in order."""
+    return tuple(Point2(*dehomogenize(t)) for t in triples)
+
+
+def corner_anchors(corner) -> tuple[Point2, Point2]:
+    """The images of u and w under a CornerTransform: its last and first triples, as points."""
+    return as_points((corner.triples[-1], corner.triples[0]))
+
+
+def front_chains(h, gs) -> list:
+    """For each integer vector g of gs, the front chain of circuits._chain_pairs."""
+    return [front for front, _ in _chain_pairs(h, gs)]
+
+
+def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
+    """All vertices of the product: base vertex times simplex vertex."""
+    base = h_to_v(lp.base).vertices
+    simplex = [(*map(Fraction, s),) for s in simplex_vertices(lp.extra_dims)]
+    return tuple(LiftedPoint(v, s) for v in base for s in simplex)
 
 
 def _exact(q) -> Fraction:
@@ -510,7 +534,7 @@ def reference_reduction_vertices(pell, corner: dict, inst):
     """
     chain = build_slope_chain(inst, pullback_cost(corner["map"], pell.c0))
     apex = Point2(rat(1), inst.S + corner["epsilon"])
-    expected = {Point2(rat(0), rat(0)), apex, *chain.vertices}
+    expected = {Point2(rat(0), rat(0)), apex, *as_points(chain.triples)}
     expected |= {corner["map"].apply(p) for p in pell.v.vertices}
     v = hull2d(list(expected))
     assert set(v.vertices) == expected, "some intended vertex fell inside the hull"

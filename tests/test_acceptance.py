@@ -37,7 +37,7 @@ from circuitwalks.constructions import (
     three_dm_has_perfect_matching,
 )
 from circuitwalks.formats import InstanceFile, read_instance, read_walk, write_instance, write_walk
-from circuitwalks.polytope import lifted_vertices, transform_polygon, v_to_h
+from circuitwalks.polytope import transform_polygon, v_to_h
 from circuitwalks.ratgeo import AffineMap2, Direction2, primitive_direction, pullback_cost, rat
 from circuitwalks.search import (
     Found,
@@ -49,7 +49,7 @@ from circuitwalks.search import (
     transform_walk,
 )
 
-from conftest import facet_incidences, random_hull
+from conftest import corner_anchors, facet_incidences, lifted_vertices, random_hull
 
 
 def test_criterion_01_family_structure():
@@ -114,7 +114,7 @@ def test_criterion_05_reduction_structure():
     ring = red.v.vertices
     assert len(ring) == 4 + 2 * ck + n  # and a polygon has as many edges
     assert red.h.m == 4 + 2 * ck + n
-    expected = {red.s, red.t, red.corner.u_image, red.corner.w_image}
+    expected = {red.s, red.t, *corner_anchors(red.corner)}
     assert expected <= set(ring)
     groups = classify_reduction_circuits(red)
     assert set(groups["frame"]) == {Direction2(0, 1), Direction2(1, 0)}
@@ -130,7 +130,7 @@ def test_criterion_06_corner_distance():
     t0 = time.monotonic()
     red = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
     assert red.ck == 4
-    for start in (red.corner.u_image, red.corner.w_image):
+    for start in corner_anchors(red.corner):
         hit = shortest_monotone_walk(red.h, start, red.c, SearchConfig(red.ck))
         assert isinstance(hit, Found) and hit.walk.length == red.ck
         miss = shortest_monotone_walk(red.h, start, red.c, SearchConfig(red.ck - 1))

@@ -9,6 +9,7 @@ from circuitwalks.circuits import (
     NotACircuit,
     NotAVertex,
     Walk,
+    _optimum,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_max_step,
@@ -21,11 +22,12 @@ from circuitwalks.circuits import (
     monotone_lifted_directions,
     optimal_value,
 )
-from circuitwalks.constructions import build_p_ell, lift_instance
+from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction, lift_instance
 from circuitwalks.polytope import LiftedPoint, VPolygon, h_to_v, product_with_simplex, v_to_h
-from circuitwalks.ratgeo import Direction2, Point2, primitive_direction, rat
+from circuitwalks.ratgeo import Direction2, Point2, homogeneous, primitive_direction, rat
 
 from conftest import (
+    corner_anchors,
     random_hpolygon,
     random_hull,
     reference_edge_walk,
@@ -129,6 +131,9 @@ class TestOptimalValue:
             best, argmax = optimal_value(h, c)
             assert type(best) is rat and best == max(vals)
             assert argmax == tuple(v for v, val in zip(verts, vals) if val == best)
+            (num, den), ends = _optimum(h, c)
+            assert ends == tuple(homogeneous((v.x, v.y)) for v in argmax)
+            assert rat(num, den) == best
             ties += len(argmax) > 1
         assert ties
 
@@ -176,6 +181,7 @@ class TestEdgeWalkMatchesGreedy:
     def test_random_polygons_every_vertex(self):
         rng = random.Random(0xED6E)
         kinds = {"walk": 0, AmbiguousOptimum: 0, NotAVertex: 0}
+        ties = 0  # walks whose start has two neighbours of equal positive gain
         for trial in range(1000):
             # small coordinates give axis-parallel edges, so axis costs hit optimal edges
             h = random_hpolygon(rng, max_points=10, bound=3 if trial % 2 else 60)
@@ -189,7 +195,13 @@ class TestEdgeWalkMatchesGreedy:
                     got = _outcome(monotone_edge_walk, h, s, c)
                     assert got == _outcome(reference_edge_walk, h, s, c), (h.rows, s, c)
                     kinds["walk" if isinstance(got, Walk) else got[0]] += 1
+                    if isinstance(got, Walk):
+                        i = verts.index(s)
+                        gains = {c.dx * (q.x - s.x) + c.dy * (q.y - s.y)
+                                 for q in (verts[i - 1], verts[(i + 1) % len(verts)])}
+                        ties += len(gains) == 1 and min(gains) > 0
         assert min(kinds.values()) > 1000, kinds
+        assert ties > 50, ties
 
     @pytest.mark.parametrize("ell", range(1, 11))
     def test_family_from_u_and_w(self, ell):
@@ -198,6 +210,15 @@ class TestEdgeWalkMatchesGreedy:
             walk = monotone_edge_walk(art.h, s, art.c0)
             assert walk == reference_edge_walk(art.h, s, art.c0)
             assert walk.end == art.t
+
+    @pytest.mark.parametrize("C", [2, 3, 4])
+    def test_reduction_from_s_and_the_corner_anchors(self, C):
+        # C*k = 4, 6, 8: vertex denominators of 44, 64 and 86 bits
+        red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), C)
+        for s in (red.s, *corner_anchors(red.corner)):
+            walk = monotone_edge_walk(red.h, s, red.c)
+            assert walk == reference_edge_walk(red.h, s, red.c)
+            assert walk.end == red.t
 
 
 class TestLiftedCircuits:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from circuitwalks.circuits import optimal_value
+from circuitwalks.circuits import monotone_edge_walk, optimal_value
 from circuitwalks.cli import COMMANDS, build_parser, main
-from circuitwalks.constructions import SubsetSumInstance
+from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction
 from circuitwalks.formats import (
     InstanceFile,
     ParseError,
@@ -378,6 +378,16 @@ class TestExports:
         assert "vertices" not in h_to_v(ver.polygon).__dict__
         svg_document(ver)
         assert "vertices" in h_to_v(ver.polygon).__dict__
+
+    def test_builders_and_the_edge_walk_build_no_vertex_points(self, tmp_path):
+        # the constructions and the edge walk compute on triples; points are built for results only
+        assert "vertices" not in build_p_ell(8).v.__dict__
+        assert "vertices" not in build_reduction(SubsetSumInstance((2, 4), 5, 2), 2).v.__dict__
+        path = tmp_path / "i.cwi"
+        assert run("gen-pell", "--ell", "8", "-o", str(path), "--quiet") == 0
+        inst = read_instance(path.read_text())
+        assert monotone_edge_walk(inst.polygon, inst.start, inst.cost).length == 8
+        assert "vertices" not in h_to_v(inst.polygon).__dict__
 
     def test_pixels_are_the_float_of_the_fraction_difference(self):
         rng = random.Random(2626)

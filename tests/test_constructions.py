@@ -33,11 +33,14 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import HPolygon, h_to_v, lifted_vertices
+from circuitwalks.polytope import HPolygon, h_to_v
 from circuitwalks.ratgeo import Direction2, Point2, rat
 from circuitwalks.search import is_valid_monotone_walk
 
 from conftest import (
+    as_points,
+    corner_anchors,
+    lifted_vertices,
     reference_corner_transform,
     reference_edge_rows,
     reference_essr,
@@ -304,7 +307,7 @@ class TestSlopeChain:
         inst = SubsetSumInstance(a=(2, 3), S=5, k=2)
         chain = build_slope_chain(inst, Direction2(-1, 2))
         assert chain.beta == rat(1, 2)
-        assert chain.vertices == (
+        assert as_points(chain.triples) == (
             P(rat(4, 5), 0),
             P(rat(9, 10), rat(1, 5)),
             P(1, rat(1, 2)),
@@ -317,15 +320,15 @@ class TestSlopeChain:
 
     def test_slopes_are_the_weights(self):
         inst = SubsetSumInstance(a=(1, 4, 9), S=14, k=3)
-        chain = build_slope_chain(inst, Direction2(-1, 3))
-        for (p, q), w in zip(zip(chain.vertices, chain.vertices[1:]), inst.a):
+        chain = as_points(build_slope_chain(inst, Direction2(-1, 3)).triples)
+        for (p, q), w in zip(zip(chain, chain[1:]), inst.a):
             assert (q.y - p.y) == w * (q.x - p.x)
 
     def test_beta_capped_at_one(self):
         inst = SubsetSumInstance(a=(2, 3), S=5, k=2)
         chain = build_slope_chain(inst, Direction2(-2, 1))
         assert chain.beta == 1
-        assert chain.vertices[-1] == P(1, 1)
+        assert as_points(chain.triples)[-1] == P(1, 1)
 
     def test_cost_must_point_up_left(self):
         inst = SubsetSumInstance(a=(2, 3), S=5, k=2)
@@ -344,11 +347,11 @@ class TestSlopeChain:
 
         a = tuple(sorted(weights))
         inst = SubsetSumInstance(a=a, S=sum(a), k=len(a))
-        chain = build_slope_chain(inst, primitive_direction(-cx, cy))
-        assert len(chain.vertices) == len(a) + 1
-        assert all(p.x < q.x for p, q in zip(chain.vertices, chain.vertices[1:]))
+        chain = as_points(build_slope_chain(inst, primitive_direction(-cx, cy)).triples)
+        assert len(chain) == len(a) + 1
+        assert all(p.x < q.x for p, q in zip(chain, chain[1:]))
         c = primitive_direction(-cx, cy)
-        assert all(c.dx * v.x + c.dy * v.y <= 0 for v in chain.vertices)
+        assert all(c.dx * v.x + c.dy * v.y <= 0 for v in chain)
 
 
 class TestCornerTransform:
@@ -374,8 +377,9 @@ class TestCornerTransform:
     def test_landmarks(self):
         ct = self.build()
         assert ct.t_image == Point2(rat(21367, 169869312000), rat(5))
-        assert ct.u_image.x == 0
-        assert ct.w_image.y == rat(5) + ct.epsilon
+        u_image, w_image = corner_anchors(ct)
+        assert u_image.x == 0
+        assert w_image.y == rat(5) + ct.epsilon
         assert 0 < ct.epsilon < ct.box / 2
 
     def test_level_must_match(self):
@@ -461,10 +465,12 @@ def assert_matches_reference(inst, C):
     pell = build_p_ell(red.ck)
     ref = reference_corner_transform(pell, inst, C)
     for field in dataclasses.fields(red.corner):
-        if field.name != "image":
+        if field.name != "triples":
             assert getattr(red.corner, field.name) == ref[field.name], field.name
-    assert len(set(red.corner.image)) == len(red.corner.image)
-    assert set(red.corner.image) == set(ref["image"])
+    image = as_points(red.corner.triples)
+    assert (image[-1], image[0]) == (ref["u_image"], ref["w_image"])
+    assert len(set(image)) == len(image)
+    assert set(image) == set(ref["image"])
     vertices, corner_circuits = reference_reduction_vertices(pell, ref, inst)
     assert red.v.vertices == vertices
     assert red.h.rows == reference_edge_rows(vertices)
@@ -496,8 +502,9 @@ class TestVertexCycle:
     def test_image_runs_from_w_to_u(self):
         for inst, C in VERTEX_CYCLE_CASES:
             ct = build_reduction(inst, C).corner
-            assert ct.image[0] == ct.w_image and ct.image[-1] == ct.u_image
-            assert ct.image == tuple(ct.map.apply(p) for p in build_p_ell(C * inst.k).v.vertices)
+            pell, image = build_p_ell(C * inst.k), as_points(ct.triples)
+            assert image[0] == ct.map.apply(pell.w) and image[-1] == ct.map.apply(pell.u)
+            assert image == tuple(ct.map.apply(p) for p in pell.v.vertices)
 
 
 class TestLiftInstance:

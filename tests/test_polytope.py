@@ -16,7 +16,6 @@ from circuitwalks.polytope import (
     canonical_row,
     h_to_v,
     hull2d,
-    lifted_vertices,
     _hpolygon_of_cycle,
     product_with_simplex,
     remove_redundant,
@@ -30,6 +29,7 @@ from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, SingularMap, hom
 
 from conftest import (
     facet_incidences,
+    lifted_vertices,
     random_hpolygon,
     random_hull,
     reference_check_vertices,

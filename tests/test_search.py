@@ -15,7 +15,6 @@ from circuitwalks.circuits import (
     chord_moves,
     enumerate_circuits,
     enumerate_lifted_circuits,
-    front_chains,
     lifted_optimal_value,
     max_step,
     maximal_moves,
@@ -65,7 +64,8 @@ from circuitwalks.search import (
 from circuitwalks import circuits, search
 from circuitwalks.search import _prepare
 
-from conftest import bfs_walk, random_hull, reference_lifted_optimal_value
+from conftest import (
+    bfs_walk, corner_anchors, front_chains, random_hull, reference_lifted_optimal_value)
 
 
 def P(x, y):
@@ -442,7 +442,7 @@ class TestDifferential:
     def test_reductions(self):
         for a, S, k in (((2, 3), 5, 2), ((2, 4), 5, 2), ((1, 2), 3, 2), ((15,), 15, 1)):
             red = build_reduction(SubsetSumInstance(a=a, S=S, k=k), 2)
-            for start in (red.s, red.corner.u_image, red.corner.w_image):
+            for start in (red.s, *corner_anchors(red.corner)):
                 for depth in (red.ck - 1, red.ck):
                     assert_same_search(red.h, start, red.c, SearchConfig(depth))
 
@@ -828,7 +828,7 @@ class TestPrunedSearch:
 
     def test_reduction_from_s_and_corner_anchors(self):
         red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), 3)
-        for start in (red.s, red.corner.u_image, red.corner.w_image):
+        for start in (red.s, *corner_anchors(red.corner)):
             for depth in (red.ck - 1, red.ck):
                 assert_same_pruned(red.h, start, red.c, SearchConfig(depth),
                                    reference=start != red.s and depth < red.ck)
@@ -1032,7 +1032,7 @@ class TestChordMoves:
     def test_reduction_from_s_and_corner_anchors(self):
         for C in (2, 3):
             red = build_reduction(SubsetSumInstance(a=(2, 4), S=5, k=2), C)
-            starts = (red.s, red.corner.u_image, red.corner.w_image)
+            starts = (red.s, *corner_anchors(red.corner))
             assert _assert_same_moves(red.h, red.c, starts, 4)[0]
 
     def test_random_hulls(self):
