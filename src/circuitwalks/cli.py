@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success / walk found; 10 no walk within the depth bound;
-11 node cap exceeded; 2 a missing file, or a malformed file of any format
-(the message names its physical line); 1 failed check or bad parameters.
+11 node cap exceeded; 2 a missing file, or a malformed file of any format,
+such as one that is not UTF-8 text (the message names its physical line);
+1 failed check or bad parameters.
 Every command accepts --quiet (suppress informational output); every command
 is deterministic.
 
@@ -12,6 +13,12 @@ all eight commands takes about 1.4 ms and parsing with it about 0.05 ms (on
 2 cores with Python 3.11), while each level-8 pipeline command runs in
 0.4-0.9 ms with the parser built.  Callers that run main() many times in one
 process, such as the test suite, build it once.
+
+An output file (-o) is written over in place and cut to length, not opened with
+O_TRUNC: ext4 flushes a file truncated to zero and rewritten when it is closed
+(auto_da_alloc), so overwriting a corpus task's 0.9-2.9 KB files took a median
+56 us per file with open(path, "w") and 10.4 us in place (ext4, 2 cores; 14-15
+us either way on tmpfs).  A target that is not a regular file is not cut.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
+import stat
 import sys
 
 from .circuits import enumerate_circuits, enumerate_lifted_circuits, optimal_value
@@ -69,14 +78,24 @@ def _emit(args, text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        # in place, then cut to length: no O_TRUNC, so no flush on close (see above)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
         _say(args, f"wrote {path}")
 
 
 def _read_file(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The file as strict UTF-8, whatever the locale; a bad byte is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "\ufffd").splitlines())
+        raise ParseError(line_no, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
 
 
 # -- generation commands ---------------------------------------------------------

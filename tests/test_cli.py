@@ -1,8 +1,11 @@
 import argparse
 import gc
 import hashlib
+import os
 import random
 import re
+import stat
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -431,6 +434,61 @@ class TestExports:
         assert run("export-lp", str(pell3)) == 0
         out = capsys.readouterr().out
         assert "Maximize" in out and "Subject To" in out and out.rstrip().endswith("End")
+
+
+class TestOutputFiles:
+    """-o overwrites a file in place and cuts it to length; other targets are only written."""
+
+    @staticmethod
+    def level_2(capsys):
+        assert run("gen-pell", "--ell", "2") == 0
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("old", [bytes(range(256)) * 32, b"cwi"], ids=["longer", "shorter"])
+    def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path, capsys, old):
+        expected = self.level_2(capsys)
+        path = tmp_path / "f.cwi"
+        path.write_bytes(old)
+        assert run("gen-pell", "--ell", "2", "-o", str(path), "--quiet") == 0
+        assert path.read_bytes() == expected
+
+    def test_overwrite_keeps_the_inode_and_mode(self, tmp_path):
+        path = tmp_path / "f.cwi"
+        path.write_bytes(b"x" * 8192)
+        path.chmod(0o640)
+        before = path.stat()
+        assert run("gen-pell", "--ell", "2", "-o", str(path), "--quiet") == 0
+        after = path.stat()
+        assert stat.S_IMODE(after.st_mode) == 0o640 and after.st_ino == before.st_ino
+
+    def test_new_file_takes_the_umask(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "new.cwi"
+        assert run("gen-pell", "--ell", "2", "-o", str(path), "--quiet") == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device_is_written_not_cut(self):
+        assert run("gen-pell", "--ell", "2", "-o", os.devnull, "--quiet") == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_gets_the_whole_text(self, tmp_path, capsys):
+        expected = self.level_2(capsys)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run("gen-pell", "--ell", "2", "-o", str(fifo), "--quiet") == 0
+        reader.join(timeout=30)
+        assert received == [expected]
+
+    def test_directory_is_1_and_missing_directory_is_2(self, tmp_path, capsys):
+        assert run("gen-pell", "--ell", "2", "-o", str(tmp_path), "--quiet") == 1
+        assert run("gen-pell", "--ell", "2", "-o", str(tmp_path / "no" / "f.cwi"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "No such file or directory" in err
 
 
 # Per command: argv that parses, argv missing a required argument or an

@@ -1,10 +1,16 @@
 """Malformed files: every reader raises ParseError and nothing else, at a physical
 line, and the CLI turns that into exit code 2 with the line in the message."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circuitwalks
 from circuitwalks.cli import main
 from circuitwalks.constructions import SubsetSumInstance, build_p_ell
 from circuitwalks.formats import (
@@ -225,3 +231,53 @@ class TestEssrFiles:
         expected = capsys.readouterr().out
         shuffled = run_on(tmp_path, capsys, "gen-reduction", "essr 1\nk 2\nS 5\nn 2\na 2 3\n")
         assert inline == 0 and shuffled == (0, expected, "")
+
+
+class TestFileBytes:
+    """Files are read as bytes and decoded as strict UTF-8, whatever the locale."""
+
+    @staticmethod
+    def argv(fmt, path, tmp_path):
+        if fmt == "cwi":
+            return ["solve", str(path), "--max-depth", "2"]
+        if fmt == "cww":
+            instance = tmp_path / "instance.cwi"
+            instance.write_text(VALID["cwi"][1])
+            return ["verify", str(instance), "--certificate", str(path)]
+        if fmt == "essr":
+            return ["gen-reduction", "--essr", str(path), "--C", "2"]
+        return ["gen-3dm", str(path)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3"], ids=["invalid", "truncated"])
+    @pytest.mark.parametrize("fmt", sorted(VALID))
+    def test_bad_byte_is_2_at_its_line(self, tmp_path, capsys, fmt, bad, newline):
+        # the bad byte goes at the end of the last line; the 3dm text has a blank line 3
+        lines = VALID[fmt][1].splitlines()
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(newline.join(lines).encode() + b" " + bad + newline.encode())
+        assert main([*self.argv(fmt, path, tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {len(lines)}: not UTF-8 text: byte {bad[0]:#04x}\n"
+
+    def test_utf8_meta_reads_under_the_c_locale(self, tmp_path):
+        path = tmp_path / "meta.cwi"
+        path.write_bytes(VALID["cwi"][1].replace("two words", "naïve — ü").encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(circuitwalks.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "circuitwalks.cli", "solve", str(path), "--max-depth", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "length 2" in done.stdout
+
+    def test_crlf_instance_exports_the_same_lp(self, tmp_path, capsys):
+        lf, crlf = tmp_path / "lf.cwi", tmp_path / "crlf.cwi"
+        assert main(["gen-pell", "--ell", "3", "-o", str(lf), "--quiet"]) == 0
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (lf, crlf):
+            assert main(["export-lp", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].rstrip().endswith("End")
