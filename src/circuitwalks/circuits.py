@@ -13,14 +13,14 @@ order of their vectors.
 
 A circuit move travels from a feasible point along a circuit direction as far
 as the polytope allows; a monotone walk chains such moves while a fixed cost
-strictly increases.  Everything here is exact: rows are integer pairs (a, b)
-for a.x <= b, a point is the homogeneous state (x_1, .., x_d, D) for x/D (D > 0,
-gcd 1), and the moved state costs one gcd.  maximal_moves defines the maximal
-step in any dimension d, by an integer min-ratio test over every row's slack
-b*D - a.x.  The polygon search runs on chord_moves, which bisects the front
-chain instead and computes one slack (Chazelle and Dobkin, 1987).  The
-optimum and the edge walk compare the cost on the vertices' triples, and
-build points only for what they return.
+strictly increases.  Everything here is exact: rows are flat integer rows
+(a_1, .., a_d, b) for a.x <= b, a point is the homogeneous state
+(x_1, .., x_d, D) for x/D (D > 0, gcd 1), and the moved state costs one gcd.
+maximal_moves defines the maximal step in any dimension d, by an integer
+min-ratio test over every row's slack b*D - a.x.  The polygon search runs on
+chord_moves, which bisects the front chain instead and computes one slack
+(Chazelle and Dobkin, 1987).  The optimum and the edge walk compare the cost
+on the vertices' triples, and build points only for what they return.
 """
 
 from __future__ import annotations
@@ -120,14 +120,15 @@ def enumerate_circuits(h: HPolygon) -> tuple[Direction2, ...]:
 
 
 def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:
-    """(index, a.g) of each row (a, b) with a.g > 0: the rows that can stop a move along g.
+    """(index, a.g) of each flat row (a_1, .., a_d, b) with a.g > 0: the rows
+    that can stop a move along the integer vector g of length d.
 
     Raises UnboundedDirection when no row blocks g (impossible for a valid
     bounded polytope, kept for defensive callers).
     """
     blocking = []
-    for i, (a, _) in enumerate(rows):
-        ag = sum(map(mul, a, g))
+    for i, r in enumerate(rows):
+        ag = sum(map(mul, r, g))  # map stops at g's end, before b
         if ag > 0:
             blocking.append((i, ag))
     if not blocking:
@@ -138,8 +139,8 @@ def blocking_rows(rows, g) -> tuple[tuple[int, int], ...]:
 def maximal_moves(rows, state, moves):
     """Maximal move from the state (x, D) along each (label, g, blocking) of moves.
 
-    rows are the (a, b) pairs, the state must lie inside them, g is an
-    integer vector and blocking its blocking_rows.  Every row's slack
+    rows are flat rows (a_1, .., a_d, b), the state must lie inside them, g
+    is an integer vector and blocking its blocking_rows.  Every row's slack
     b*D - a.x is computed once; the step along g is slack / (D * ag) for the
     binding row, found by comparing ratios by cross-multiplication; of tied
     rows the first in blocking order binds.  Yields (label, slack, ag, row,
@@ -148,7 +149,7 @@ def maximal_moves(rows, state, moves):
     None when the step has length zero.
     """
     *x, D = state
-    slacks = [b * D - sum(map(mul, a, x)) for a, b in rows]
+    slacks = [r[-1] * D - sum(map(mul, r, x)) for r in rows]
     for label, g, blocking in moves:
         candidates = iter(blocking)
         row, ag = next(candidates)
@@ -168,23 +169,19 @@ def maximal_moves(rows, state, moves):
 
 def _chain_frame(h: HPolygon) -> tuple:
     """(L, scaled, edge, corner), the part of _chain_pairs that depends on the
-    polygon alone, computed once per polygon and kept with it.
+    polygon alone.
 
     L is the vertices' common denominator and scaled[k] is L times vertex k;
     edge[k] is (row, a1, a2, b) of the edge leaving vertex k and corner[k]
     that of the smaller row at vertex k, both listed twice around.
     """
-    frame = h.__dict__.get("_chain_frame")
-    if frame is None:
-        v = h_to_v(h)
-        t = v.triples
-        index = {row: i for i, row in enumerate(h.rows)}
-        edge = [(index[row],) + row for row in v.edges] * 2
-        corner = list(map(min, edge[-1:] + edge, edge))
-        L = lcm(*[w for _, _, w in t])
-        frame = (L, [(x * (L // w), y * (L // w)) for x, y, w in t], edge, corner)
-        object.__setattr__(h, "_chain_frame", frame)
-    return frame
+    v = h_to_v(h)
+    t = v.triples
+    index = {row: i for i, row in enumerate(h.rows)}
+    edge = [(index[row],) + row for row in v.edges] * 2
+    corner = list(map(min, edge[-1:] + edge, edge))
+    L = lcm(*[w for _, _, w in t])
+    return L, [(x * (L // w), y * (L // w)) for x, y, w in t], edge, corner
 
 
 def _span(phi, a: int, b: int) -> tuple[int, int]:
@@ -194,9 +191,9 @@ def _span(phi, a: int, b: int) -> tuple[int, int]:
     return k, (b - (phi[b - 1] == phi[b]) - k) % n
 
 
-def _chain_pairs(h: HPolygon, gs) -> list:
+def _chain_pairs(frame, gs) -> list:
     """(front chain of g, front chain of -g) for each integer vector g of gs,
-    both cut from one pass of phi_g.
+    both cut from one pass of phi_g over the polygon's _chain_frame.
 
     The front chain of g is the polygon's edges whose rows block g,
     counterclockwise, as (L, values, edges, corners): values[j] is L*phi_g at
@@ -204,7 +201,7 @@ def _chain_pairs(h: HPolygon, gs) -> list:
     a2, b) of the edge from vertex j to j + 1, corners[j] that of the row
     binding at j.
     """
-    L, scaled, edge, corner = _chain_frame(h)
+    L, scaled, edge, corner = frame
 
     def chain(values, k, m):
         return (L, values, edge[k:k + m], [edge[k], *corner[k + 1:k + m], edge[k + m - 1]])
@@ -249,8 +246,8 @@ def chord_moves(state, moves):
 def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None]:
     """Length and end coordinates of the maximal move from a point along g.
 
-    rows are (a, b) pairs of a bounded polytope containing the point; the end
-    is None when the step has length zero.
+    rows are the flat rows (a_1, .., a_d, b) of a bounded polytope containing
+    the point; the end is None when the step has length zero.
     """
     state = homogeneous(coords)
     _, slack, ag, _, moved = next(maximal_moves(rows, state, ((g, g, blocking_rows(rows, g)),)))
@@ -266,7 +263,7 @@ def _step(h, p, g, circuits):
     """
     if g.canonical() not in circuits:
         raise NotACircuit(f"{g.vector} is not a circuit of the polytope")
-    lam, end = maximal_step(h.inequality_rows(), h.coordinates(p), g.vector)
+    lam, end = maximal_step(h.rows, h.coordinates(p), g.vector)
     return lam, None if end is None else h.point(end)
 
 

@@ -42,16 +42,18 @@ every corner, O((m - k) * k) for k corners.  Corners that pass are the
 region's vertices and the kept edges its minimal rows; a region that fails
 has no interior.
 
-Containment is an integer test too, in any dimension: a point becomes its
-homogeneous state (x, D), and it lies in the polytope when a.x <= b*D for
-every row (a, b).
+Every polytope here, a polygon or a lift, holds its rows in one format: the
+flat canonical integer row (a_1, .., a_d, b) for a.x <= b, the polygon's
+triples being the case d = 2.  Containment is an integer test in any
+dimension: a point becomes its homogeneous state (x, D), and it lies in the
+polytope when a.x <= b*D for every row.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -253,9 +255,9 @@ def _hpolygon_of_cycle(v: "VPolygon", rows: tuple | None = None) -> "HPolygon":
 
 
 def _inside(rows, state) -> bool:
-    """True when a.x <= b*D for every row (a, b), with (x, D) the state."""
+    """True when a.x <= b*D for every flat row (a_1, .., a_d, b), with (x, D) the state."""
     *x, D = state
-    return all(sum(map(mul, a, x)) <= b * D for a, b in rows)
+    return all(sum(map(mul, r, x)) <= r[-1] * D for r in rows)
 
 
 @dataclass(frozen=True)
@@ -286,11 +288,7 @@ class HPolygon:
         return len(self.rows)
 
     def contains(self, p: Point2) -> bool:
-        return _inside(self.inequality_rows(), self.state(p))
-
-    def inequality_rows(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        """The rows as (coefficients, bound) pairs."""
-        return tuple([((a1, a2), b) for a1, a2, b in self.rows])
+        return _inside(self.rows, self.state(p))
 
     def coordinates(self, p: Point2) -> tuple[Fraction, Fraction]:
         return (p.x, p.y)
@@ -482,21 +480,23 @@ class LiftedPolytope:
 
     extra_dims == 0 is the polygon itself in a trivial wrapper.  For
     extra_dims >= 1 the facets are the base rows, the extra_dims nonnegativity
-    rows and the simplex sum row: base.m + extra_dims + 1 in total.
+    rows and the simplex sum row: base.m + extra_dims + 1 in total, built
+    once into rows as flat integer rows.
     """
 
     base: HPolygon
     extra_dims: int
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.extra_dims < 0:
             raise BadDimension("extra_dims must be nonnegative")
         e = self.extra_dims
-        rows = [(a + (0,) * e, b) for a, b in self.base.inequality_rows()]
-        rows += [((0, 0) + tuple([-y for y in unit]), 0) for unit in simplex_vertices(e)[1:]]
+        rows = [(a1, a2, *(0,) * e, b) for a1, a2, b in self.base.rows]
+        rows += [(0, 0, *[-y for y in unit], 0) for unit in simplex_vertices(e)[1:]]
         if e:
-            rows.append(((0, 0) + (1,) * e, 1))
-        object.__setattr__(self, "_rows", tuple(rows))
+            rows.append((0, 0, *(1,) * e, 1))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -504,14 +504,10 @@ class LiftedPolytope:
 
     @property
     def facet_count(self) -> int:
-        return len(self.inequality_rows())
-
-    def inequality_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Full-dimensional H-description as (coefficients, bound) pairs, built once."""
-        return self._rows
+        return len(self.rows)
 
     def contains(self, p: LiftedPoint) -> bool:
-        return _inside(self.inequality_rows(), self.state(p))
+        return _inside(self.rows, self.state(p))
 
     def coordinates(self, p: LiftedPoint) -> tuple[Fraction, ...]:
         return (p.base.x, p.base.y) + p.simplex

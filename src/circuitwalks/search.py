@@ -9,7 +9,8 @@ that blocks g has a zero move along g, so the instance keeps, per row, the
 moves that row does not block, and a state tries only those.  The goal test
 is an integer comparison, and points are only built for the returned walk.
 The walk validator runs on maximal_moves, a min-ratio test over every
-blocking row in any dimension, so it checks a search's walk, a lift's
+blocking row in any dimension, and reads only the polytope, the cost and the
+walk, nothing the search prepared, so it checks a search's walk, a lift's
 included, independently of the kernel that found it.
 
 A search is pruned by backward sets, growing whichever side of the search is
@@ -72,22 +73,19 @@ shorter.  On a lift the node cap counts base states, and a capped result's
 completed_depth is the base's plus k; so a capped lift may complete where a
 search over the lifted states gives up, never with another answer.
 
-An instance, everything that depends on the polytope and the cost alone, is
-prepared once and shared by the searches and validations that follow on an
-equal pair: the rows, the canonical and monotone circuits, each monotone
-direction's front and back chains, the moves per row, the goal vector, the
-backward sets, which keep the layers, pullbacks and membership tests they
-have built, and the blocking rows of each direction a validation has stepped
-along.  The last pair prepared is kept, compared by value, so a certificate's
-finds, proofs and validations from several starts share one instance.  A
-lift is searched on its base polygon's instance, and a lift's validation
-keeps its rows and circuits in a cache of its own, so a lift's finds, proofs
-and validations prepare the base polygon once.  A stored A_r gains nothing
-when later layers are built, and each search counts the layers it filters
-with by the growth rule above, replayed against the recorded layer sizes: it
-filters with exactly the layers a search alone would build, so no result, a
-capped one included, depends on the calls made before it.  The shared layers
-grow during a search, so the searches of one process run one at a time.
+An instance, everything the search needs that depends on the polygon and the
+cost alone, is prepared once and shared by the searches that follow on an
+equal pair: each monotone direction's front and back chains, the moves per
+row, the goal vector and the backward sets, which keep the layers, pullbacks
+and membership tests they have built.  The last pair prepared is kept,
+compared by value, so a certificate's finds and proofs from several starts
+share one instance, and a lift's finds and proofs prepare its base polygon
+once.  A stored A_r gains nothing when later layers are built, and each
+search counts the layers it filters with by the growth rule above, replayed
+against the recorded layer sizes: it filters with exactly the layers a search
+alone would build, so no result, a capped one included, depends on the calls
+made before it.  The shared layers grow during a search, so the searches of
+one process run one at a time.
 """
 
 from __future__ import annotations
@@ -177,28 +175,22 @@ DistanceResult = Union[Found, NotFoundWithinDepth, NodeCapExceeded]
 
 
 class _Instance(NamedTuple):
-    """What every search and validation on one (polytope, cost) pair shares;
-    a lift's holds only the fields its validation reads."""
+    """What every search on one (polygon, cost) pair shares."""
 
-    rows: tuple
-    circuits: frozenset  # canonical
-    monotone: frozenset  # directed, strictly c-increasing
-    blocking: dict  # directed g -> blocking_rows of g, filled by the validator
     # row a state was moved onto, or None at the root -> its moves, in search order
-    table: dict | None = None
-    goal: tuple | None = None  # (c, -opt) scaled to integers, without its last entry
-    back: "_Backward | None" = None
+    table: dict
+    goal: tuple  # (c, -opt) scaled to integers, without its last entry
+    back: "_Backward"
 
 
 @functools.lru_cache(maxsize=1)
 def _prepare(h, c) -> _Instance:
     """The instance of the polygon h under the cost c, built once per value of the pair."""
-    circuits = enumerate_circuits(h)
-    monotone = monotone_directions(circuits, c)
-    rows = h.inequality_rows()
+    monotone = monotone_directions(enumerate_circuits(h), c)
     (num, den), argmax = _optimum(h, c)
     vectors = [g.vector for g in monotone]
-    fronts, backs = zip(*_chain_pairs(h, vectors))
+    frame = _chain_frame(h)
+    fronts, backs = zip(*_chain_pairs(frame, vectors))
     moves = tuple([*zip(monotone, vectors, fronts)])
     # a state on a row has a zero move along each g the row blocks, so per row
     # the table holds only the moves whose front chain does not hold the row;
@@ -208,21 +200,8 @@ def _prepare(h, c) -> _Instance:
     table[None] = moves
     # c.x/D == num/den  <=>  (den*c, -num).(x, D) == 0
     goal = (den * c.dx, den * c.dy, -num)
-    back = _Backward(h, rows, moves, backs, argmax)
-    return _Instance(rows, frozenset(circuits), frozenset(monotone), {}, table, goal, back)
-
-
-@functools.lru_cache(maxsize=1)
-def _prepare_lift(lp, c) -> _Instance:
-    """What a validation on the lift lp under the cost c reads, built once per
-    value of the pair and kept apart from _prepare's polygon instance.
-
-    Raises BadDimension when c does not fit lp; an exception is never cached.
-    """
-    check_lifted_cost(lp, c)
-    circuits = enumerate_lifted_circuits(lp)
-    monotone = monotone_directions(circuits, c)
-    return _Instance(lp.inequality_rows(), frozenset(circuits), frozenset(monotone), {})
+    back = _Backward(h, moves, backs, argmax, frame[2])
+    return _Instance(table, goal, back)
 
 
 def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
@@ -236,7 +215,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     rule (module docstring).
     """
     root = h.state(s)
-    if not _inside(h.inequality_rows(), root):
+    if not _inside(h.rows, root):
         raise ValueError("start point is outside the polytope")
     if not isinstance(h, LiftedPolytope):
         return _search(h, s, root, c, cfg.max_depth, cfg.node_cap)
@@ -338,10 +317,11 @@ class _Backward:
     that holds it; the rest are closed intervals of edges, each end a state.
     An interval's vertices are points too, so a state lies in A_r when it is
     a point of A_r or lies in an interval of A_r on the row it was moved onto.
+    edges is the chain frame's edge list, (row, a1, a2, b) listed twice around.
     """
 
-    def __init__(self, h, rows, moves, backs, ends):
-        self.h, self.rows, self.moves, self.backs = h, rows, moves, backs
+    def __init__(self, h, moves, backs, ends, edges):
+        self.h, self.rows, self.moves, self.backs, self.edges = h, h.rows, moves, backs, edges
         self.level = dict.fromkeys(ends, 0)
         self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
         # the points (each with a row through it) and intervals new in the last layer
@@ -352,7 +332,7 @@ class _Backward:
         if len(ends) == 2:
             # the optimal edge: the row its two vertices share
             a, b = ends
-            row = next(i for i, ((a1, a2), c) in enumerate(rows)
+            row = next(i for i, (a1, a2, c) in enumerate(self.rows)
                        if all(a1 * x + a2 * y == c * w for x, y, w in ends))
             if self._tau(row, a) * b[2] > self._tau(row, b) * a[2]:
                 a, b = b, a
@@ -369,13 +349,13 @@ class _Backward:
     def _tau(self, row, state):
         """The edge parameter of a state on the row, times its D: the row's
         counterclockwise direction (-a2, a1) dotted with the point."""
-        (a1, a2), _ = self.rows[row]
+        a1, a2, _ = self.rows[row]
         return a1 * state[1] - a2 * state[0]
 
     def _setup(self) -> None:
         t = h_to_v(self.h).triples
         n = len(t)
-        edges = _chain_frame(self.h)[2]  # (row, a1, a2, b), listed twice around
+        edges = self.edges
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
         self.corner = ring = t + t[:1]
         self.edge = [e[0] for e in edges[:n]]
@@ -502,7 +482,7 @@ class _Backward:
             ivs = spans.get(row)
             if ivs is None:
                 return False
-            (a1, a2), _ = rows[row]
+            a1, a2, _ = rows[row]
             x, y, D = q
             tq = a1 * y - a2 * x
             lo, hi = 0, len(ivs)
@@ -556,29 +536,35 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """Check a walk exactly: containment, circuit steps, maximality, monotonicity.
 
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
-    circuit when its canonical form is one of the enumerated circuits.  The
-    first violated condition is reported with its step index.  Steps are
-    checked by maximal_moves over the blocking rows of their direction, which
-    the prepared instance keeps from the first validation along it; the search
-    never runs maximal_moves, so the validator checks its walks independently.
+    circuit when its canonical form is one of enumerate_circuits' or
+    enumerate_lifted_circuits', and monotone when c.g > 0 on c's integer
+    weights.  The first violated condition is reported with its step index.
+    Steps are checked by maximal_moves over the blocking rows of their
+    direction.  Nothing the search prepared is read, and the search never runs
+    maximal_moves, so the validator checks its walks independently.
     """
+    rows = h.rows
     state = h.state(w.points[0])
-    if not _inside(h.inequality_rows(), state):
+    if not _inside(rows, state):
         return ValidationReport(False, None, "start point outside the polytope")
-    inst = _prepare_lift(h, c) if isinstance(h, LiftedPolytope) else _prepare(h, c)
+    if isinstance(h, LiftedPolytope):
+        check_lifted_cost(h, c)
+        circuits = enumerate_lifted_circuits(h)
+    else:
+        circuits = enumerate_circuits(h)
+    # a positive integer multiple of c has the same gain signs
+    weights = homogeneous(c.vector)[:-1]
     for idx, g in enumerate(w.steps):
-        if g.canonical() not in inst.circuits:
+        if g.canonical() not in circuits:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        blocking = inst.blocking.get(g)
-        if blocking is None:
-            blocking = inst.blocking[g] = blocking_rows(inst.rows, g.vector)
-        end = next(maximal_moves(inst.rows, state, ((g, g.vector, blocking),)))[4]
+        moves = ((g, g.vector, blocking_rows(rows, g.vector)),)
+        end = next(maximal_moves(rows, state, moves))[4]
         if end is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
         state = homogeneous(h.coordinates(w.points[idx + 1]))
         if state != end:
             return ValidationReport(False, idx, "step is not the maximal circuit move")
-        if g not in inst.monotone:
+        if sum(map(mul, weights, g.vector)) <= 0:
             return ValidationReport(False, idx, "step does not strictly increase the cost")
     return ValidationReport(True)
 

@@ -13,6 +13,7 @@ from circuitwalks.circuits import (
     AmbiguousOptimum,
     NotAVertex,
     Walk,
+    _chain_frame,
     _chain_pairs,
     blocking_rows,
     enumerate_circuits,
@@ -100,7 +101,7 @@ def corner_anchors(corner) -> tuple[Point2, Point2]:
 
 def front_chains(h, gs) -> list:
     """For each integer vector g of gs, the front chain of circuits._chain_pairs."""
-    return [front for front, _ in _chain_pairs(h, gs)]
+    return [front for front, _ in _chain_pairs(_chain_frame(h), gs)]
 
 
 def lifted_vertices(lp: LiftedPolytope) -> tuple[LiftedPoint, ...]:
@@ -132,7 +133,7 @@ def _rank(vectors: list[list[Fraction]]) -> int:
 
 
 def facet_incidences(lp: LiftedPolytope) -> list[frozenset[int]]:
-    """Tight-vertex sets of the facet-defining rows of lp.inequality_rows().
+    """Tight-vertex sets of the facet-defining rows of lp.rows.
 
     Vertices come from lifted_vertices(lp) and are named by their index
     there.  A row counts when every vertex satisfies it and the vertices
@@ -145,7 +146,7 @@ def facet_incidences(lp: LiftedPolytope) -> list[frozenset[int]]:
         for v in lifted_vertices(lp)
     ]
     facets = []
-    for coeffs, bound in lp.inequality_rows():
+    for *coeffs, bound in lp.rows:
         values = [sum(a * x for a, x in zip(coeffs, p)) for p in points]
         if any(val > bound for val in values):
             continue
@@ -334,7 +335,7 @@ def reference_lifted_optimal_value(lp: LiftedPolytope, c):
 def bfs_walk(h, s, c, cfg):
     """The search's answer by an unfiltered forward BFS on maximal_moves.
 
-    h is a polygon or a lift, searched over its own inequality_rows() in any
+    h is a polygon or a lift, searched over its own rows in any
     dimension: a lift's states and circuits are lifted ones, with no product
     rule, and its optimum is the best vertex of the product.  The monotone
     circuits are tried in sorted order and the first discovery of a state
@@ -377,7 +378,7 @@ def bfs_walk(h, s, c, cfg):
 def _bfs_instance(h, c):
     """bfs_walk's rows, moves (label, vector, blocking rows) and goal vector
     for the polytope h under the cost c, kept for the last pair."""
-    rows = h.inequality_rows()
+    rows = h.rows
     if isinstance(h, LiftedPolytope):
         circuits, opt = enumerate_lifted_circuits(h), reference_lifted_optimal_value(h, c)[0]
     else:

@@ -71,7 +71,7 @@ class TestEnumerate:
 
 
 class TestMaxStep:
-    ROWS = TRIANGLE.inequality_rows()
+    ROWS = TRIANGLE.rows
 
     def test_interior_step_hits_far_edge(self):
         assert max_step(TRIANGLE, P(0, -1), Direction2(1, 1)) == 1

@@ -571,9 +571,9 @@ class TestLifting:
         with pytest.raises(BadDimension):
             lp.contains(LiftedPoint(P(0, 0), (rat(0),)))
 
-    def test_inequality_rows_count(self):
+    def test_rows_count(self):
         lp = product_with_simplex(self.base(), 4)
-        assert len(lp.inequality_rows()) == lp.facet_count
+        assert len(lp.rows) == lp.facet_count
 
     def test_facet_count_matches_incidence_count(self, rng):
         # at d = 2 the simplex is a point and the count is m, the only

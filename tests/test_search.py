@@ -27,6 +27,7 @@ from circuitwalks.constructions import (
     build_p_ell,
     build_reduction,
     lift_instance,
+    reduction_witness_walk,
 )
 from circuitwalks.polytope import (
     BadDimension,
@@ -203,6 +204,14 @@ class TestValidation:
         report = is_valid_monotone_walk(art.h, art.c0, crooked)
         assert not report and "circuit" in report.reason
 
+    def test_rejects_zero_gain_step(self):
+        # (0, 1) is a maximal circuit move from (1, 0) that leaves the cost x unchanged
+        square = v_to_h(VPolygon.of_points((P(0, 0), P(1, 0), P(1, 1), P(0, 1))))
+        walk = Walk((P(0, 0), P(1, 0), P(1, 1)), (Direction2(1, 0), Direction2(0, 1)))
+        report = is_valid_monotone_walk(square, Direction2(1, 0), walk)
+        assert not report and report.step == 1
+        assert report.reason == "step does not strictly increase the cost"
+
 
 class TestLiftedValidation:
     """The validator on a lift of P_2 to d = 4, cost x plus simplex weights (1, 2)."""
@@ -342,12 +351,9 @@ def _dot(u, v):
 
 
 def _rational_step(rows, x, g):
-    """Plain rational min-ratio over the rows (a, b) that block the vector g."""
-    return min((b - _dot(a, x)) / rat(_dot(a, g)) for a, b in rows if _dot(a, g) > 0)
-
-
-def _planar_rows(h):
-    return [((a1, a2), b) for a1, a2, b in h.rows]
+    """Plain rational min-ratio over the flat rows (a_1, .., a_d, b) that block
+    the vector g; _dot stops at the end of x and g, before b."""
+    return min((r[-1] - _dot(r, x)) / rat(_dot(r, g)) for r in rows if _dot(r, g) > 0)
 
 
 def _rational_problem(h, c):
@@ -356,7 +362,7 @@ def _rational_problem(h, c):
     if isinstance(h, LiftedPolytope):
         dirs = monotone_lifted_directions(enumerate_lifted_circuits(h), c)
         return (
-            h.inequality_rows(),
+            h.rows,
             [(g, g.vector) for g in dirs],
             (c.base.dx, c.base.dy) + tuple(c.simplex),
             reference_lifted_optimal_value(h, c)[0],
@@ -365,7 +371,7 @@ def _rational_problem(h, c):
         )
     dirs = monotone_directions(enumerate_circuits(h), c)
     return (
-        _planar_rows(h),
+        h.rows,
         [(g, (g.dx, g.dy)) for g in dirs],
         (c.dx, c.dy),
         optimal_value(h, c)[0],
@@ -377,7 +383,7 @@ def _rational_problem(h, c):
 def reference_walk(h, s, c, cfg):
     """Breadth-first search over exact rational points, one rational min-ratio
     per move: the reference the integer search must reproduce exactly.  h is
-    a polygon or a lift; lifted rows come from inequality_rows() and lifted
+    a polygon or a lift; lifted rows come from h.rows and lifted
     steps from the LiftedCircuit vectors."""
     rows, dirs, cost, opt, coords, point = _rational_problem(h, c)
     start = coords(s)
@@ -772,7 +778,7 @@ class TestMaxStepReference:
                 assert h.contains(p)
                 for g in dirs:
                     for d in (g, g.flipped()):
-                        want = _rational_step(_planar_rows(h), (p.x, p.y), (d.dx, d.dy))
+                        want = _rational_step(h.rows, (p.x, p.y), (d.dx, d.dy))
                         assert max_step(h, p, d) == want
                         zero += want == 0
         assert zero > 0
@@ -927,11 +933,12 @@ def _assert_sound(h, c, starts, depth=4, most=3):
     optimum within r <= most moves passes the search's test of the stored A_r.
     Returns the count of such states by distance."""
     inst = _prepare(h, c)
-    moves = tuple((g, g.vector, blocking_rows(inst.rows, g.vector)) for g in sorted(inst.monotone))
+    moves = tuple((g, g.vector, blocking_rows(h.rows, g.vector))
+                  for g in monotone_directions(enumerate_circuits(h), c))
     inst.back._size(most)
     member = {r: inst.back._lookup(r) for r in range(1, most + 1)}
     checked = [0] * (most + 1)
-    for q, row in _discovered(h, inst.rows, moves, starts, depth).items():
+    for q, row in _discovered(h, h.rows, moves, starts, depth).items():
         found = bfs_walk(h, h.point(dehomogenize(q)), c, SearchConfig(most))
         if not isinstance(found, Found):
             continue
@@ -982,7 +989,7 @@ def _assert_row_skips(h, c, found):
     inst = _prepare(h, c)
     skipped = 0
     for q, row in found.items():
-        a = inst.rows[row][0]
+        a = h.rows[row][:2]
         every = list(chord_moves(q, inst.table[None]))
         blocked = [sum(map(mul, a, g.vector)) > 0 for g, *_ in every]
         assert list(chord_moves(q, inst.table[row])) == [
@@ -1000,7 +1007,7 @@ def _assert_same_moves(h, c, starts, depth):
     moves of the starts, and the search skips the moves of _assert_row_skips.
     Returns the counts of states at a vertex inside a chain of one of the
     directions, of chains that wrap past row 0 and of skipped moves."""
-    rows = h.inequality_rows()
+    rows = h.rows
     gs = [g.vector for g in monotone_directions(enumerate_circuits(h), c)]
     gs += [(-g1, -g2) for g1, g2 in gs]
     chains = front_chains(h, gs)
@@ -1068,6 +1075,47 @@ class TestChordMoves:
             _prepare.cache_clear()
 
 
+def _perturbed(h, walk):
+    """The walk with its middle step flipped, with the point after that step
+    moved halfway back, and run backwards."""
+    i = walk.length // 2
+    steps = list(walk.steps)
+    steps[i] = steps[i].flipped()
+    points = list(walk.points)
+    a, b = h.coordinates(points[i]), h.coordinates(points[i + 1])
+    points[i + 1] = h.point(tuple([(x + y) / 2 for x, y in zip(a, b)]))
+    back = Walk(walk.points[::-1], tuple([g.flipped() for g in walk.steps[::-1]]))
+    return Walk(walk.points, tuple(steps)), Walk(tuple(points), walk.steps), back
+
+
+class TestValidatorPreparesNothing:
+    """The validator reads the polytope, the cost and the walk, and no search instance."""
+
+    def test_family_reduction_and_lift_walks(self, monkeypatch):
+        art = build_p_ell(5)
+        red = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
+        lp, s, c = lift_instance(art.h, art.u, art.c0, 5)
+        cases = [
+            (art.h, art.c0, shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(5)).walk),
+            (red.h, red.c, reduction_witness_walk(red, (1, 1))),
+            (lp, c, shortest_monotone_walk(lp, s, c, SearchConfig(5)).walk),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the validator prepared a search instance")
+
+        monkeypatch.setattr(search, "_prepare", refuse)
+        monkeypatch.setattr(search, "_Backward", refuse)
+        for h, c, walk in cases:
+            assert is_valid_monotone_walk(h, c, walk)
+            reports = [is_valid_monotone_walk(h, c, w) for w in _perturbed(h, walk)]
+            assert [(r.ok, r.step, r.reason) for r in reports] == [
+                (False, 2, "step is infeasible (zero length)"),
+                (False, 2, "step is not the maximal circuit move"),
+                (False, 0, "step does not strictly increase the cost"),
+            ]
+
+
 # -- one prepared instance per (polytope, cost) --------------------------------
 
 
@@ -1097,7 +1145,7 @@ def _assert_chain_pairs(h, c):
     for (_, (g1, g2), _), pulled in zip(back.moves, back.backs):
         assert [pulled] == front_chains(fresh, [(-g1, -g2)])
     back._setup()
-    rows, t = h.inequality_rows(), h_to_v(h).triples
+    rows, t = h.rows, h_to_v(h).triples
     n = len(t)
     counts = []
     for i, (_, (g1, g2), front) in enumerate(back.moves):
@@ -1105,7 +1153,7 @@ def _assert_chain_pairs(h, c):
         side = {}
         for row in set(back.edge).difference([e[0] for e in front[2] + pulled[2]]):
             k = back.pos[row]
-            (a1, a2), _ = rows[row]
+            a1, a2, _ = rows[row]
             side[t[k + 1 - n] if a1 * g2 - a2 * g1 > 0 else t[k]] = (row, t[k], t[k + 1 - n])
         assert back.side[i] == side
         counts.append(len(side))
