@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success / walk found; 10 no walk within the depth bound;
-11 node cap exceeded; 2 a missing file, or a malformed file of any format,
-such as one that is not UTF-8 text (the message names its physical line);
-1 failed check or bad parameters.
+11 node cap exceeded (solve, or a verify suite, which runs its searches at the
+size asked for and reports a check the cap cut short as inconclusive); 2 a
+missing file, or a malformed file of any format, such as one that is not UTF-8
+text (the message names its physical line); 1 failed check or bad parameters.
 Every command accepts --quiet (suppress informational output); every command
 is deterministic.
 
@@ -205,6 +206,7 @@ class _Report:
     def __init__(self, quiet: bool):
         self.quiet = quiet
         self.failures = 0
+        self.inconclusive = 0
 
     def check(self, ok: bool, label: str) -> bool:
         if not ok:
@@ -214,13 +216,32 @@ class _Report:
             print(f"[ok]   {label}")
         return ok
 
+    def search(self, label: str, ok, *queries):
+        """Run each (h, s, c, depth) search under the default node cap, then
+        check(ok(*results), label) and return the results.  A search that the
+        cap cuts short makes the check inconclusive, never passed: its line names
+        the depth the search did rule out, and None is returned."""
+        results = []
+        for h, s, c, depth in queries:
+            result = shortest_monotone_walk(h, s, c, SearchConfig(depth))
+            if isinstance(result, NodeCapExceeded):
+                self.inconclusive += 1
+                print(f"[??]   {label}: inconclusive, the node cap cut a search short; "
+                      f"it ruled out walks of at most {result.completed_depth} steps")
+                return None
+            results.append(result)
+        self.check(ok(*results), label)
+        return results
+
     def info(self, label: str) -> None:
         if not self.quiet:
             print(f"[info] {label}")
 
     @property
     def exit_code(self) -> int:
-        return EXIT_OK if self.failures == 0 else EXIT_FAIL
+        if self.failures:
+            return EXIT_FAIL
+        return EXIT_NODE_CAP if self.inconclusive else EXIT_OK
 
 
 def _verify_certificate(args, rep: _Report) -> None:
@@ -260,20 +281,12 @@ def _verify_pell(args, rep: _Report) -> None:
         all(v.x > 0 and -1 < v.y < 1 for v in ring if v not in (art.u, art.w)),
         "all other vertices lie strictly inside the unit strip",
     )
-    if ell > 5:
-        rep.info(f"skipping distance search at level {ell} (desk scale is <= 5)")
-        return
     for name, start in (("u", art.u), ("w", art.w)):
-        found = shortest_monotone_walk(art.h, start, art.c0, SearchConfig(ell))
-        rep.check(
-            isinstance(found, Found) and found.walk.length == ell,
-            f"level {ell}: shortest monotone walk from {name} has exactly {ell} steps",
-        )
-        below = shortest_monotone_walk(art.h, start, art.c0, SearchConfig(ell - 1))
-        rep.check(
-            isinstance(below, NotFoundWithinDepth),
-            f"level {ell}: no walk from {name} with {ell - 1} steps",
-        )
+        rep.search(f"level {ell}: shortest monotone walk from {name} has exactly {ell} steps",
+                   lambda r: isinstance(r, Found) and r.walk.length == ell,
+                   (art.h, start, art.c0, ell))
+        rep.search(f"level {ell}: no walk from {name} with {ell - 1} steps",
+                   lambda r: isinstance(r, NotFoundWithinDepth), (art.h, start, art.c0, ell - 1))
 
 
 def _verify_reduction(args, rep: _Report) -> None:
@@ -305,30 +318,17 @@ def _verify_reduction(args, rep: _Report) -> None:
         )
         rep.check(walk.length == 2 * inst.k, "witness walk has 2k steps")
         rep.check(walk.end == red.t, "witness walk ends at t")
-        if 2 * inst.k <= 4:
-            found = shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(2 * inst.k))
-            rep.check(
-                isinstance(found, Found) and found.walk.length <= 2 * inst.k,
-                "search confirms distance at most 2k",
-            )
-        else:
-            rep.info(f"2k = {2 * inst.k} beyond desk scale; skipping the search")
+        rep.search("search confirms distance at most 2k",
+                   lambda r: isinstance(r, Found) and r.walk.length <= 2 * inst.k,
+                   (red.h, red.s, red.c, 2 * inst.k))
     else:
-        if ck <= 4:
-            result = shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(ck))
-            rep.check(
-                isinstance(result, NotFoundWithinDepth),
-                f"completed search proves distance exceeds Ck = {ck}",
-            )
-        else:
-            rep.info(f"Ck = {ck} beyond desk scale; skipping the exhaustive search")
+        rep.search(f"completed search proves distance exceeds Ck = {ck}",
+                   lambda r: isinstance(r, NotFoundWithinDepth), (red.h, red.s, red.c, ck))
 
 
 def _verify_lift(args, rep: _Report) -> None:
     ell, d = args.ell, args.d
-    art = build_p_ell(min(ell, 3))
-    if ell > 3:
-        rep.info("lift suite caps the family level at 3 for runtime")
+    art = build_p_ell(ell)
     lp, s_d, c_d = lift_instance(art.h, art.u, art.c0, d)
     rep.check(lp.dim == d, f"lifted polytope lives in dimension {d}")
     true_facets = art.h.m + (d - 2) + 1 if d > 2 else art.h.m
@@ -340,14 +340,13 @@ def _verify_lift(args, rep: _Report) -> None:
     n_circ = len(enumerate_lifted_circuits(lp))
     expected = len(enumerate_circuits(art.h)) + (d - 2) + (d - 2) * (d - 3) // 2
     rep.check(n_circ == expected, f"lift has {expected} circuit classes")
-    base = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(art.ell))
-    lifted = shortest_monotone_walk(lp, s_d, c_d, SearchConfig(art.ell))
-    rep.check(
-        isinstance(base, Found)
-        and isinstance(lifted, Found)
-        and base.walk.length == lifted.walk.length,
+    pair = rep.search(
         "lifted walk distance equals the planar distance",
+        lambda base, lifted: isinstance(base, Found) and isinstance(lifted, Found)
+        and base.walk.length == lifted.walk.length,
+        (art.h, art.u, art.c0, ell), (lp, s_d, c_d, ell),
     )
+    base, lifted = pair or (None, None)
     if isinstance(base, Found) and isinstance(lifted, Found):
         rep.check(
             all(
@@ -360,17 +359,15 @@ def _verify_lift(args, rep: _Report) -> None:
                   "lifted walk is a valid monotone circuit walk of the lift's rows")
     if d >= 3:
         # from the simplex apex, the axis step to the top vertex sorts before the first base step
-        n = art.ell + 1
+        n = ell + 1
         apex = LiftedPoint(art.u, (rat(0),) * (d - 2))
-        up = shortest_monotone_walk(lp, apex, c_d, SearchConfig(n))
-        rep.check(
-            isinstance(up, Found) and up.walk.length == n
-            and up.walk.steps[0].kind == "axis" and bool(is_valid_monotone_walk(lp, c_d, up.walk)),
-            f"from the simplex apex: a valid {n}-step walk, first an axis step",
-        )
-        below = shortest_monotone_walk(lp, apex, c_d, SearchConfig(n - 1))
-        rep.check(below == NotFoundWithinDepth(n - 1),
-                  f"from the simplex apex: no walk within {n - 1} steps")
+        rep.search(f"from the simplex apex: a valid {n}-step walk, first an axis step",
+                   lambda up: isinstance(up, Found) and up.walk.length == n
+                   and up.walk.steps[0].kind == "axis"
+                   and bool(is_valid_monotone_walk(lp, c_d, up.walk)),
+                   (lp, apex, c_d, n))
+        rep.search(f"from the simplex apex: no walk within {n - 1} steps",
+                   lambda below: below == NotFoundWithinDepth(n - 1), (lp, apex, c_d, n - 1))
 
 
 def _verify_3dm(args, rep: _Report) -> None:
@@ -398,6 +395,10 @@ def _verify_3dm(args, rep: _Report) -> None:
 
 def cmd_verify(args) -> int:
     rep = _Report(args.quiet)
+    if args.suite is not None and args.certificate is not None:
+        raise ValueError("give --suite or --certificate, not both")
+    if args.suite is not None and args.instance is not None:
+        raise ValueError(f"--suite takes no instance file, but {args.instance} was given")
     if args.certificate is not None:
         if args.instance is None:
             raise ValueError("--certificate needs an instance file")
@@ -405,18 +406,16 @@ def cmd_verify(args) -> int:
         return rep.exit_code
     if args.suite is None:
         raise ValueError("give an instance with --certificate, or --suite")
-    suites = {
-        "pell": _verify_pell,
-        "reduction": _verify_reduction,
-        "lift": _verify_lift,
-        "3dm": _verify_3dm,
-    }
+    suites = {"pell": _verify_pell, "reduction": _verify_reduction, "lift": _verify_lift,
+              "3dm": _verify_3dm}
     names = list(suites) if args.suite == "all" else [args.suite]
     for name in names:
         rep.info(f"suite: {name}")
         suites[name](args, rep)
-    if not args.quiet or rep.failures:
-        print(f"{'FAILED' if rep.failures else 'passed'}: {rep.failures} failures")
+    if not args.quiet or rep.failures or rep.inconclusive:
+        verdict = "FAILED" if rep.failures else "INCONCLUSIVE" if rep.inconclusive else "passed"
+        cut = f", {rep.inconclusive} inconclusive" if rep.inconclusive else ""
+        print(f"{verdict}: {rep.failures} failures{cut}")
     return rep.exit_code
 
 

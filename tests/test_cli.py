@@ -1,4 +1,5 @@
 import argparse
+import functools
 import gc
 import hashlib
 import os
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from circuitwalks import cli
 from circuitwalks.circuits import monotone_edge_walk, optimal_value
 from circuitwalks.cli import COMMANDS, build_parser, main
 from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction
@@ -27,7 +29,7 @@ from circuitwalks.formats import (
 from circuitwalks.polytope import h_to_v
 from circuitwalks.ratgeo import Direction2, Point2
 from circuitwalks.render import _H, _W, _fmt, lp_document, svg_document
-from circuitwalks.search import Walk, is_valid_monotone_walk
+from circuitwalks.search import SearchConfig, Walk, is_valid_monotone_walk
 
 from conftest import random_hpolygon
 
@@ -134,14 +136,53 @@ class TestVerifySuites:
         assert "witness walk" in out
         assert "search confirms distance at most 2k" in out
 
-    def test_reduction_says_when_it_skips_the_feasible_search(self, capsys):
-        # feasible with 2k = 6 > 4: the search is skipped, and the report says so
+    def test_reduction_runs_the_feasible_search_at_2k_6(self, capsys):
+        # feasible with 2k = 6: the search runs at the size asked for
         argv = ["--a", "2,3", "--S", "7", "--k", "3", "--C", "1"]
         assert run("verify", "--suite", "reduction", *argv) == 0
         out = capsys.readouterr().out
         assert "witness walk has 2k steps" in out
-        assert "[info] 2k = 6 beyond desk scale; skipping the search" in out
-        assert "search confirms" not in out
+        assert "[ok]   search confirms distance at most 2k" in out
+        assert "skipping" not in out
+
+    def test_reduction_proves_ck_6(self, capsys):
+        # infeasible: a=(2,4) has no pair summing to 5
+        argv = ["--a", "2,4", "--S", "5", "--C", "3"]
+        assert run("verify", "--suite", "reduction", *argv) == 0
+        out = capsys.readouterr().out
+        assert "[ok]   completed search proves distance exceeds Ck = 6" in out
+        assert "skipping" not in out
+
+    def test_pell_searches_above_level_5(self, capsys):
+        assert run("verify", "--suite", "pell", "--ell", "8") == 0
+        out = capsys.readouterr().out
+        for name in "uw":
+            assert f"[ok]   level 8: shortest monotone walk from {name} has exactly 8 steps" in out
+            assert f"[ok]   level 8: no walk from {name} with 7 steps" in out
+        assert "skipping" not in out
+
+    def test_lift_runs_the_level_asked_for(self, capsys):
+        assert run("verify", "--suite", "lift", "--ell", "5", "--d", "5") == 0
+        out = capsys.readouterr().out
+        assert "product has 15 facets" in out  # P_5 has 11 rows: 11 + 5 - 1
+        assert "[ok]   from the simplex apex: a valid 6-step walk, first an axis step" in out
+        assert "[ok]   from the simplex apex: no walk within 5 steps" in out
+        assert "caps the family level" not in out
+
+    @pytest.mark.parametrize("quiet", [(), ("--quiet",)])
+    def test_search_cut_short_is_inconclusive(self, monkeypatch, capsys, quiet):
+        monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, node_cap=50))
+        assert run("verify", "--suite", "pell", "--ell", "8", *quiet) == 11
+        out = capsys.readouterr().out
+        assert "passed" not in out
+        cut = re.findall(r"^\[\?\?\]   level 8: (.*): inconclusive, the node cap cut a search "
+                         r"short; it ruled out walks of at most (\d+) steps$", out, re.M)
+        assert [label for label, _ in cut] == [
+            "shortest monotone walk from u has exactly 8 steps", "no walk from u with 7 steps",
+            "shortest monotone walk from w has exactly 8 steps", "no walk from w with 7 steps",
+        ]
+        assert all(0 <= int(depth) < 7 for _, depth in cut)
+        assert out.splitlines()[-1] == "INCONCLUSIVE: 0 failures, 4 inconclusive"
 
     def test_reduction_of_five_weights_runs_its_search(self, capsys):
         # (r_bound + 1)**n = 22**5 multiplicity vectors; all weights even, S odd
@@ -163,6 +204,18 @@ class TestVerifySuites:
 
     def test_needs_suite_or_certificate(self, capsys):
         assert run("verify") == 1
+
+    def test_suite_with_certificate_is_an_error(self, pell3, tmp_path, capsys):
+        walk = tmp_path / "w.cww"
+        assert run("solve", str(pell3), "--max-depth", "3", "-o", str(walk), "--quiet") == 0
+        assert run("verify", str(pell3), "--certificate", str(walk), "--suite", "3dm") == 1
+        assert capsys.readouterr() == ("", "error: give --suite or --certificate, not both\n")
+
+    def test_suite_with_instance_is_an_error(self, pell3, capsys):
+        assert run("verify", str(pell3), "--suite", "3dm") == 1
+        assert capsys.readouterr() == (
+            "", f"error: --suite takes no instance file, but {pell3} was given\n"
+        )
 
 
 class TestReductionCommands:
