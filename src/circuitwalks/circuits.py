@@ -17,9 +17,10 @@ strictly increases.  Everything here is exact: rows are flat integer rows
 (a_1, .., a_d, b) for a.x <= b, a point is the homogeneous state
 (x_1, .., x_d, D) for x/D (D > 0, gcd 1), and the moved state costs one gcd.
 maximal_moves defines the maximal step in any dimension d, by an integer
-min-ratio test over every row's slack b*D - a.x.  The polygon search runs on
-chord_moves, which bisects the front chain instead and computes one slack
-(Chazelle and Dobkin, 1987).  The optimum and the edge walk compare the cost
+min-ratio test over the slacks b*D - a.x of the rows that block g, each
+computed on first use.  The polygon search runs on chord_moves, which
+bisects the front chain instead and computes one slack (Chazelle and
+Dobkin, 1987).  The optimum and the edge walk compare the cost
 on the vertices' triples, and build points only for what they return.
 """
 
@@ -140,23 +141,26 @@ def maximal_moves(rows, state, moves):
     """Maximal move from the state (x, D) along each (label, g, blocking) of moves.
 
     rows are flat rows (a_1, .., a_d, b), the state must lie inside them, g
-    is an integer vector and blocking its blocking_rows.  Every row's slack
-    b*D - a.x is computed once; the step along g is slack / (D * ag) for the
-    binding row, found by comparing ratios by cross-multiplication; of tied
-    rows the first in blocking order binds.  Yields (label, slack, ag, row,
-    successor) per move, in order, where row is the binding row's index (the
-    moved point lies on it) and successor is the state of the moved point, or
-    None when the step has length zero.
+    is an integer vector and blocking its blocking_rows.  A row's slack
+    b*D - a.x is computed the first time a move's blocking rows hold it, so a
+    single move pays only for its own; the step along g is slack / (D * ag)
+    for the binding row, found by comparing ratios by cross-multiplication;
+    of tied rows the first in blocking order binds.  Yields (label, slack,
+    ag, row, successor) per move, in order, where row is the binding row's
+    index (the moved point lies on it) and successor is the state of the
+    moved point, or None when the step has length zero.
     """
     *x, D = state
-    slacks = [r[-1] * D - sum(map(mul, r, x)) for r in rows]
+    slacks = [None] * len(rows)
     for label, g, blocking in moves:
-        candidates = iter(blocking)
-        row, ag = next(candidates)
-        slack = slacks[row]
-        for i, a in candidates:
-            if slacks[i] * ag < slack * a:
-                row, slack, ag = i, slacks[i], a
+        row = None
+        for i, a in blocking:
+            s = slacks[i]
+            if s is None:
+                r = rows[i]
+                s = slacks[i] = r[-1] * D - sum(map(mul, r, x))
+            if row is None or s * ag < slack * a:
+                row, slack, ag = i, s, a
         if not slack:
             yield label, slack, ag, row, None
             continue
@@ -254,14 +258,30 @@ def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None
     return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
-def _step(h, p, g, circuits):
+def _is_circuit(h, g) -> bool:
+    """True when g, a Direction2 on a polygon or a LiftedCircuit of a lift's
+    dimension, is a circuit of h, decided on the rows with no circuit built:
+    a planar g exactly when some row has a.g = 0 (it spans that row's
+    kernel), and a lifted one when it is such a g padded with zeros, +-e_i
+    or +-(e_i - e_j), the rule enumerate_lifted_circuits encodes."""
+    lifted = isinstance(h, LiftedPolytope)
+    if (not isinstance(g, LiftedCircuit if lifted else Direction2)
+            or len(g.vector) != len(h.rows[0]) - 1):
+        return False
+    g1, g2, *y = g.vector
+    if not (g1 or g2):
+        return sorted(filter(None, y)) in ([-1], [1], [-1, 1])
+    rows = h.base.rows if lifted else h.rows
+    return not any(y) and 0 in [a1 * g1 + a2 * g2 for a1, a2, _ in rows]
+
+
+def _step(h, p, g):
     """Length and end point of the maximal move from p along the circuit g of h.
 
-    h is a polygon or a lift and circuits its canonical circuits; the end is
-    None when the move has length zero.  Raises NotACircuit when g is not one
-    of them.
+    h is a polygon or a lift; the end is None when the move has length zero.
+    Raises NotACircuit when g is not a circuit of h.
     """
-    if g.canonical() not in circuits:
+    if not _is_circuit(h, g):
         raise NotACircuit(f"{g.vector} is not a circuit of the polytope")
     lam, end = maximal_step(h.rows, h.coordinates(p), g.vector)
     return lam, None if end is None else h.point(end)
@@ -272,7 +292,7 @@ def max_step(h: HPolygon, p: Point2, g: Direction2) -> Fraction:
 
     Raises NotACircuit unless g is parallel to an edge of h.
     """
-    return _step(h, p, g, enumerate_circuits(h))[0]
+    return _step(h, p, g)[0]
 
 
 def monotone_directions(circuits, c) -> tuple:
@@ -429,12 +449,12 @@ def enumerate_lifted_circuits(lp: LiftedPolytope) -> tuple[LiftedCircuit, ...]:
 
 def lifted_max_step(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> Fraction:
     """Largest feasible step length from p along the directed lifted circuit."""
-    return _step(lp, p, circ, enumerate_lifted_circuits(lp))[0]
+    return _step(lp, p, circ)[0]
 
 
 def lifted_move(lp: LiftedPolytope, p: LiftedPoint, circ: LiftedCircuit) -> LiftedPoint | None:
     """Maximal move from p along the lifted circuit; None when it has length zero."""
-    return _step(lp, p, circ, enumerate_lifted_circuits(lp))[1]
+    return _step(lp, p, circ)[1]
 
 
 # one body serves both: a lifted circuit and cost have integer vectors like planar ones

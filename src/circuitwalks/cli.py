@@ -393,6 +393,10 @@ def _verify_3dm(args, rep: _Report) -> None:
     )
 
 
+# the suites' options, each with its value when it is not given
+_SUITE_OPTIONS = {"ell": 3, "a": "2,3", "S": 5, "k": 2, "C": 2, "d": 3}
+
+
 def cmd_verify(args) -> int:
     rep = _Report(args.quiet)
     if args.suite is not None and args.certificate is not None:
@@ -400,12 +404,18 @@ def cmd_verify(args) -> int:
     if args.suite is not None and args.instance is not None:
         raise ValueError(f"--suite takes no instance file, but {args.instance} was given")
     if args.certificate is not None:
+        given = [f"--{name}" for name in _SUITE_OPTIONS if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--certificate takes no suite options, but got {', '.join(given)}")
         if args.instance is None:
             raise ValueError("--certificate needs an instance file")
         _verify_certificate(args, rep)
         return rep.exit_code
     if args.suite is None:
         raise ValueError("give an instance with --certificate, or --suite")
+    for name, value in _SUITE_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     suites = {"pell": _verify_pell, "reduction": _verify_reduction, "lift": _verify_lift,
               "3dm": _verify_3dm}
     names = list(suites) if args.suite == "all" else [args.suite]
@@ -479,12 +489,10 @@ COMMANDS = {
         (("instance",), dict(nargs="?", default=None)),
         (("--certificate",), dict(default=None, help="walk file to validate")),
         (("--suite",), dict(choices=["pell", "reduction", "lift", "3dm", "all"], default=None)),
-        (("--ell",), dict(type=int, default=3)),
-        (("--a",), dict(default="2,3")),
-        (("--S",), dict(type=int, default=5)),
-        (("--k",), dict(type=int, default=2)),
-        (("--C",), dict(type=int, default=2)),
-        (("--d",), dict(type=int, default=3)),
+        # each suite option defaults to None, so --certificate can reject it; the
+        # suites read _SUITE_OPTIONS' value of one not given
+        *[((f"--{name}",), dict(type=type(value), default=None))
+          for name, value in _SUITE_OPTIONS.items()],
     )),
     "render-svg": (cmd_render_svg, "draw an instance (and walk)", (
         (("instance",), {}),

@@ -8,10 +8,12 @@ carries the row it was moved onto (None at the start).  A state on a row
 that blocks g has a zero move along g, so the instance keeps, per row, the
 moves that row does not block, and a state tries only those.  The goal test
 is an integer comparison, and points are only built for the returned walk.
-The walk validator runs on maximal_moves, a min-ratio test over every
-blocking row in any dimension, and reads only the polytope, the cost and the
+The walk validator runs on maximal_moves, a min-ratio test over the blocking
+rows in any dimension, and reads only the polytope's rows, the cost and the
 walk, nothing the search prepared, so it checks a search's walk, a lift's
-included, independently of the kernel that found it.
+included, independently of the kernel that found it.  A planar step is a
+circuit exactly when some row has a.g = 0, and each point is compared with
+the computed end state by cross-multiplication.
 
 A search is pruned by backward sets, growing whichever side of the search is
 smaller, as in bidirectional search (Pohl, 1971).  A_r is the set of boundary
@@ -71,7 +73,9 @@ walk and continues with the smallest walk from there, as does the simplex
 walk, so after the smaller first step the rest is the same problem one step
 shorter.  On a lift the node cap counts base states, and a capped result's
 completed_depth is the base's plus k; so a capped lift may complete where a
-search over the lifted states gives up, never with another answer.
+search over the lifted states gives up, never with another answer.  The
+simplex walk runs on the integer masses D - sum(y), y_1, .. of the start's
+lifted state (x, y, D).
 
 An instance, everything the search needs that depends on the polygon and the
 cost alone, is prepared once and shared by the searches that follow on an
@@ -101,20 +105,20 @@ from .circuits import (
     Walk,
     _chain_frame,
     _chain_pairs,
+    _is_circuit,
     _optimum,
     blocking_rows,
     check_lifted_cost,
     chord_moves,
     enumerate_circuits,
-    enumerate_lifted_circuits,
     maximal_moves,
     monotone_directions,
     monotone_edge_walk,
 )
 # Not called here; the benchmark's traced mode (cwbench/tracing.py) rebinds them in this module.
 from .circuits import (  # noqa: F401
-    lifted_max_step, lifted_move, lifted_optimal_value, max_step, monotone_lifted_directions,
-    optimal_value)
+    enumerate_lifted_circuits, lifted_max_step, lifted_move, lifted_optimal_value, max_step,
+    monotone_lifted_directions, optimal_value)
 from .polytope import HPolygon, LiftedPoint, LiftedPolytope, _inside, h_to_v
 from .ratgeo import AffineMap2, Direction2, Point2, dehomogenize, homogeneous, primitive_direction
 
@@ -220,7 +224,7 @@ def shortest_monotone_walk(h, s, c, cfg: SearchConfig) -> DistanceResult:
     if not isinstance(h, LiftedPolytope):
         return _search(h, s, root, c, cfg.max_depth, cfg.node_cap)
     check_lifted_cost(h, c)
-    simplex = _simplex_walk(s.simplex, c.simplex)
+    simplex = _simplex_walk(root, c.simplex)
     k = len(simplex)
     if cfg.max_depth < k:
         return NotFoundWithinDepth(cfg.max_depth)
@@ -269,13 +273,15 @@ def _search(h, s, root, c, max_depth, node_cap) -> DistanceResult:
     return NotFoundWithinDepth(max_depth)
 
 
-def _simplex_walk(y, weights) -> list:
-    """The smallest shortest monotone walk of the simplex from y under the
-    weights, as (lifted step, simplex part it ends at) pairs: each step
-    empties an index below the top weight onto a supported or top-weight
-    one, the smallest such move first (module docstring)."""
-    lam = [Fraction(v) for v in (1 - sum(y), *y)]
-    w = (0, *weights)
+def _simplex_walk(state, weights) -> list:
+    """The smallest shortest monotone walk of the simplex from the lifted
+    state (x, y, D) under the weights, as (lifted step, simplex part it ends
+    at) pairs: each step empties an index below the top weight onto a
+    supported or top-weight one, the smallest such move first (module
+    docstring).  Masses and weights are integers; only the ends are rational."""
+    *y, D = state[2:]
+    lam = [D - sum(y), *y]
+    w = (0, *homogeneous(weights)[:-1])
     top = max(w)
     steps = []
     while True:
@@ -285,8 +291,8 @@ def _simplex_walk(y, weights) -> list:
         if not moves:
             return steps
         v, a, b = min(moves)
-        lam[a], lam[b] = Fraction(0), lam[a] + lam[b]
-        steps.append((LiftedCircuit((0, 0) + v), tuple(lam[1:])))
+        lam[a], lam[b] = 0, lam[a] + lam[b]
+        steps.append((LiftedCircuit((0, 0) + v), tuple([Fraction(m, D) for m in lam[1:]])))
 
 
 def _shuffle(s, base: Walk, simplex) -> Walk:
@@ -536,12 +542,13 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """Check a walk exactly: containment, circuit steps, maximality, monotonicity.
 
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
-    circuit when its canonical form is one of enumerate_circuits' or
-    enumerate_lifted_circuits', and monotone when c.g > 0 on c's integer
-    weights.  The first violated condition is reported with its step index.
-    Steps are checked by maximal_moves over the blocking rows of their
-    direction.  Nothing the search prepared is read, and the search never runs
-    maximal_moves, so the validator checks its walks independently.
+    circuit when _is_circuit finds it so on h's rows, with no circuit built,
+    and monotone when c.g > 0 on c's integer weights.  The first violated
+    condition is reported with its step index.  Steps are made by
+    maximal_moves; the end state (e, E) is the next point x when x*E == e,
+    and is carried on as the next state.  Nothing the search prepared is
+    read, and the search never runs maximal_moves, so the validator checks
+    its walks independently.
     """
     rows = h.rows
     state = h.state(w.points[0])
@@ -549,20 +556,18 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
         return ValidationReport(False, None, "start point outside the polytope")
     if isinstance(h, LiftedPolytope):
         check_lifted_cost(h, c)
-        circuits = enumerate_lifted_circuits(h)
-    else:
-        circuits = enumerate_circuits(h)
     # a positive integer multiple of c has the same gain signs
     weights = homogeneous(c.vector)[:-1]
     for idx, g in enumerate(w.steps):
-        if g.canonical() not in circuits:
+        if not _is_circuit(h, g):
             return ValidationReport(False, idx, "step is not a circuit direction")
         moves = ((g, g.vector, blocking_rows(rows, g.vector)),)
-        end = next(maximal_moves(rows, state, moves))[4]
-        if end is None:
+        state = next(maximal_moves(rows, state, moves))[4]
+        if state is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
-        state = homogeneous(h.coordinates(w.points[idx + 1]))
-        if state != end:
+        coords, E = h.coordinates(w.points[idx + 1]), state[-1]
+        if len(coords) != len(state) - 1 or any(
+                q.numerator * E != e * q.denominator for q, e in zip(coords, state)):
             return ValidationReport(False, idx, "step is not the maximal circuit move")
         if sum(map(mul, weights, g.vector)) <= 0:
             return ValidationReport(False, idx, "step does not strictly increase the cost")

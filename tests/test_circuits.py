@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,7 @@ from circuitwalks.circuits import (
     NotACircuit,
     NotAVertex,
     Walk,
+    _is_circuit,
     _optimum,
     enumerate_circuits,
     enumerate_lifted_circuits,
@@ -24,6 +27,7 @@ from circuitwalks.circuits import (
 )
 from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction, lift_instance
 from circuitwalks.polytope import LiftedPoint, VPolygon, h_to_v, product_with_simplex, v_to_h
+from circuitwalks.search import SearchConfig, is_valid_monotone_walk, shortest_monotone_walk
 from circuitwalks.ratgeo import Direction2, Point2, homogeneous, primitive_direction, rat
 
 from conftest import (
@@ -340,3 +344,87 @@ class TestLiftedCircuitVectors:
     def test_sorted_like_vectors(self):
         circs = [LiftedCircuit(v) for v in ((0, 1, 0), (1, -1, 0), (0, 0, -1), (0, 0, 1))]
         assert [c.vector for c in sorted(circs)] == sorted(c.vector for c in circs)
+
+
+def _primitive_vectors(n):
+    """Every primitive integer vector of length n with entries in [-2, 2]."""
+    return [v for v in itertools.product(range(-2, 3), repeat=n) if gcd(*v) == 1]
+
+
+def _circuit_test_polygons():
+    red = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
+    return [build_p_ell(ell).h for ell in (2, 3, 4)] + [red.h]
+
+
+class TestCircuitTest:
+    """_is_circuit decides on the rows what membership in the enumerated
+    circuits decides, for steps of either type and any length."""
+
+    def test_polygons(self):
+        for h in _circuit_test_polygons():
+            circuits = enumerate_circuits(h)
+            # the small vectors, and every circuit of h with both signs
+            vectors = set(_primitive_vectors(2)) | {v for g in circuits
+                                                    for v in (g.vector, g.flipped().vector)}
+            hits = 0
+            for v in sorted(vectors):
+                g = Direction2(*v)
+                assert _is_circuit(h, g) == (g.canonical() in circuits)
+                hits += _is_circuit(h, g)
+                # a lifted circuit is never one of a polygon's, whatever its length
+                assert not _is_circuit(h, LiftedCircuit(v))
+            assert hits == 2 * len(circuits)
+            for n in (1, 3, 4):
+                assert not any(_is_circuit(h, LiftedCircuit(v)) for v in _primitive_vectors(n))
+
+    def test_lifts(self):
+        for h in _circuit_test_polygons():
+            base = [g.vector for g in enumerate_circuits(h)]
+            for d in (3, 4, 5):
+                lp = product_with_simplex(h, d)
+                circuits = enumerate_lifted_circuits(lp)
+                kinds = {"base": 0, "axis": 0, "diff": 0}
+                for n in range(2, d + 2):
+                    # the small vectors, and the base circuits padded with zeros,
+                    # with a one or with a one and a minus one
+                    vectors = set(_primitive_vectors(n))
+                    for g in base:
+                        for y in itertools.product((-1, 0, 1), repeat=n - 2):
+                            vectors.update([g + y, tuple([-v for v in g + y])])
+                    for v in sorted(vectors):
+                        g = LiftedCircuit(v)
+                        assert _is_circuit(lp, g) == (g.canonical() in circuits), v
+                        if _is_circuit(lp, g):
+                            assert n == d
+                            kinds[g.kind] += 1
+                    for v in _primitive_vectors(2):
+                        assert not _is_circuit(lp, Direction2(*v))
+                # both signs of each circuit
+                e = d - 2
+                assert kinds == {"base": 2 * len(base), "axis": 2 * e, "diff": e * (e - 1)}
+
+    def test_validator_reports_steps_of_the_wrong_type_or_length(self):
+        art = build_p_ell(4)
+        lp, s, c = lift_instance(art.h, art.u, art.c0, 4)
+        planar = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(4)).walk
+        lifted = shortest_monotone_walk(lp, s, c, SearchConfig(4)).walk
+        wrong = "step is not a circuit direction"
+        for i, g in enumerate(planar.steps):
+            steps = list(planar.steps)
+            steps[i] = LiftedCircuit(g.vector)
+            report = is_valid_monotone_walk(art.h, art.c0, Walk(planar.points, tuple(steps)))
+            assert (report.ok, report.step, report.reason) == (False, i, wrong)
+        for i, g in enumerate(lifted.steps):
+            for step in (g.g, LiftedCircuit(g.vector + (0,)), LiftedCircuit(g.vector[:-1])):
+                steps = list(lifted.steps)
+                steps[i] = step
+                report = is_valid_monotone_walk(lp, c, Walk(lifted.points, tuple(steps)))
+                assert (report.ok, report.step, report.reason) == (False, i, wrong)
+            # a point with one simplex coordinate too many or too few
+            p = lifted.points[i + 1]
+            for simplex in (p.simplex + (rat(0),), p.simplex[:-1]):
+                points = list(lifted.points)
+                points[i + 1] = LiftedPoint(p.base, simplex)
+                report = is_valid_monotone_walk(lp, c, Walk(tuple(points), lifted.steps))
+                assert (report.ok, report.step, report.reason) == (
+                    False, i, "step is not the maximal circuit move")

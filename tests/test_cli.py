@@ -211,6 +211,26 @@ class TestVerifySuites:
         assert run("verify", str(pell3), "--certificate", str(walk), "--suite", "3dm") == 1
         assert capsys.readouterr() == ("", "error: give --suite or --certificate, not both\n")
 
+    def test_certificate_with_suite_options_is_an_error(self, pell3, tmp_path, capsys):
+        walk = tmp_path / "w.cww"
+        assert run("solve", str(pell3), "--max-depth", "3", "-o", str(walk), "--quiet") == 0
+        certificate = ("verify", str(pell3), "--certificate", str(walk), "--quiet")
+        for option, value in (("--ell", "9"), ("--a", "1,2"), ("--S", "5"), ("--k", "2"),
+                              ("--C", "2"), ("--d", "5")):
+            assert run(*certificate, option, value) == 1
+            assert capsys.readouterr() == (
+                "", f"error: --certificate takes no suite options, but got {option}\n")
+        assert run(*certificate, "--d", "5", "--ell", "9", "--a", "1,2") == 1
+        assert capsys.readouterr() == (
+            "", "error: --certificate takes no suite options, but got --ell, --a, --d\n")
+        assert run(*certificate) == 0
+
+    def test_suites_fill_in_the_options_not_given(self, capsys):
+        assert run("verify", "--suite", "pell") == 0
+        assert "level 3: polygon has 7 rows" in capsys.readouterr().out
+        assert run("verify", "--suite", "reduction", "--C", "1") == 0
+        assert "vertex census is n + 2Ck + 4 = 10" in capsys.readouterr().out
+
     def test_suite_with_instance_is_an_error(self, pell3, capsys):
         assert run("verify", str(pell3), "--suite", "3dm") == 1
         assert capsys.readouterr() == (

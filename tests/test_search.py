@@ -569,6 +569,117 @@ class TestSimplexWalks:
         assert lengths == {0, 1, 2, 3, 4, 5}
 
 
+def simplex_bfs(y, weights):
+    """The smallest shortest monotone walk of the simplex conv(0, e_1, .., e_n)
+    from the point y under the weights, by breadth-first search over rational
+    points: the edge directions e_i and e_i - e_j with both signs, those that
+    raise the weights tried in sorted order, and the first discovery of a
+    point wins.  Returns (step vector, point after it) per step."""
+    n = len(y)
+    units = simplex_vertices(n)[1:]
+    edges = list(units) + [tuple(a - b for a, b in zip(u, v))
+                           for u, v in itertools.combinations(units, 2)]
+    dirs = sorted(v for g in edges for v in (g, tuple(-a for a in g))
+                  if sum(map(mul, weights, v)) > 0)
+    top = max((0, *weights))
+
+    def move(z, v):
+        # the largest t with z + t*v in the simplex: every z_i >= 0 and sum(z) <= 1
+        bounds = [zi / -vi for zi, vi in zip(z, v) if vi < 0]
+        if sum(v) > 0:
+            bounds.append((1 - sum(z)) / sum(v))
+        t = min(bounds)
+        return tuple(zi + t * vi for zi, vi in zip(z, v)) if t else None
+
+    start = tuple(rat(v) for v in y)
+    parent = {start: None}
+    frontier = [start]
+    goal = start if sum(map(mul, weights, start)) == top else None
+    while goal is None:
+        nxt = []
+        for z in frontier:
+            for v in dirs:
+                q = move(z, v)
+                if q is None or q in parent:
+                    continue
+                parent[q] = (z, v)
+                nxt.append(q)
+                if goal is None and sum(map(mul, weights, q)) == top:
+                    goal = q
+            if goal is not None:
+                break
+        assert nxt, "the simplex optimum is always reachable"
+        frontier = nxt
+    walk = []
+    while parent[goal] is not None:
+        prev, v = parent[goal]
+        walk.append((v, goal))
+        goal = prev
+    return walk[::-1]
+
+
+def _simplex_cases():
+    """(y, weights) for n = 1..6: starts at vertices, on edges, inside and at
+    the barycentre, under weights with ties, zeros and negatives."""
+    rng = random.Random(3131)
+    for n in range(1, 7):
+        corners = [tuple(rat(v) for v in c) for c in simplex_vertices(n)]
+        y0, y1 = rng.sample(corners, 2)
+        starts = [corners[0], corners[-1], rng.choice(corners),
+                  tuple((a + b) / 2 for a, b in zip(y0, y1)),
+                  tuple((2 * a + b) / 3 for a, b in zip(y0, y1)),
+                  tuple(rat(rng.randint(1, 5), 6 * n) for _ in range(n)),
+                  tuple(rat(1, n + 1) for _ in range(n))]
+        w = rng.choice(LIFT_WEIGHTS)
+        weights = [(w,) * n, (rat(0),) * n, tuple(-rat(rng.randint(1, 3)) for _ in range(n)),
+                   tuple(rng.choice([w, w, rat(0), rng.choice(LIFT_WEIGHTS)]) for _ in range(n)),
+                   tuple(rng.choice(LIFT_WEIGHTS) for _ in range(n))]
+        for y in starts:
+            for c in weights:
+                yield y, c
+
+
+class TestIntegerSimplexWalk:
+    """The simplex walk on integer masses against a breadth-first search of
+    the simplex, alone and as the simplex factor of the lifted search."""
+
+    def test_against_simplex_bfs(self):
+        lengths = set()
+        for y, weights in _simplex_cases():
+            # a base part with its own denominators, so D is not the simplex's alone
+            state = homogeneous((rat(1, 3), rat(-2, 7), *y))
+            got = search._simplex_walk(state, weights)
+            assert [(step.vector, end) for step, end in got] == [
+                ((0, 0) + v, end) for v, end in simplex_bfs(y, weights)]
+            lengths.add(len(got))
+        assert lengths == set(range(7))
+
+    def test_lifted_search_is_base_search_plus_simplex_bfs(self):
+        for ell in (3, 4, 5):
+            art = build_p_ell(ell)
+            base = shortest_monotone_walk(art.h, art.u, art.c0, SearchConfig(ell)).walk
+            for y, weights in _simplex_cases():
+                n = len(y)
+                lp = product_with_simplex(art.h, n + 2)
+                s, c = LiftedPoint(art.u, y), LiftedCost(art.c0, weights)
+                simplex = simplex_bfs(y, weights)
+                depth = ell + len(simplex)
+                found = shortest_monotone_walk(lp, s, c, SearchConfig(depth))
+                assert shortest_monotone_walk(lp, s, c, SearchConfig(depth - 1)) == \
+                    NotFoundWithinDepth(depth - 1)
+                # the two factor walks merged, the smaller step vector first
+                moves = [[(g.vector + (0,) * n, p) for g, p in zip(base.steps, base.points[1:])],
+                         [((0, 0) + v, end) for v, end in simplex]]
+                ends, points, steps = [art.u, tuple(rat(v) for v in y)], [s], []
+                while moves[0] or moves[1]:
+                    i = min([i for i in (0, 1) if moves[i]], key=lambda i: moves[i][0][0])
+                    v, ends[i] = moves[i].pop(0)
+                    steps.append(LiftedCircuit(v))
+                    points.append(LiftedPoint(*ends))
+                assert found == Found(Walk(tuple(points), tuple(steps)))
+                assert is_valid_monotone_walk(lp, c, found.walk)
+
+
 def assert_same_optimum(lp, c):
     got = lifted_optimal_value(lp, c)
     want = reference_lifted_optimal_value(lp, c)
