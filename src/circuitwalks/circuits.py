@@ -258,21 +258,25 @@ def maximal_step(rows, coords, g) -> tuple[Fraction, tuple[Fraction, ...] | None
     return rat(slack, state[-1] * ag), None if moved is None else dehomogenize(moved)
 
 
-def _is_circuit(h, g) -> bool:
-    """True when g, a Direction2 on a polygon or a LiftedCircuit of a lift's
-    dimension, is a circuit of h, decided on the rows with no circuit built:
-    a planar g exactly when some row has a.g = 0 (it spans that row's
-    kernel), and a lifted one when it is such a g padded with zeros, +-e_i
-    or +-(e_i - e_j), the rule enumerate_lifted_circuits encodes."""
+def _circuit_blocking(h, g):
+    """blocking_rows(h.rows, g.vector) when g, a Direction2 on a polygon or a
+    LiftedCircuit of a lift's dimension, is a circuit of h, else None.  One
+    pass of a.g over the rows decides both, with no circuit built: a planar g
+    is a circuit exactly when some row has a.g = 0 (it spans that row's
+    kernel), and a lifted one when it is such a g padded with zeros (a.g = 0
+    on a base row, a lift's first rows), +-e_i or +-(e_i - e_j), the rule
+    enumerate_lifted_circuits encodes."""
     lifted = isinstance(h, LiftedPolytope)
     if (not isinstance(g, LiftedCircuit if lifted else Direction2)
             or len(g.vector) != len(h.rows[0]) - 1):
-        return False
-    g1, g2, *y = g.vector
-    if not (g1 or g2):
-        return sorted(filter(None, y)) in ([-1], [1], [-1, 1])
-    rows = h.base.rows if lifted else h.rows
-    return not any(y) and 0 in [a1 * g1 + a2 * g2 for a1, a2, _ in rows]
+        return None
+    g1, g2, *y = v = g.vector
+    ag = [sum(map(mul, row, v)) for row in h.rows]  # map stops at v's end, before b
+    if g1 or g2:
+        circuit = not any(y) and 0 in ag[:h.base.m if lifted else h.m]
+    else:
+        circuit = sorted(filter(None, y)) in ([-1], [1], [-1, 1])
+    return tuple([(i, a) for i, a in enumerate(ag) if a > 0]) if circuit else None
 
 
 def _step(h, p, g):
@@ -281,7 +285,7 @@ def _step(h, p, g):
     h is a polygon or a lift; the end is None when the move has length zero.
     Raises NotACircuit when g is not a circuit of h.
     """
-    if not _is_circuit(h, g):
+    if _circuit_blocking(h, g) is None:
         raise NotACircuit(f"{g.vector} is not a circuit of the polytope")
     lam, end = maximal_step(h.rows, h.coordinates(p), g.vector)
     return lam, None if end is None else h.point(end)

@@ -116,18 +116,25 @@ def cmd_gen_pell(args) -> int:
 
 
 def _essr_from_args(args) -> SubsetSumInstance:
+    inline = [f"--{name}" for name in ("a", "S", "k") if getattr(args, name) is not None]
     if args.essr is not None:
+        if inline:
+            raise ValueError(f"--essr takes no --a, --S or --k, but got {', '.join(inline)}")
         return read_essr(_read_file(args.essr))
-    if args.a is None or args.S is None or args.k is None:
+    if len(inline) < 3:
         raise ValueError("give --a, --S and --k, or --essr FILE")
     weights = tuple([int(x) for x in args.a.split(",")])
     return SubsetSumInstance(a=weights, S=args.S, k=args.k)
 
 
 def cmd_gen_reduction(args) -> int:
+    if args.auto_C and args.C is not None:
+        raise ValueError("--auto-C derives C, so it takes no --C")
+    if args.eps_inv is not None and not args.auto_C:
+        raise ValueError("--eps-inv is read only with --auto-C")
     inst = _essr_from_args(args)
     if args.auto_C:
-        C = compute_gap_C(args.eps_inv, inst.n, inst.k)
+        C = compute_gap_C(2 if args.eps_inv is None else args.eps_inv, inst.n, inst.k)
         _say(args, f"auto gap constant: C = {C}")
     elif args.C is not None:
         C = args.C
@@ -466,7 +473,8 @@ COMMANDS = {
         (("--essr",), dict(default=None, help="read the exact-sum instance from a file")),
         (("--C",), dict(type=int, default=None, help="gap constant")),
         (("--auto-C",), dict(action="store_true", help="derive C from --eps-inv")),
-        (("--eps-inv",), dict(type=int, default=2, help="inverse exponent for --auto-C")),
+        (("--eps-inv",), dict(type=int, default=None,
+                              help="inverse exponent for --auto-C (default 2)")),
         _OUTPUT,
     )),
     "gen-3dm": (cmd_gen_3dm, "reduce a matching instance to exact-sum", (

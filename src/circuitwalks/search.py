@@ -80,16 +80,16 @@ lifted state (x, y, D).
 An instance, everything the search needs that depends on the polygon and the
 cost alone, is prepared once and shared by the searches that follow on an
 equal pair: each monotone direction's front and back chains, the moves per
-row, the goal vector and the backward sets, which keep the layers, pullbacks
-and membership tests they have built.  The last pair prepared is kept,
-compared by value, so a certificate's finds and proofs from several starts
-share one instance, and a lift's finds and proofs prepare its base polygon
-once.  A stored A_r gains nothing when later layers are built, and each
-search counts the layers it filters with by the growth rule above, replayed
-against the recorded layer sizes: it filters with exactly the layers a search
-alone would build, so no result, a capped one included, depends on the calls
-made before it.  The shared layers grow during a search, so the searches of
-one process run one at a time.
+row, the goal vector and the backward sets, which keep the layers they have
+built, each with its merged spans, and their pullbacks.  The last pair
+prepared is kept, compared by value, so a certificate's finds and proofs
+from several starts share one instance, and a lift's finds and proofs
+prepare its base polygon once.  A stored A_r gains nothing when later layers
+are built, and each search counts the layers it filters with by the growth
+rule above, replayed against the recorded layer sizes: it filters with
+exactly the layers a search alone would build, so no result, a capped one
+included, depends on the calls made before it.  The shared layers grow
+during a search, so the searches of one process run one at a time.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ from .circuits import (
     Walk,
     _chain_frame,
     _chain_pairs,
-    _is_circuit,
+    _circuit_blocking,
     _optimum,
-    blocking_rows,
     check_lifted_cost,
     chord_moves,
     enumerate_circuits,
@@ -196,15 +195,16 @@ def _prepare(h, c) -> _Instance:
     frame = _chain_frame(h)
     fronts, backs = zip(*_chain_pairs(frame, vectors))
     moves = tuple([*zip(monotone, vectors, fronts)])
+    back = _Backward(h, moves, backs, argmax, frame[2])
     # a state on a row has a zero move along each g the row blocks, so per row
-    # the table holds only the moves whose front chain does not hold the row;
-    # the root (row None) tries them all
-    held = [{e[0] for e in chain[2]} for _, _, chain in moves]
-    table = {row: tuple([mv for mv, on in zip(moves, held) if row not in on]) for row in range(h.m)}
-    table[None] = moves
+    # the table holds only the moves the row's pulls do not name; the root
+    # (row None) tries them all
+    table = {None: moves}
+    for row, pulls in back.pulls.items():
+        blocked = {i for i, _, _ in pulls}
+        table[row] = tuple([mv for i, mv in enumerate(moves) if i not in blocked])
     # c.x/D == num/den  <=>  (den*c, -num).(x, D) == 0
     goal = (den * c.dx, den * c.dy, -num)
-    back = _Backward(h, moves, backs, argmax, frame[2])
     return _Instance(table, goal, back)
 
 
@@ -311,59 +311,35 @@ def _shuffle(s, base: Walk, simplex) -> Walk:
     return Walk(tuple(points), tuple(steps))
 
 
-# an interval (t_lo, D_lo, t_hi, D_hi) by its start t_lo/D_lo, with D > 0
+# a span (t_lo, D_lo, t_hi, D_hi) by its start t_lo/D_lo, with D > 0
 _BY_START = functools.cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1])
 
 
 class _Backward:
     """Backward sets of a polygon under a cost, grown on demand from A_0, the
-    triples ends of the optimal vertex or of the optimal edge's two vertices.
-
-    The points of the stored A_r are canonical states, each with the first r
-    that holds it; the rest are closed intervals of edges, each end a state.
-    An interval's vertices are points too, so a state lies in A_r when it is
-    a point of A_r or lies in an interval of A_r on the row it was moved onto.
+    triples ends of the optimal vertex or of the optimal edge's two vertices;
     edges is the chain frame's edge list, (row, a1, a2, b) listed twice around.
+
+    The points of the stored A_r are canonical states, level holding the
+    first r of each; the rest are closed intervals of edges with states as
+    ends, kept as spans[r]: per row, the union of the intervals of layers up
+    to r as disjoint spans sorted by start, each layer merged into the last.
+    A state lies in A_r when it is a point of A_r or lies in a span of A_r on
+    the row it was moved onto.  Every interval end is a point of its own
+    layer or an earlier one: A_0's ends are vertices; side edges and arc
+    pieces end at vertices, which add_arc adds as points; and a pulled arc
+    ends at its source arc's ends or their pulls, which the points loop adds
+    in the same layer or an earlier one.  A state equal to a span's end lies
+    on the span's row, so it is that end and a point: whether _lookup takes
+    the ends as closed or open never matters.
     """
 
     def __init__(self, h, moves, backs, ends, edges):
-        self.h, self.rows, self.moves, self.backs, self.edges = h, h.rows, moves, backs, edges
-        self.level = dict.fromkeys(ends, 0)
-        self.arcs: dict = {}  # row -> [(lo, hi, r)], lo before hi counterclockwise
-        # the points (each with a row through it) and intervals new in the last layer
-        self.fresh = ([(e, None) for e in ends], [])
-        self.built = 0
-        self.tests: dict = {}  # r -> _lookup(r)
-        self.pulls = None  # set up with the first layer
-        if len(ends) == 2:
-            # the optimal edge: the row its two vertices share
-            a, b = ends
-            row = next(i for i, (a1, a2, c) in enumerate(self.rows)
-                       if all(a1 * x + a2 * y == c * w for x, y, w in ends))
-            if self._tau(row, a) * b[2] > self._tau(row, b) * a[2]:
-                a, b = b, a
-            self.arcs[row] = [(a, b, 0)]
-            self.fresh[1].append((row, a, b))
-        self.sizes = [sum(map(len, self.fresh))]  # per built layer, its new points and intervals
-
-    def _size(self, r: int) -> int:
-        """The number of points and intervals new in layer r; builds the layers up to r."""
-        while self.built < r:
-            self._grow()
-        return self.sizes[r]
-
-    def _tau(self, row, state):
-        """The edge parameter of a state on the row, times its D: the row's
-        counterclockwise direction (-a2, a1) dotted with the point."""
-        a1, a2, _ = self.rows[row]
-        return a1 * state[1] - a2 * state[0]
-
-    def _setup(self) -> None:
-        t = h_to_v(self.h).triples
+        self.rows = h.rows
+        t = h_to_v(h).triples
         n = len(t)
-        edges = self.edges
         # edge k runs counterclockwise from t[k] to t[k + 1], on row edge[k]
-        self.corner = ring = t + t[:1]
+        self.ring = ring = t + t[:1]
         self.edge = [e[0] for e in edges[:n]]
         self.pos = {row: k for k, row in enumerate(self.edge)}
         self.vertex = {v: k for k, v in enumerate(t)}
@@ -373,7 +349,7 @@ class _Backward:
         self.pulls = {row: [] for row in self.edge}
         # per g, its side edges (parallel to g, next to its front chain) by front vertex
         self.side = []
-        for i, ((_, (g1, g2), front), back) in enumerate(zip(self.moves, self.backs)):
+        for i, ((_, (g1, g2), front), back) in enumerate(zip(moves, backs)):
             for row, *_ in front[2]:
                 self.pulls[row].append((i, (-g1, -g2), back))
             side = {}
@@ -381,10 +357,47 @@ class _Backward:
             for k in (first - 1, first + len(front[2])):
                 row, a1, a2, _ = edges[k]
                 if a1 * g1 + a2 * g2 == 0:
-                    ends = ring[k % n], ring[k % n + 1]
-                    side[ends[a1 * g2 - a2 * g1 > 0]] = (row, *ends)
+                    pair = ring[k % n], ring[k % n + 1]
+                    side[pair[a1 * g2 - a2 * g1 > 0]] = (row, *pair)
             self.side.append(side)
         self.cache: dict = {}
+        self.level = dict.fromkeys(ends, 0)
+        # the points (each with a row through it) and, per row, the intervals
+        # (lo, hi), lo before hi counterclockwise, new in the last layer
+        self.fresh = ([(e, None) for e in ends], {})
+        if len(ends) == 2:
+            # the optimal edge; _optimum lists its two vertices in boundary order
+            k = n - 1 if ends == (t[0], t[-1]) else self.vertex[ends[0]]
+            self.fresh[1][self.edge[k]] = {(ring[k], ring[k + 1]): None}
+        self.spans = [self._merge({}, self.fresh[1])]
+        self.sizes = [len(ends) + len(self.fresh[1])]  # per built layer, its new points and intervals
+
+    def _size(self, r: int) -> int:
+        """The number of points and intervals new in layer r; builds the layers up to r."""
+        while len(self.sizes) <= r:
+            self._grow()
+        return self.sizes[r]
+
+    def _tau(self, row, state):
+        """The edge parameter of a state on the row, times its D: the row's
+        counterclockwise direction (-a2, a1) dotted with the point."""
+        a1, a2, _ = self.rows[row]
+        return a1 * state[1] - a2 * state[0]
+
+    def _merge(self, spans, arcs):
+        """The spans with the intervals of arcs, {row: {(lo, hi): None}}, merged
+        in row by row; rows without a new interval share their old list."""
+        spans = dict(spans)
+        for row, pieces in arcs.items():
+            ends = [(self._tau(row, lo), lo[2], self._tau(row, hi), hi[2]) for lo, hi in pieces]
+            merged = []
+            for e in sorted(spans.get(row, []) + ends, key=_BY_START):
+                if not merged or e[0] * merged[-1][3] > merged[-1][2] * e[1]:
+                    merged.append(e)
+                elif e[2] * merged[-1][3] > merged[-1][2] * e[3]:
+                    merged[-1] = merged[-1][:2] + e[2:]
+            spans[row] = merged
+        return spans
 
     def _pull(self, p, row):
         """{i: (binding row, end or None)} of the move from p along -g for each
@@ -403,12 +416,9 @@ class _Backward:
         return out
 
     def _grow(self) -> None:
-        if self.pulls is None:
-            self._setup()
-        r = self.built + 1
+        r = len(self.sizes)
         level, vertex = self.level, self.vertex
-        points, arcs = [], []
-        seen = set()
+        points, arcs = [], {}
 
         def add_point(q, row):
             if q not in level:
@@ -416,14 +426,14 @@ class _Backward:
                 points.append((q, row))
 
         def add_arc(row, lo, hi):
-            if lo == hi or (row, lo, hi) in seen:
+            if lo == hi:
                 return
-            seen.add((row, lo, hi))
-            self.arcs.setdefault(row, []).append((lo, hi, r))
-            arcs.append((row, lo, hi))
-            for e in (lo, hi):
-                if e in vertex:
-                    add_point(e, row)
+            pieces = arcs.setdefault(row, {})
+            if (lo, hi) not in pieces:
+                pieces[lo, hi] = None
+                for e in (lo, hi):
+                    if e in vertex:
+                        add_point(e, row)
 
         new_points, new_arcs = self.fresh
         for p, row in new_points:
@@ -434,60 +444,37 @@ class _Backward:
                         add_arc(*self.side[i][p])
         # moving the front end counterclockwise moves the back end clockwise,
         # so the arc runs counterclockwise from hi's back end to lo's
-        t, edge, n = self.corner, self.edge, len(self.edge)
-        for row, lo, hi in new_arcs:
-            back_lo, back_hi = self._pull(lo, row), self._pull(hi, row)
-            for i, _, _ in self.pulls[row]:
-                (r_hi, b_hi), (r_lo, b_lo) = back_hi[i], back_lo[i]
-                b_hi, b_lo = b_hi or hi, b_lo or lo
-                k, end = self.pos[r_hi], self.pos[r_lo]
-                if k == end and self._tau(r_hi, b_hi) * b_lo[2] <= self._tau(r_hi, b_lo) * b_hi[2]:
-                    add_arc(r_hi, b_hi, b_lo)
-                    continue
-                add_arc(r_hi, b_hi, t[k + 1])
-                k = (k + 1) % n
-                while k != end:
-                    add_arc(edge[k], t[k], t[k + 1])
+        t, edge, n = self.ring, self.edge, len(self.edge)
+        for row, pieces in new_arcs.items():
+            for lo, hi in pieces:
+                back_lo, back_hi = self._pull(lo, row), self._pull(hi, row)
+                for i, _, _ in self.pulls[row]:
+                    (r_hi, b_hi), (r_lo, b_lo) = back_hi[i], back_lo[i]
+                    b_hi, b_lo = b_hi or hi, b_lo or lo
+                    k, end = self.pos[r_hi], self.pos[r_lo]
+                    if k == end and self._tau(r_hi, b_hi) * b_lo[2] <= self._tau(r_hi, b_lo) * b_hi[2]:
+                        add_arc(r_hi, b_hi, b_lo)
+                        continue
+                    add_arc(r_hi, b_hi, t[k + 1])
                     k = (k + 1) % n
-                add_arc(r_lo, t[end], b_lo)
+                    while k != end:
+                        add_arc(edge[k], t[k], t[k + 1])
+                        k = (k + 1) % n
+                    add_arc(r_lo, t[end], b_lo)
         self.fresh = (points, arcs)
-        self.sizes.append(len(points) + len(arcs))
-        self.built = r
+        self.spans.append(self._merge(self.spans[-1], arcs))
+        self.sizes.append(len(points) + sum(map(len, arcs.values())))
 
     def _lookup(self, r):
-        """Test (state, row) -> bool of membership in the stored A_r: one dict
-        lookup, then a bisection over the row's merged intervals.
-
-        Growing later layers adds no point or interval to A_r, so the test is
-        built once.
-        """
-        keep = self.tests.get(r)
-        if keep is not None:
-            return keep
+        """Test (state, row) -> bool of membership in the stored A_r: one
+        dict lookup, then a bisection over the row's spans."""
         self._size(r)
-        level, rows = self.level, self.rows
-        spans = {}
-        for row, arcs in self.arcs.items():
-            ends = sorted(
-                ((self._tau(row, lo), lo[2], self._tau(row, hi), hi[2]) for lo, hi, j in arcs if j <= r),
-                key=_BY_START,
-            )
-            merged = []
-            for e in ends:
-                last = merged[-1] if merged else None
-                if last is None or e[0] * last[3] > last[2] * e[1]:
-                    merged.append(e)
-                elif e[2] * last[3] > last[2] * e[3]:
-                    merged[-1] = last[:2] + e[2:]
-            if merged:
-                spans[row] = merged
+        level, rows, spans = self.level, self.rows, self.spans[r]
 
         def keep(q, row):
             if level.get(q, r + 1) <= r:
                 return True
-            ivs = spans.get(row)
-            if ivs is None:
-                return False
+            ivs = spans.get(row, ())
             a1, a2, _ = rows[row]
             x, y, D = q
             tq = a1 * y - a2 * x
@@ -500,7 +487,6 @@ class _Backward:
                     hi = mid
             return lo > 0 and tq * ivs[lo - 1][3] <= ivs[lo - 1][2] * D
 
-        self.tests[r] = keep
         return keep
 
 
@@ -542,8 +528,9 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     """Check a walk exactly: containment, circuit steps, maximality, monotonicity.
 
     Accepts the same (h, c) pairings as shortest_monotone_walk.  A step is a
-    circuit when _is_circuit finds it so on h's rows, with no circuit built,
-    and monotone when c.g > 0 on c's integer weights.  The first violated
+    circuit when _circuit_blocking finds it so on h's rows, with no circuit
+    built, in the pass that gives its blocking rows, and monotone when c.g > 0
+    on c's integer weights.  The first violated
     condition is reported with its step index.  Steps are made by
     maximal_moves; the end state (e, E) is the next point x when x*E == e,
     and is carried on as the next state.  Nothing the search prepared is
@@ -559,10 +546,10 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
     # a positive integer multiple of c has the same gain signs
     weights = homogeneous(c.vector)[:-1]
     for idx, g in enumerate(w.steps):
-        if not _is_circuit(h, g):
+        blocking = _circuit_blocking(h, g)
+        if blocking is None:
             return ValidationReport(False, idx, "step is not a circuit direction")
-        moves = ((g, g.vector, blocking_rows(rows, g.vector)),)
-        state = next(maximal_moves(rows, state, moves))[4]
+        state = next(maximal_moves(rows, state, ((g, g.vector, blocking),)))[4]
         if state is None:
             return ValidationReport(False, idx, "step is infeasible (zero length)")
         coords, E = h.coordinates(w.points[idx + 1]), state[-1]

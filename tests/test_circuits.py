@@ -11,8 +11,9 @@ from circuitwalks.circuits import (
     NotACircuit,
     NotAVertex,
     Walk,
-    _is_circuit,
+    _circuit_blocking,
     _optimum,
+    blocking_rows,
     enumerate_circuits,
     enumerate_lifted_circuits,
     lifted_max_step,
@@ -351,14 +352,23 @@ def _primitive_vectors(n):
     return [v for v in itertools.product(range(-2, 3), repeat=n) if gcd(*v) == 1]
 
 
+def _is_circuit(h, g):
+    """Whether _circuit_blocking takes g for a circuit of h; the blocking rows
+    it gives a circuit are blocking_rows'."""
+    blocking = _circuit_blocking(h, g)
+    assert blocking is None or blocking == blocking_rows(h.rows, g.vector)
+    return blocking is not None
+
+
 def _circuit_test_polygons():
     red = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
     return [build_p_ell(ell).h for ell in (2, 3, 4)] + [red.h]
 
 
 class TestCircuitTest:
-    """_is_circuit decides on the rows what membership in the enumerated
-    circuits decides, for steps of either type and any length."""
+    """_circuit_blocking decides on the rows what membership in the enumerated
+    circuits decides, for steps of either type and any length, and gives a
+    circuit's blocking rows."""
 
     def test_polygons(self):
         for h in _circuit_test_polygons():

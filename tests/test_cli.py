@@ -15,7 +15,7 @@ import pytest
 from circuitwalks import cli
 from circuitwalks.circuits import monotone_edge_walk, optimal_value
 from circuitwalks.cli import COMMANDS, build_parser, main
-from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction
+from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction, compute_gap_C
 from circuitwalks.formats import (
     InstanceFile,
     ParseError,
@@ -275,6 +275,32 @@ class TestReductionCommands:
             )
         assert code == 0
         assert "C = 8" in capsys.readouterr().out
+
+    def test_auto_C_reads_eps_inv_2_by_default(self, tmp_path, capsys):
+        path = tmp_path / "red.cwi"
+        with pytest.warns(RuntimeWarning):  # C*k = 64 is beyond desk scale
+            assert run("gen-reduction", "--a", "3", "--S", "3", "--k", "1", "--auto-C",
+                       "-o", str(path)) == 0
+        assert f"C = {compute_gap_C(2, 1, 1)}" in capsys.readouterr().out
+
+    def test_ignored_options_are_errors(self, tmp_path, capsys):
+        # an option that the command would not read exits 1 and is named
+        essr = tmp_path / "i.essr"
+        essr.write_text("essr 1\nn 2\na 2 3\nS 5\nk 2\n")
+        path = tmp_path / "red.cwi"
+        inline = ("--a", "2,3", "--S", "5", "--k", "2")
+        for argv, message in (
+            (("--essr", str(essr), "--a", "2,3", "--k", "2", "--C", "2"),
+             "--essr takes no --a, --S or --k, but got --a, --k"),
+            (("--essr", str(essr), "--S", "5", "--auto-C"),
+             "--essr takes no --a, --S or --k, but got --S"),
+            ((*inline, "--auto-C", "--C", "2"), "--auto-C derives C, so it takes no --C"),
+            ((*inline, "--C", "2", "--eps-inv", "1"), "--eps-inv is read only with --auto-C"),
+            ((*inline, "--eps-inv", "1"), "--eps-inv is read only with --auto-C"),
+        ):
+            assert run("gen-reduction", *argv, "-o", str(path)) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not path.exists()
 
     def test_promise_warning(self, tmp_path, capsys):
         path = tmp_path / "viol.cwi"

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -1060,8 +1061,74 @@ def _assert_sound(h, c, starts, depth=4, most=3):
     return checked
 
 
+# an interval (t_lo, D_lo, t_hi, D_hi) by its start t_lo/D_lo, with D > 0
+_BY_START = functools.cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1])
+
+
+def _merged_spans(rows, intervals):
+    """Per row, the union of the closed intervals (row, lo, hi) as disjoint
+    spans (t_lo, D_lo, t_hi, D_hi) sorted by start, merged from scratch: the
+    reference for _Backward's merge of each layer into the spans before it."""
+    ends = {}
+    for row, lo, hi in intervals:
+        a1, a2, _ = rows[row]
+        ends.setdefault(row, []).append(
+            (a1 * lo[1] - a2 * lo[0], lo[2], a1 * hi[1] - a2 * hi[0], hi[2]))
+    spans = {}
+    for row, row_ends in ends.items():
+        merged = []
+        for e in sorted(row_ends, key=_BY_START):
+            last = merged[-1] if merged else None
+            if last is None or e[0] * last[3] > last[2] * e[1]:
+                merged.append(e)
+            elif e[2] * last[3] > last[2] * e[3]:
+                merged[-1] = last[:2] + e[2:]
+        spans[row] = merged
+    return spans
+
+
+def _assert_layers(h, c, most):
+    """Grows the backward sets of (h, c) one layer at a time up to layer most.
+    Every interval new in layer r ends at stored points of layer r or an
+    earlier one, and spans[r] is the from-scratch merge of every interval of
+    the layers up to r.  Returns the count of intervals."""
+    _prepare.cache_clear()
+    back = _prepare(h, c).back
+    intervals = []
+    for r in range(most + 1):
+        back._size(r)
+        new = [(row, lo, hi) for row, pieces in back.fresh[1].items() for lo, hi in pieces]
+        assert all(back.level.get(e, r + 1) <= r for _, lo, hi in new for e in (lo, hi))
+        intervals += new
+        assert back.spans[r] == _merged_spans(h.rows, intervals)
+    _prepare.cache_clear()
+    return len(intervals)
+
+
 class TestBackwardSets:
-    """A state that reaches the optimum within r moves is never filtered out."""
+    """A state that reaches the optimum within r moves is never filtered out,
+    and the spans of each layer hold exactly the intervals stored."""
+
+    def test_layers_on_random_hulls(self):
+        rng = random.Random(3131)
+        counts = []
+        for _ in range(60):
+            h = v_to_h(random_hull(rng, max_points=9, bound=30))
+            counts.append(_assert_layers(h, _random_cost(rng, h), 6))
+        assert min(counts) > 0
+
+    def test_layers_on_family_levels(self):
+        rng = random.Random(3232)
+        for ell in range(2, 10):
+            art = build_p_ell(ell)
+            for c in (art.c0, _random_cost(rng, art.h)):
+                assert _assert_layers(art.h, c, 5 if ell < 8 else 4)
+
+    def test_layers_on_reductions(self):
+        for a, S, C, most in (((2, 4), 5, 2, 5), ((2, 4), 5, 3, 5), ((2, 4), 5, 4, 4),
+                              ((5, 8, 9), 16, 2, 5)):
+            red = build_reduction(SubsetSumInstance(a=a, S=S, k=2), C)
+            assert _assert_layers(red.h, red.c, most)
 
     def test_sound_on_random_hulls(self):
         rng = random.Random(4711)
@@ -1245,21 +1312,23 @@ def _symmetric_hull(rng):
 
 
 def _assert_chain_pairs(h, c):
-    """The back chain _prepare hands _Backward for each monotone g is the
-    front chain of -g, and _Backward.side is the set difference it replaced:
-    the edges on neither chain of g, by front vertex.  Returns the number of
-    side edges of each g."""
+    """The back chain _prepare hands _Backward for each monotone g, which
+    _Backward.pulls holds under each row of g's front chain, is the front
+    chain of -g, and _Backward.side is the set difference it replaced: the
+    edges on neither chain of g, by front vertex.  Returns the number of side
+    edges of each g."""
     _prepare.cache_clear()
-    back = _prepare(h, c).back
-    assert [len(back.moves)] == list({len(back.moves), len(back.backs)})
+    inst = _prepare(h, c)
+    back, moves = inst.back, inst.table[None]
     fresh = HPolygon(h.rows)
-    for (_, (g1, g2), _), pulled in zip(back.moves, back.backs):
-        assert [pulled] == front_chains(fresh, [(-g1, -g2)])
-    back._setup()
+    for i, (_, (g1, g2), front) in enumerate(moves):
+        (pulled,) = front_chains(fresh, [(-g1, -g2)])
+        held = sorted((row, pull) for row, pulls in back.pulls.items() for pull in pulls if pull[0] == i)
+        assert held == [(e[0], (i, (-g1, -g2), pulled)) for e in sorted(front[2])]
     rows, t = h.rows, h_to_v(h).triples
     n = len(t)
     counts = []
-    for i, (_, (g1, g2), front) in enumerate(back.moves):
+    for i, (_, (g1, g2), front) in enumerate(moves):
         (pulled,) = front_chains(fresh, [(-g1, -g2)])
         side = {}
         for row in set(back.edge).difference([e[0] for e in front[2] + pulled[2]]):
@@ -1395,7 +1464,7 @@ class TestPreparedInstance:
         gc.disable()
         try:
             back = _prepare(art.h, art.c0).back
-            assert back.tests  # the search grew layers and built their tests
+            assert len(back.spans) > 1  # the search grew layers and merged their spans
             back = weakref.ref(back)
             _prepare.cache_clear()
             assert back() is None
@@ -1416,12 +1485,13 @@ class TestPreparedInstance:
             calls.clear()
             assert shortest_monotone_walk(h, art.u, art.c0, SearchConfig(ell - 1)) == \
                 NotFoundWithinDepth(ell - 1)
-            back = _prepare(h, art.c0).back
-            assert back.pulls is not None and len(calls) == 1
-            fresh = HPolygon(back.h.rows)
-            gs = [g for _, g, _ in back.moves]
-            assert [chain for _, _, chain in back.moves] == front_chains(fresh, gs)
-            for i, (_, (g1, g2), _) in enumerate(back.moves):
+            inst = _prepare(h, art.c0)
+            back, moves = inst.back, inst.table[None]
+            assert len(back.sizes) > 1 and len(calls) == 1
+            fresh = HPolygon(h.rows)
+            gs = [g for _, g, _ in moves]
+            assert [chain for _, _, chain in moves] == front_chains(fresh, gs)
+            for i, (_, (g1, g2), _) in enumerate(moves):
                 (pulled,) = front_chains(fresh, [(-g1, -g2)])
                 assert all(chain == pulled for row in back.pulls.values()
                            for j, _, chain in row if j == i)
