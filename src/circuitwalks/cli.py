@@ -115,6 +115,14 @@ def cmd_gen_pell(args) -> int:
     return EXIT_OK
 
 
+def _weights(text: str) -> tuple[int, ...]:
+    """The argparse type of --a: comma-separated integer weights, such as 2,3."""
+    try:
+        return tuple([int(x) for x in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _essr_from_args(args) -> SubsetSumInstance:
     inline = [f"--{name}" for name in ("a", "S", "k") if getattr(args, name) is not None]
     if args.essr is not None:
@@ -123,8 +131,7 @@ def _essr_from_args(args) -> SubsetSumInstance:
         return read_essr(_read_file(args.essr))
     if len(inline) < 3:
         raise ValueError("give --a, --S and --k, or --essr FILE")
-    weights = tuple([int(x) for x in args.a.split(",")])
-    return SubsetSumInstance(a=weights, S=args.S, k=args.k)
+    return SubsetSumInstance(a=args.a, S=args.S, k=args.k)
 
 
 def cmd_gen_reduction(args) -> int:
@@ -297,9 +304,7 @@ def _verify_pell(args, rep: _Report) -> None:
 
 
 def _verify_reduction(args, rep: _Report) -> None:
-    inst = SubsetSumInstance(
-        a=tuple([int(x) for x in args.a.split(",")]), S=args.S, k=args.k
-    )
+    inst = SubsetSumInstance(a=args.a, S=args.S, k=args.k)
     red = build_reduction(inst, args.C)
     ck = red.ck
     rep.check(
@@ -401,7 +406,7 @@ def _verify_3dm(args, rep: _Report) -> None:
 
 
 # the suites' options, each with its value when it is not given
-_SUITE_OPTIONS = {"ell": 3, "a": "2,3", "S": 5, "k": 2, "C": 2, "d": 3}
+_SUITE_OPTIONS = {"ell": 3, "a": (2, 3), "S": 5, "k": 2, "C": 2, "d": 3}
 
 
 def cmd_verify(args) -> int:
@@ -467,7 +472,7 @@ COMMANDS = {
         _OUTPUT,
     )),
     "gen-reduction": (cmd_gen_reduction, "emit a separation polygon instance", (
-        (("--a",), dict(default=None, help="comma-separated weights, e.g. 2,3")),
+        (("--a",), dict(type=_weights, default=None, help="comma-separated weights, e.g. 2,3")),
         (("--S",), dict(type=int, default=None, help="target sum")),
         (("--k",), dict(type=int, default=None, help="cardinality")),
         (("--essr",), dict(default=None, help="read the exact-sum instance from a file")),
@@ -499,8 +504,8 @@ COMMANDS = {
         (("--suite",), dict(choices=["pell", "reduction", "lift", "3dm", "all"], default=None)),
         # each suite option defaults to None, so --certificate can reject it; the
         # suites read _SUITE_OPTIONS' value of one not given
-        *[((f"--{name}",), dict(type=type(value), default=None))
-          for name, value in _SUITE_OPTIONS.items()],
+        *[((f"--{name}",), dict(type=_weights if name == "a" else int, default=None))
+          for name in _SUITE_OPTIONS],
     )),
     "render-svg": (cmd_render_svg, "draw an instance (and walk)", (
         (("instance",), {}),

@@ -146,7 +146,10 @@ def read_instance(text: str) -> InstanceFile:
     rows_at = lines.line_no
     rows = []
     for _ in range(m):
-        rows.append(tuple(_numbers(lines, lines.next("row"), "", 3, _row_entry)))
+        row = tuple(_numbers(lines, lines.next("row"), "", 3, _row_entry))
+        if not (row[0] or row[1]):
+            raise ParseError(lines.line_no, "bad polygon: row has zero normal")
+        rows.append(row)
     cx, cy = _numbers(lines, lines.next("cost"), "cost", 2)
     cost = _record(lines.line_no, primitive_direction, cx, cy)
     sx, sy = _numbers(lines, lines.next("start"), "start", 2)

@@ -28,16 +28,28 @@ an edge), none repeated (the edges of a cycle that winds once have distinct
 normal directions), and the hull is the cycle.  v_to_h, transform_polygon
 and the constructions build their polygons this way.
 
-Rows alone become vertices by one angular sweep (half-plane intersection, as
-in Preparata and Shamos), O(m log m) for m rows.  The rows are sorted by the
-angle of their normal once; that order decides boundedness (each turn from
-one normal direction to the next is less than a half turn) and, of parallel
-rows, keeps the tightest.  A deque of edges then takes the rows in order,
-dropping from either end the edges whose corner the new row cuts off.  The
-sweep ends in the cycle check of its corners and the edges it kept: each
-corner is the meet of two consecutive kept edges, so the check passes
-exactly when every corner satisfies every kept row and the corners turn
-strictly counterclockwise.  The rows it dropped are then checked against
+Rows alone become vertices by one O(m) pass after sorting them by the angle
+of their normal, O(m log m) for m rows.  The pass tests that every turn from
+one normal to the next, the last back to the first included, is strictly
+counterclockwise, and that on every row (a1, a2, b) the corners where it
+meets the rows before and after it bound an edge of positive length along
+(-a2, a1), its direction with its inner side on the left.  The turns, each
+less than a half turn as the angles rise, add up to one full turn, so the
+corners joined in order turn left at each corner and wind once: they are the
+vertex cycle of a strictly convex polygon P, with one edge on each row and P
+on its inner side.  As above, the rows then describe P, none redundant.
+Conversely the rows of a minimal system, in angular order, are its polygon's
+edges in boundary order and pass both tests: the pass accepts exactly the
+minimal systems, the only ones HPolygon accepts.
+
+The angular sweep (half-plane intersection, as in Preparata and Shamos) has
+two jobs left: remove_redundant, and naming the fault of a system the pass
+rejects.  Of parallel rows it keeps the tightest, and a deque of edges takes
+the rows in angular order, dropping from either end the edges whose corner
+the new row cuts off.  It ends in the cycle check of its corners and kept
+edges: each corner is the meet of two consecutive kept edges, so the check
+passes exactly when every corner satisfies every kept row and the corners
+turn strictly counterclockwise.  The dropped rows are then checked against
 every corner, O((m - k) * k) for k corners.  Corners that pass are the
 region's vertices and the kept edges its minimal rows; a region that fails
 has no interior.
@@ -99,6 +111,9 @@ def canonical_row(a1: Fraction, a2: Fraction, b: Fraction) -> tuple[int, int, in
     """
     if a1 == 0 and a2 == 0:
         raise ValueError("row has zero normal")
+    if type(a1) is int and type(a2) is int and type(b) is int:
+        g = gcd(a1, a2, b)
+        return (a1 // g, a2 // g, b // g)
     m = lcm(a1.denominator, a2.denominator, b.denominator)
     n1 = a1.numerator * (m // a1.denominator)
     n2 = a2.numerator * (m // a2.denominator)
@@ -130,41 +145,22 @@ def _cross(r: tuple[int, ...], s: tuple[int, ...]) -> int:
     return r[0] * s[1] - r[1] * s[0]
 
 
+# orders rows whose normals lie in one half turn by angle, counterclockwise
+_ANGLE = functools.cmp_to_key(lambda r, s: _cross(s, r))
+
+
 def _by_angle(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int]]:
-    """The tightest row of each normal direction, counterclockwise from the +x axis.
-
-    Parallel rows of different scale (x <= 1 and 2x <= 3) share a direction;
-    of those the one with the smallest b / gcd(a1, a2) is kept.
-    """
-
-    def half(r: tuple[int, int, int]) -> int:
-        return 0 if (r[1] > 0 or (r[1] == 0 and r[0] > 0)) else 1
-
-    def cmp(r: tuple[int, int, int], s: tuple[int, int, int]) -> int:
-        hr, hs = half(r), half(s)
-        if hr != hs:
-            return hr - hs
-        c = _cross(r, s)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    lines: list[tuple[int, int, int]] = []
-    for r in sorted(rows, key=functools.cmp_to_key(cmp)):
-        if lines and cmp(lines[-1], r) == 0:
-            (a1, a2, b), (c1, c2, d) = lines[-1], r
-            if d * gcd(a1, a2) < b * gcd(c1, c2):
-                lines[-1] = r
-        else:
-            lines.append(r)
-    return lines
+    """The rows, counterclockwise by the angle of their normal from the +x axis:
+    those at angles in [0, pi), then those in [pi, 2*pi), each half sorted apart."""
+    upper = [r for r in rows if (r[1], r[0]) > (0, 0)]
+    lower = [r for r in rows if (r[1], r[0]) < (0, 0)]
+    return sorted(upper, key=_ANGLE) + sorted(lower, key=_ANGLE)
 
 
 def _normals_positively_span(lines: list[tuple[int, int, int]]) -> bool:
-    """True iff the region has no recession direction, i.e. is bounded.
-
-    lines holds one row per normal direction in counterclockwise order, as
-    _by_angle returns them; every turn between neighbours, the last back to
-    the first included, must then be strictly less than a half turn.
-    """
+    """True iff every turn from one row's normal to the next, the last back to
+    the first included, is strictly counterclockwise; on rows in angular order,
+    one per normal direction, iff the region has no recession direction."""
     return len(lines) >= 3 and all(_cross(lines[i - 1], lines[i]) > 0 for i in range(len(lines)))
 
 
@@ -182,14 +178,37 @@ def _meet(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, i
     return (x // g, y // g, w // g)
 
 
+def _edge_corners(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int]] | None:
+    """The rows' corners in angular order when the rows are exactly the edges
+    of a convex polygon, else None: the O(m) pass of the module docstring."""
+    lines = _by_angle(rows)
+    if not _normals_positively_span(lines):
+        return None
+    # corners[i] is where lines[i]'s edge starts, corners[i + 1] where it ends
+    corners = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]
+    for (a1, a2, _), (px, py, pw), (qx, qy, qw) in zip(lines, corners, corners[1:] + corners[:1]):
+        if (a1 * qy - a2 * qx) * pw <= (a1 * py - a2 * px) * qw:
+            return None
+    return corners
+
+
 def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
     """True when the point of triple t is not strictly inside row r."""
     return r[0] * t[0] + r[1] * t[1] >= r[2] * t[2]
 
 
 def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
-    """Vertex polygon of a canonical row system; raises UnboundedOrEmpty."""
-    lines = _by_angle(rows)
+    """Vertex polygon of a canonical row system by the angular sweep, kept for
+    remove_redundant and to name a rejected system's fault; raises UnboundedOrEmpty."""
+    lines: list[tuple[int, int, int]] = []
+    for r in _by_angle(rows):
+        # of rows of one direction (x <= 1 and 2x <= 3), keep the smallest b / gcd(a1, a2)
+        if lines and _cross(lines[-1], r) == 0 and lines[-1][0] * r[0] + lines[-1][1] * r[1] > 0:
+            (a1, a2, b), (c1, c2, d) = lines[-1], r
+            if d * gcd(a1, a2) < b * gcd(c1, c2):
+                lines[-1] = r
+        else:
+            lines.append(r)
     if not _normals_positively_span(lines):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
     empty = UnboundedOrEmpty("feasible region is empty or not full-dimensional")
@@ -266,7 +285,9 @@ class HPolygon:
 
     Rows are canonicalized on construction and validated: no duplicate
     halfplanes, no redundant rows, bounded and full-dimensional.  Feed raw row
-    soup through remove_redundant instead when minimality is not known.
+    soup through remove_redundant instead when minimality is not known.  The
+    O(m) pass of the module docstring decides minimality and gives the vertex
+    cycle; the sweep runs only to name the fault of a system it rejects.
     """
 
     rows: tuple[tuple[int, int, int], ...]
@@ -278,9 +299,12 @@ class HPolygon:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
-        hull = _hull_of_rows(rows)
-        if len(hull.triples) != len(rows):
+        corners = _edge_corners(rows)
+        if corners is None:
+            _hull_of_rows(rows)  # raises, unless a row is redundant
             raise ValueError("redundant row; use remove_redundant first")
+        hull = object.__new__(VPolygon)
+        object.__setattr__(hull, "triples", _from_lex_min(corners))
         object.__setattr__(self, "_hull", hull)
 
     @property

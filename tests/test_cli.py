@@ -302,6 +302,30 @@ class TestReductionCommands:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("gen-reduction", "--S", "5", "--k", "2", "--C", "2"),
+        ("verify", "--suite", "reduction"),
+    ], ids=["gen-reduction", "verify"])
+    def test_bad_weights_are_usage_errors(self, command, capsys):
+        # --a is read by one argparse type, so a bad list exits 2 as --S x does
+        for a in ("2,x", "2,,3", ""):
+            with pytest.raises(SystemExit) as info:
+                run(*command, "--a", a, "--quiet")
+            err = capsys.readouterr().err
+            assert info.value.code == 2 and err.startswith("usage: circuitwalks")
+            assert err.endswith(f"argument --a: expected comma-separated integers, got {a!r}\n")
+
+    def test_weights_take_what_int_takes(self, tmp_path, capsys):
+        texts = []
+        for a in ("2,3", " 2, 3 ", "+2,03", "2_0,3_0"):
+            path = tmp_path / "red.cwi"
+            assert run("gen-reduction", "--a", a, "--S", "5", "--k", "2", "--C", "2",
+                       "-o", str(path), "--quiet") == 0
+            texts.append(path.read_text())
+        assert texts[0] == texts[1] == texts[2] != texts[3]
+        assert run("verify", "--suite", "reduction", "--a", " 2, 3", "--quiet") == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_promise_warning(self, tmp_path, capsys):
         path = tmp_path / "viol.cwi"
         assert run(

@@ -202,6 +202,16 @@ class TestInstanceFiles:
         assert code == 2 and "line 3:" in err and "redundant row" in err
 
 
+    @pytest.mark.parametrize("row", ["0 0 1", "0/2 -0 1"])
+    def test_zero_normal_is_2_at_its_line(self, tmp_path, capsys, row):
+        source = tmp_path / "zero.cwi"
+        source.write_text(f"cwi 1\ndim 2\nrows 4\n-1 0 0\n0 -1 0\n{row}\n1 1 1\n"
+                          "cost 1 1\nstart 0 0\n")
+        code = main(["solve", str(source), "--max-depth", "1", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: line 6: bad polygon: row has zero normal\n"
+
+
 ESSR = "essr 1\nn 2\na 2 3\nS 5\nk 2\n"
 
 

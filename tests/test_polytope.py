@@ -23,7 +23,8 @@ from circuitwalks.polytope import (
     transform_polygon,
     v_to_h,
 )
-from circuitwalks.constructions import build_p_ell
+from circuitwalks import polytope
+from circuitwalks.constructions import SubsetSumInstance, build_p_ell, build_reduction
 from circuitwalks.formats import InstanceFile, read_instance, write_instance
 from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, SingularMap, homogeneous, rat
 
@@ -293,6 +294,10 @@ def _intersections(rows):
     return pts
 
 
+# the edge rows of the quadrilateral (0, 0), (2, 0), (2, 3), (0, 1), bottom row first
+QUAD_ROWS = [(0, -1, 0), (1, 0, 2), (-1, 1, 1), (-1, 0, 0)]
+
+
 class TestIntegerConstruction:
     """Polygon construction on integer triples against the Fraction reference."""
 
@@ -307,6 +312,14 @@ class TestIntegerConstruction:
     @example(_with_redundant_rows(CIRCLE_60, 2))
     # five rows through the corner (1, 1) of the unit square
     @example([(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0), (1, 1, 2), (1, 2, 3), (2, 1, 3)])
+    # the minimal QUAD_ROWS with one row negated (unbounded); with its bottom row
+    # dropped, so that the turn from the last normal back to the first is a half
+    # turn (unbounded); with a tight row through its vertex (2, 0); and with its
+    # top row dropped, so that two neighbours have antiparallel normals (unbounded)
+    @example([(1, -1, -1) if r == (-1, 1, 1) else r for r in QUAD_ROWS])
+    @example(QUAD_ROWS[1:])
+    @example(QUAD_ROWS + [(1, -1, 2)])
+    @example([r for r in QUAD_ROWS if r != (-1, 1, 1)])
     def test_same_vertices_or_same_error(self, rows):
         assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
             reference_hpolygon, rows
@@ -332,6 +345,30 @@ class TestIntegerConstruction:
             assert _outcome(lambda t: VPolygon.of_points(t).vertices, verts) == _outcome(
                 lambda t: (reference_check_vertices(t), t)[1], verts
             )
+
+
+class TestMinimalSystemsSkipTheSweep:
+    """HPolygon decides a minimal system in one pass; the sweep only names a fault."""
+
+    def test_sweep_never_runs_on_a_minimal_system(self, monkeypatch):
+        rng = random.Random(32)
+        rings = [build_p_ell(ell).v for ell in range(1, 13)]
+        rings += [build_reduction(SubsetSumInstance(a=a, S=S, k=2), C).v
+                  for a, S, C in (((2, 3), 5, 2), ((2, 4), 5, 3), ((5, 8, 9), 16, 4))]
+        rings += [random_hull(rng) for _ in range(200)]
+
+        def sweep(rows):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(polytope, "_hull_of_rows", sweep)
+        for ring in rings:
+            rows = list(ring.edges)
+            shuffled, k = rng.sample(rows, len(rows)), rng.randrange(len(rows))
+            for order in (shuffled, rows[::-1], rows[k:] + rows[:k]):
+                h = HPolygon(tuple(order))
+                assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            HPolygon(tuple(SCALED_PARALLEL))
 
 
 def _cycle_check(t, rows):
