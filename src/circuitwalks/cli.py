@@ -48,12 +48,13 @@ from .constructions import (
     reduction_witness_walk,
     three_dm_has_perfect_matching,
 )
-from .formats import (InstanceFile, ParseError, read_essr, read_instance, read_three_dm,
-                      read_walk, write_essr, write_instance, write_walk)
+from .formats import (InstanceFile, ParseError, _integer, read_essr, read_instance,
+                      read_three_dm, read_walk, write_essr, write_instance, write_walk)
 from .polytope import LiftedPoint
 from .ratgeo import format_rational, rat
 from .render import lp_document, svg_document
 from .search import (
+    NODE_CAP,
     Found,
     NodeCapExceeded,
     NotFoundWithinDepth,
@@ -115,10 +116,18 @@ def cmd_gen_pell(args) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """The argparse type of every integer option: an integer as a file reads one."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _weights(text: str) -> tuple[int, ...]:
     """The argparse type of --a: comma-separated integer weights, such as 2,3."""
     try:
-        return tuple([int(x) for x in text.split(",")])
+        return tuple([_integer(x) for x in text.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -462,23 +471,23 @@ def cmd_export_lp(args) -> int:
 
 _QUIET = (("--quiet",), dict(action="store_true", help="suppress chatter"))
 _OUTPUT = (("-o", "--output"), dict(default=None))
-_NODE_CAP = (("--node-cap",), dict(type=int, default=10_000_000))
+_NODE_CAP = (("--node-cap",), dict(type=_int, default=NODE_CAP))
 
 # Every subcommand: its handler, its help line and its add_argument calls as
 # (flags, keywords) pairs, in the order they appear in its help.
 COMMANDS = {
     "gen-pell": (cmd_gen_pell, "emit a family polygon instance", (
-        (("--ell",), dict(type=int, required=True, help="recursion level (>= 1)")),
+        (("--ell",), dict(type=_int, required=True, help="recursion level (>= 1)")),
         _OUTPUT,
     )),
     "gen-reduction": (cmd_gen_reduction, "emit a separation polygon instance", (
         (("--a",), dict(type=_weights, default=None, help="comma-separated weights, e.g. 2,3")),
-        (("--S",), dict(type=int, default=None, help="target sum")),
-        (("--k",), dict(type=int, default=None, help="cardinality")),
+        (("--S",), dict(type=_int, default=None, help="target sum")),
+        (("--k",), dict(type=_int, default=None, help="cardinality")),
         (("--essr",), dict(default=None, help="read the exact-sum instance from a file")),
-        (("--C",), dict(type=int, default=None, help="gap constant")),
+        (("--C",), dict(type=_int, default=None, help="gap constant")),
         (("--auto-C",), dict(action="store_true", help="derive C from --eps-inv")),
-        (("--eps-inv",), dict(type=int, default=None,
+        (("--eps-inv",), dict(type=_int, default=None,
                               help="inverse exponent for --auto-C (default 2)")),
         _OUTPUT,
     )),
@@ -488,13 +497,13 @@ COMMANDS = {
     )),
     "solve": (cmd_solve, "exact shortest monotone walk", (
         (("instance",), {}),
-        (("--max-depth",), dict(type=int, required=True)),
+        (("--max-depth",), dict(type=_int, required=True)),
         _NODE_CAP,
         (("-o", "--output"), dict(default=None, help="write the walk certificate here")),
     )),
     "approx": (cmd_approx, "bounded search plus edge-walk fallback", (
         (("instance",), {}),
-        (("--depth",), dict(type=int, required=True, help="exhaustive search depth")),
+        (("--depth",), dict(type=_int, required=True, help="exhaustive search depth")),
         _NODE_CAP,
         _OUTPUT,
     )),
@@ -504,7 +513,7 @@ COMMANDS = {
         (("--suite",), dict(choices=["pell", "reduction", "lift", "3dm", "all"], default=None)),
         # each suite option defaults to None, so --certificate can reject it; the
         # suites read _SUITE_OPTIONS' value of one not given
-        *[((f"--{name}",), dict(type=_weights if name == "a" else int, default=None))
+        *[((f"--{name}",), dict(type=_weights if name == "a" else _int, default=None))
           for name in _SUITE_OPTIONS],
     )),
     "render-svg": (cmd_render_svg, "draw an instance (and walk)", (

@@ -37,22 +37,30 @@ meets the rows before and after it bound an edge of positive length along
 less than a half turn as the angles rise, add up to one full turn, so the
 corners joined in order turn left at each corner and wind once: they are the
 vertex cycle of a strictly convex polygon P, with one edge on each row and P
-on its inner side.  As above, the rows then describe P, none redundant.
+on its inner side.  As above, the rows then describe P, none redundant, and
+rotated with the corners to the lex-min, they are its edge rows in order.
 Conversely the rows of a minimal system, in angular order, are its polygon's
 edges in boundary order and pass both tests: the pass accepts exactly the
 minimal systems, the only ones HPolygon accepts.
 
-The angular sweep (half-plane intersection, as in Preparata and Shamos) has
-two jobs left: remove_redundant, and naming the fault of a system the pass
-rejects.  Of parallel rows it keeps the tightest, and a deque of edges takes
-the rows in angular order, dropping from either end the edges whose corner
-the new row cuts off.  It ends in the cycle check of its corners and kept
-edges: each corner is the meet of two consecutive kept edges, so the check
-passes exactly when every corner satisfies every kept row and the corners
-turn strictly counterclockwise.  The dropped rows are then checked against
-every corner, O((m - k) * k) for k corners.  Corners that pass are the
-region's vertices and the kept edges its minimal rows; a region that fails
-has no interior.
+The peel reduces any row system to its minimal one, or names its fault, by
+the pass's edge test, dropping and rechecking rows as Graham's scan does
+points.  It keeps the tightest of parallel rows and, if their normals
+positively span (else the region is unbounded or empty), sets them on a ring
+in angular order, each turn to the next less than a half turn.  A row r
+popped from a worklist of them all stays when its edge between its live
+neighbours q and s has positive length.  Else if q turns to s by less than a
+half turn, r's normal is a positive combination of theirs: were the apex of
+their wedge strictly outside r, r's line would cut both of its sides, at the
+corners with q and s in that order, so the apex and the whole wedge lie in r.
+By this wedge lemma r is dropped, the region unchanged, and q and s are
+pushed again.  If q turns to s by a half turn or more, q, r and s have no
+common interior, nor has the region: else they would bound a triangle that
+the pass accepts, or a strip of positive width that r crosses along a
+positive length.  Neighbours of a row of three turn by more than a half
+turn, so the ring keeps three rows; when the worklist runs out, every live
+row was tested since its neighbours last changed, and the ring passes the
+pass.  Each drop pushes two rows: at most 3m pops, O(m) after the sort.
 
 Every polytope here, a polygon or a lift, holds its rows in one format: the
 flat canonical integer row (a_1, .., a_d, b) for a.x <= b, the polygon's
@@ -64,7 +72,6 @@ polytope when a.x <= b*D for every row.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -140,6 +147,9 @@ def _lex_order(p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
     return 0
 
 
+_LEX = functools.cmp_to_key(_lex_order)
+
+
 def _cross(r: tuple[int, ...], s: tuple[int, ...]) -> int:
     """Cross product of the normals of two rows: positive when s turns counterclockwise from r."""
     return r[0] * s[1] - r[1] * s[0]
@@ -178,10 +188,9 @@ def _meet(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, i
     return (x // g, y // g, w // g)
 
 
-def _edge_corners(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int]] | None:
-    """The rows' corners in angular order when the rows are exactly the edges
-    of a convex polygon, else None: the O(m) pass of the module docstring."""
-    lines = _by_angle(rows)
+def _edge_corners(lines: list[tuple[int, int, int]]) -> "VPolygon | None":
+    """The vertex polygon, its edges included, of rows in angular order that are
+    exactly a convex polygon's edges, else None: the pass of the module docstring."""
     if not _normals_positively_span(lines):
         return None
     # corners[i] is where lines[i]'s edge starts, corners[i + 1] where it ends
@@ -189,16 +198,15 @@ def _edge_corners(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int
     for (a1, a2, _), (px, py, pw), (qx, qy, qw) in zip(lines, corners, corners[1:] + corners[:1]):
         if (a1 * qy - a2 * qx) * pw <= (a1 * py - a2 * px) * qw:
             return None
-    return corners
-
-
-def _cuts(r: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
-    """True when the point of triple t is not strictly inside row r."""
-    return r[0] * t[0] + r[1] * t[1] >= r[2] * t[2]
+    first = corners.index(min(corners, key=_LEX))
+    hull = object.__new__(VPolygon)
+    object.__setattr__(hull, "triples", tuple(corners[first:] + corners[:first]))
+    object.__setattr__(hull, "edges", tuple(lines[first:] + lines[:first]))
+    return hull
 
 
 def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
-    """Vertex polygon of a canonical row system by the angular sweep, kept for
+    """Vertex polygon of canonical rows' region by the module docstring's peel, for
     remove_redundant and to name a rejected system's fault; raises UnboundedOrEmpty."""
     lines: list[tuple[int, int, int]] = []
     for r in _by_angle(rows):
@@ -211,49 +219,29 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
             lines.append(r)
     if not _normals_positively_span(lines):
         raise UnboundedOrEmpty("row normals do not positively span the plane")
-    empty = UnboundedOrEmpty("feasible region is empty or not full-dimensional")
-    # edges[i] and edges[i + 1] meet at corners[i]
-    edges: deque[tuple[int, int, int]] = deque()
-    corners: deque[tuple[int, int, int]] = deque()
-    for r in lines:
-        while corners and _cuts(r, corners[-1]):
-            edges.pop()
-            corners.pop()
-        while corners and _cuts(r, corners[0]):
-            edges.popleft()
-            corners.popleft()
-        if edges:
-            # while the region has an interior, kept neighbours turn by less than a half turn
-            if _cross(edges[-1], r) <= 0:
-                raise empty
-            corners.append(_meet(edges[-1], r))
-        edges.append(r)
-    while len(corners) >= 2 and _cuts(edges[0], corners[-1]):
-        edges.pop()
-        corners.pop()
-    while len(corners) >= 2 and _cuts(edges[-1], corners[0]):
-        edges.popleft()
-        corners.popleft()
-    if len(edges) < 3 or _cross(edges[-1], edges[0]) <= 0:
-        raise empty
-    corners.append(_meet(edges[-1], edges[0]))
-    kept = set(edges)
-    try:
-        hull = VPolygon(_from_lex_min(list(corners)))
-    except ValueError:
-        raise empty from None
-    # one corner per kept edge, so equal sets are the cycle check
-    if set(hull.edges) != kept or any(
-        a1 * x + a2 * y > b * w for a1, a2, b in rows if (a1, a2, b) not in kept
-        for x, y, w in hull.triples
-    ):
-        raise empty
-    return hull
+    # the ring: lines[before[i]] and lines[after[i]] are live row i's neighbours
+    n = len(lines)
+    before, after = [n - 1, *range(n - 1)], [*range(1, n), 0]
+    todo = list(range(n))
+    while todo:
+        i = todo.pop()
+        j, k = before[i], after[i]
+        if after[j] != i:
+            continue  # dropped since it was pushed
+        q, r, s = lines[j], lines[i], lines[k]
+        (a1, a2, _), (px, py, pw), (qx, qy, qw) = r, _meet(q, r), _meet(r, s)
+        if (a1 * qy - a2 * qx) * pw > (a1 * py - a2 * px) * qw:
+            continue
+        if _cross(q, s) <= 0:
+            raise UnboundedOrEmpty("feasible region is empty or not full-dimensional")
+        after[j], before[k] = k, j
+        todo += (j, k)
+    return _edge_corners([lines[i] for i in range(n) if after[before[i]] == i])
 
 
 def _from_lex_min(t: list) -> tuple:
     """The cycle of triples t, rotated to start at its lexicographic minimum."""
-    first = t.index(min(t, key=functools.cmp_to_key(_lex_order)))
+    first = t.index(min(t, key=_LEX))
     return tuple(t[first:] + t[:first])
 
 
@@ -287,7 +275,8 @@ class HPolygon:
     halfplanes, no redundant rows, bounded and full-dimensional.  Feed raw row
     soup through remove_redundant instead when minimality is not known.  The
     O(m) pass of the module docstring decides minimality and gives the vertex
-    cycle; the sweep runs only to name the fault of a system it rejects.
+    polygon, its edge rows included; the peel runs only to name the fault of a
+    system the pass rejects.
     """
 
     rows: tuple[tuple[int, int, int], ...]
@@ -299,12 +288,10 @@ class HPolygon:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
-        corners = _edge_corners(rows)
-        if corners is None:
+        hull = _edge_corners(_by_angle(rows))
+        if hull is None:
             _hull_of_rows(rows)  # raises, unless a row is redundant
             raise ValueError("redundant row; use remove_redundant first")
-        hull = object.__new__(VPolygon)
-        object.__setattr__(hull, "triples", _from_lex_min(corners))
         object.__setattr__(self, "_hull", hull)
 
     @property
@@ -382,7 +369,7 @@ def _hull_of_triples(points) -> list[tuple[int, int, int]]:
     minimum; collinear points are dropped.  Raises DegenerateHull when fewer
     than three points remain or all of them lie on one line.
     """
-    pts = sorted(points, key=functools.cmp_to_key(_lex_order))
+    pts = sorted(points, key=_LEX)
     if len(pts) < 3:
         raise DegenerateHull("need at least three distinct points")
 
@@ -422,10 +409,12 @@ def h_to_v(h: HPolygon) -> VPolygon:
 
 
 def remove_redundant(rows) -> HPolygon:
-    """Minimal HPolygon from arbitrary rows of a bounded full-dim region.
+    """Minimal HPolygon from arbitrary rows of a bounded full-dim region, by
+    the peel of the module docstring, O(m) after the angle sort.
 
-    Duplicate and redundant rows are dropped; UnboundedOrEmpty is raised when
-    the rows do not bound a full-dimensional polygon.
+    Duplicate and redundant rows are dropped, and the rows kept are the edge
+    rows in boundary order; UnboundedOrEmpty is raised when the rows do not
+    bound a full-dimensional polygon.
     """
     canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
     if len(canon) < 3:

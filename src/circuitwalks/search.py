@@ -136,10 +136,13 @@ __all__ = [
 ]
 
 
+NODE_CAP = 10_000_000  # the default node cap of every search, the CLI's included
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int
-    node_cap: int = 10_000_000
+    node_cap: int = NODE_CAP
 
     def __post_init__(self) -> None:
         if self.max_depth < 0:
@@ -562,7 +565,7 @@ def is_valid_monotone_walk(h, c, w: Walk) -> ValidationReport:
 
 
 def approx_monotone_walk(h: HPolygon, s: Point2, c: Direction2, depth: int,
-                         node_cap: int = 10_000_000) -> Walk:
+                         node_cap: int = NODE_CAP) -> Walk:
     """Monotone walk to the unique optimum within factor max(m/depth, 1).
 
     The edge walk (at most m - 1 steps) is built first: it raises

@@ -2,6 +2,7 @@ import argparse
 import functools
 import gc
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -315,15 +316,37 @@ class TestReductionCommands:
             assert info.value.code == 2 and err.startswith("usage: circuitwalks")
             assert err.endswith(f"argument --a: expected comma-separated integers, got {a!r}\n")
 
-    def test_weights_take_what_int_takes(self, tmp_path, capsys):
+    def test_integers_read_as_a_file_reads_them(self, tmp_path, capsys):
+        # each weight of --a and every integer option takes ASCII digits after an
+        # optional sign, as formats reads an integer; int()'s other literals exit 2
         texts = []
-        for a in ("2,3", " 2, 3 ", "+2,03", "2_0,3_0"):
+        for a in ("2,3", "+2,03"):
             path = tmp_path / "red.cwi"
             assert run("gen-reduction", "--a", a, "--S", "5", "--k", "2", "--C", "2",
                        "-o", str(path), "--quiet") == 0
             texts.append(path.read_text())
-        assert texts[0] == texts[1] == texts[2] != texts[3]
-        assert run("verify", "--suite", "reduction", "--a", " 2, 3", "--quiet") == 0
+        assert texts[0] == texts[1]
+        for argv, bad in (
+            (("--a", "2_0,3_0", "--S", "5"), "--a: expected comma-separated integers, got '2_0,3_0'"),
+            (("--a", " 2, 3", "--S", "5"), "--a: expected comma-separated integers, got ' 2, 3'"),
+            (("--a", "2,3", "--S", "\uff12"), "--S: invalid int value: '\uff12'"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                run("gen-reduction", *argv, "--k", "2", "--C", "2", "--quiet")
+            err = capsys.readouterr().err
+            assert info.value.code == 2 and err.startswith("usage: circuitwalks")
+            assert err.endswith(f"argument {bad}\n")
+        parser = build_parser()
+        checked = 0
+        for name, (valid, _, _) in PARSER_CASES.items():
+            flags = [flag for (flag, *_), keywords in COMMANDS[name][2]
+                     if keywords.get("type") in (cli._int, cli._weights)]
+            for flag, text in itertools.product(flags, ("2_0", " 2", "\uff12")):
+                code, out, err = _exit(parser, [*valid, flag, text], capsys)
+                assert code == 2 and not out and f"argument {flag}: " in err
+                checked += 1
+        assert checked == 16 * 3  # --ell, 5 of gen-reduction, 2 each of solve and approx, 6 of verify
+        assert run("verify", "--suite", "reduction", "--a", "+2,03", "--quiet") == 0
         assert capsys.readouterr() == ("", "")
 
     def test_promise_warning(self, tmp_path, capsys):

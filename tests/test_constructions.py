@@ -112,11 +112,12 @@ class TestFamily:
             build_p_ell(0)
 
     def test_cycle_matches_sweep(self):
-        # rows and vertex cycle carried together equal the sweep of the rows,
+        # rows and vertex cycle carried together equal the peel of the rows,
         # and the polygon HPolygon reads from the rows alone
         for ell in range(1, 13):
             art = build_p_ell(ell)
-            assert _hull_of_rows(art.h.rows).triples == art.v.triples
+            peeled = _hull_of_rows(art.h.rows)
+            assert peeled.triples == art.v.triples and peeled.edges == art.v.edges
             read = HPolygon(art.h.rows)
             assert art.h == read and hash(art.h) == hash(read)
             assert h_to_v(read).vertices == art.v.vertices

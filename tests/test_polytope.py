@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,8 +175,8 @@ class TestHVConversion:
         ring = random_hull(random.Random(pyrandom.randint(0, 2**30)), max_points=9, bound=40)
         h = v_to_h(ring)
         assert h_to_v(h).vertices == ring.vertices
-        # built from the vertex cycle, it equals the sweep's polygon of the same
-        # edge rows, whose triples are those the vertices give
+        # built from the vertex cycle, it equals the polygon HPolygon's pass makes
+        # of the same edge rows, whose triples are those the vertices give
         swept = HPolygon(reference_edge_rows(ring.vertices))
         assert h.rows == swept.rows and h == swept and hash(h) == hash(swept)
         assert h_to_v(swept).vertices == ring.vertices
@@ -320,6 +321,10 @@ class TestIntegerConstruction:
     @example(QUAD_ROWS[1:])
     @example(QUAD_ROWS + [(1, -1, 2)])
     @example([r for r in QUAD_ROWS if r != (-1, 1, 1)])
+    # minimal system the triangle of rows 4, 2 and 3, which the peel reaches only
+    # after its drops recheck row 0 across the ring's wrap
+    @example([(-2, 1, 4), (1, -1, 2), (0, 1, -2), (-1, 0, 2), (1, -2, 3), (-1, 1, 3), (2, 2, 3),
+              (1, -1, 3)])
     def test_same_vertices_or_same_error(self, rows):
         assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
             reference_hpolygon, rows
@@ -348,7 +353,9 @@ class TestIntegerConstruction:
 
 
 class TestMinimalSystemsSkipTheSweep:
-    """HPolygon decides a minimal system in one pass; the sweep only names a fault."""
+    """HPolygon decides a minimal system in one pass, which also gives its vertex
+    polygon and edge rows; the peel (_hull_of_rows) runs only to name the fault
+    of a system the pass rejects."""
 
     def test_sweep_never_runs_on_a_minimal_system(self, monkeypatch):
         rng = random.Random(32)
@@ -357,17 +364,18 @@ class TestMinimalSystemsSkipTheSweep:
                   for a, S, C in (((2, 3), 5, 2), ((2, 4), 5, 3), ((5, 8, 9), 16, 4))]
         rings += [random_hull(rng) for _ in range(200)]
 
-        def sweep(rows):
-            raise AssertionError("the sweep ran")
+        def peel(rows):
+            raise AssertionError("the peel ran")
 
-        monkeypatch.setattr(polytope, "_hull_of_rows", sweep)
+        monkeypatch.setattr(polytope, "_hull_of_rows", peel)
         for ring in rings:
             rows = list(ring.edges)
             shuffled, k = rng.sample(rows, len(rows)), rng.randrange(len(rows))
             for order in (shuffled, rows[::-1], rows[k:] + rows[:k]):
                 h = HPolygon(tuple(order))
                 assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
-        with pytest.raises(AssertionError, match="the sweep ran"):
+                assert h_to_v(h).edges == ring.edges
+        with pytest.raises(AssertionError, match="the peel ran"):
             HPolygon(tuple(SCALED_PARALLEL))
 
 
@@ -494,6 +502,21 @@ class TestLargePolygons:
             assert h_to_v(h).vertices == ring.vertices
         inst = InstanceFile(polygon=HPolygon(rows), cost=Direction2(0, -1), start=ring.vertices[0])
         assert h_to_v(read_instance(write_instance(inst)).polygon).vertices == ring.vertices
+
+    def test_peel_is_linear_after_the_sort(self):
+        # a 4,000-gon of integer rows and a copy of each loosened by 7: the peel
+        # drops the copies as parallel rows and keeps the 4,000 in one pass; the
+        # sweep's scan of the dropped rows against every corner took about 5 s for
+        # both calls on a 2-core x86 host
+        rows = [(round(1e7 * math.cos(2 * math.pi * k / 4000)),
+                 round(1e7 * math.sin(2 * math.pi * k / 4000)), 10**13) for k in range(4000)]
+        soup = tuple(rows + [(a1, a2, b + 7) for a1, a2, b in rows])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^redundant row; use remove_redundant first$"):
+            HPolygon(soup)
+        kept = remove_redundant(soup).rows
+        assert time.perf_counter() - start < 1.0
+        assert len(kept) == 4000 and set(kept) == {canonical_row(*r) for r in rows}
 
 
 def reference_contains(h, p):

@@ -63,7 +63,8 @@ from circuitwalks.search import (
     shortest_monotone_walk,
     transform_walk,
 )
-from circuitwalks import circuits, search
+from circuitwalks import circuits, polytope, search
+from circuitwalks.formats import InstanceFile, read_instance, write_instance
 from circuitwalks.search import _prepare
 
 from conftest import (
@@ -1495,6 +1496,22 @@ class TestPreparedInstance:
                 (pulled,) = front_chains(fresh, [(-g1, -g2)])
                 assert all(chain == pulled for row in back.pulls.values()
                            for j, _, chain in row if j == i)
+
+    def test_read_polygon_frame_makes_no_meet(self, monkeypatch):
+        # a read polygon's vertex polygon keeps the check's rows as its edge rows,
+        # so the frame computes none of them from the vertices
+        calls = []
+        meet = polytope._meet
+        for v in (build_p_ell(8).v, build_reduction(SubsetSumInstance(a=(5, 8, 9), S=16, k=2), 4).v):
+            rows = v_to_h(v).rows[::-1]
+            text = write_instance(InstanceFile(polygon=HPolygon(rows), cost=Direction2(1, 0),
+                                               start=v.vertices[0]))
+            h = read_instance(text).polygon
+            monkeypatch.setattr(polytope, "_meet", lambda u, w: calls.append(u) or meet(u, w))
+            frame = circuits._chain_frame(h)
+            monkeypatch.undo()
+            assert not calls and h_to_v(h).edges == v.edges
+            assert frame == circuits._chain_frame(polytope._hpolygon_of_cycle(v, rows))
 
     def test_circuits_are_computed_once(self, monkeypatch):
         # build_reduction's circuit census and the search's setup share one
