@@ -32,7 +32,6 @@ from .polytope import (
     LiftedPolytope,
     VPolygon,
     _affine_matrix,
-    _hpolygon_of_cycle,
     _map_rows,
     _map_triples,
     h_to_v,
@@ -133,29 +132,29 @@ def build_p_ell(ell: int) -> PellArtifact:
     Level 1 is the triangle conv((0,1), (0,-1), (1,0)).  Each level squeezes
     the previous polygon by family_step_map into the right half of a narrow
     strip and restores the two outer vertices (0, 1), (0, -1), adding two
-    rows.  The rows and the vertex cycle, w, then the image of the previous
-    cycle, then u, are carried together on integers; the cycle check confirms
-    that they describe one polygon.  Row entries stay below (8*ell + 1)**ell.
+    rows.  The rows are carried on integers and HPolygon builds the polygon
+    from them; its vertex cycle must run from w = (0, -1) to u = (0, 1), and
+    w, t and u are read off it.  Row entries stay below (8*ell + 1)**ell.
     """
     if ell < 1:
         raise BadParameter("ell must be at least 1")
     rows: list[tuple[int, int, int]] = [(-1, 0, 0), (1, 1, 1), (1, -1, 1)]
-    u, w = (0, 1, 1), (0, -1, 1)
-    cycle = [w, (1, 0, 1), u]
     for level in range(1, ell):
         mat = _affine_matrix(family_step_map(level))
         # the left wall x >= 0 is the first row, and the squeeze moves it off the polygon
         rows = [(-1, 0, 0), *_map_rows(mat, rows[1:]), (1, 2, 2), (1, -2, 2)]
-        cycle = [w, *_map_triples(mat, cycle), u]
     try:
-        h = _hpolygon_of_cycle(VPolygon(tuple(cycle)), tuple(rows))
+        h = HPolygon(tuple(rows))
     except ValueError:
-        raise ConstructionError("the rows are not the edges of the vertex cycle") from None
+        raise ConstructionError("the rows do not describe a polygon, one edge each") from None
+    cycle = h_to_v(h).triples
+    if cycle[0] != (0, -1, 1) or cycle[-1] != (0, 1, 1):
+        raise ConstructionError("the vertex cycle does not run from w = (0, -1) to u = (0, 1)")
     c0 = Direction2(1, 0)
     if h.m != 2 * ell + 1:
         raise ConstructionError("row count drifted from 2*ell + 1")
     # each level adds a vertex at either end, so level 1's (1, 0) stays in the middle
-    u, w, t = [Point2(*dehomogenize(cycle[i])) for i in (-1, 0, ell)]
+    w, t, u = [Point2(*dehomogenize(cycle[i])) for i in (0, ell, -1)]
     best, argmax = optimal_value(h, c0)
     if argmax != (t,) or best != t.x:
         raise ConstructionError("t is not the unique rightmost vertex")

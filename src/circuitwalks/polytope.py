@@ -15,52 +15,51 @@ into the triple of their corner and two vertices into the row of their edge.
 A vertex polygon is the cycle of its vertices' triples; its points, as
 rationals, are built on first read.
 
-A polygon is built from its vertex cycle, a tuple of triples, and its rows
-by one O(m) check: the cycle's triples are canonical, turn strictly
-counterclockwise, wind once and start at the lexicographic minimum (VPolygon's
-check), and the rows are, as a set and in number, the cycle's edge rows, the
-meets of consecutive vertices.
-The first makes the cycle the vertex list of a convex polygon P in boundary
-order; the second makes the rows P's edges, each with P on its inner side.  A
-convex polygon is the intersection of the halfplanes of its edges, so the
+A polygon built from its vertex cycle, a tuple of triples, is checked in
+O(m): the triples are canonical, turn strictly counterclockwise, wind once and
+start at the lexicographic minimum (VPolygon's check).  That makes the cycle
+the vertex list of a convex polygon P in boundary order, and its edge rows, the
+meets of consecutive vertices, each carry an edge with P on its inner side.  A
+convex polygon is the intersection of the halfplanes of its edges, so these
 rows describe P: bounded and full-dimensional, no row redundant (each carries
 an edge), none repeated (the edges of a cycle that winds once have distinct
-normal directions), and the hull is the cycle.  v_to_h, transform_polygon
-and the constructions build their polygons this way.
+normal directions), and the hull is the cycle.  v_to_h builds its polygons
+this way.
 
-Rows alone become vertices by one O(m) pass after sorting them by the angle
-of their normal, O(m log m) for m rows.  The pass tests that every turn from
-one normal to the next, the last back to the first included, is strictly
-counterclockwise, and that on every row (a1, a2, b) the corners where it
-meets the rows before and after it bound an edge of positive length along
-(-a2, a1), its direction with its inner side on the left.  The turns, each
-less than a half turn as the angles rise, add up to one full turn, so the
-corners joined in order turn left at each corner and wind once: they are the
-vertex cycle of a strictly convex polygon P, with one edge on each row and P
-on its inner side.  As above, the rows then describe P, none redundant, and
-rotated with the corners to the lex-min, they are its edge rows in order.
-Conversely the rows of a minimal system, in angular order, are its polygon's
-edges in boundary order and pass both tests: the pass accepts exactly the
-minimal systems, the only ones HPolygon accepts.
+Rows alone become a polygon by one algorithm, the peel, after sorting them by
+the angle of their normal, O(m log m) for m rows.  It drops rows and rechecks
+their neighbours as Graham's scan does points.  It keeps the tightest of
+parallel rows and, if their normals positively span (else the region is
+unbounded or empty), sets them on a ring in angular order, each turn to the
+next less than a half turn, with each corner, where a row meets the row before
+it, computed once.  A row (a1, a2, b) passes when its edge, from its corner to
+the next, has positive length along (-a2, a1), its direction with its inner
+side on the left.  The first round tests every row: on a minimal system it is
+the whole check.  A row r that fails, between live neighbours q and s, is
+dropped if q turns to s by less than a half turn: r's normal is then a
+positive combination of theirs, and were the apex of their wedge strictly
+outside r, r's line would cut both of its sides, at the corners with q and s
+in that order, so the apex and the whole wedge lie in r.  By this wedge lemma
+the region stays as it was; s's corner becomes its meet with q, and q and s
+are tested in the next round (as is a failed row whose corners changed since
+its test).  If q turns to s by a half turn or more, q, r and s have no common
+interior, nor has the region: else they would bound a triangle with an edge of
+positive length on each row, or a strip of positive width that r crosses along
+a positive length.  Neighbours of a row of three turn by more than a half
+turn, so the ring keeps three rows.  Each drop puts two rows in the next
+round, so the rounds test at most 3m rows and compute m corners plus one per
+row dropped: O(m) after the sort.
 
-The peel reduces any row system to its minimal one, or names its fault, by
-the pass's edge test, dropping and rechecking rows as Graham's scan does
-points.  It keeps the tightest of parallel rows and, if their normals
-positively span (else the region is unbounded or empty), sets them on a ring
-in angular order, each turn to the next less than a half turn.  A row r
-popped from a worklist of them all stays when its edge between its live
-neighbours q and s has positive length.  Else if q turns to s by less than a
-half turn, r's normal is a positive combination of theirs: were the apex of
-their wedge strictly outside r, r's line would cut both of its sides, at the
-corners with q and s in that order, so the apex and the whole wedge lie in r.
-By this wedge lemma r is dropped, the region unchanged, and q and s are
-pushed again.  If q turns to s by a half turn or more, q, r and s have no
-common interior, nor has the region: else they would bound a triangle that
-the pass accepts, or a strip of positive width that r crosses along a
-positive length.  Neighbours of a row of three turn by more than a half
-turn, so the ring keeps three rows; when the worklist runs out, every live
-row was tested since its neighbours last changed, and the ring passes the
-pass.  Each drop pushes two rows: at most 3m pops, O(m) after the sort.
+When a round finds no row to drop, every live row's edge has positive length,
+and the turns, each less than a half turn as the angles rise, add up to one
+full turn: the corners joined in order turn left at each corner and wind once.
+They are the vertex cycle of a strictly convex polygon P, with one edge on
+each row and P on its inner side, so as above the live rows describe P, none
+redundant, and the ring rotated to the lex-min corner lists P's vertices and
+edge rows in boundary order.  Conversely the rows of a minimal system, in
+angular order, are its polygon's edges in boundary order, each of positive
+length, so the peel drops nothing: HPolygon accepts exactly the systems the
+peel keeps whole, and remove_redundant returns the rows it keeps.
 
 Every polytope here, a polygon or a lift, holds its rows in one format: the
 flat canonical integer row (a_1, .., a_d, b) for a.x <= b, the polygon's
@@ -167,13 +166,6 @@ def _by_angle(rows: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, in
     return sorted(upper, key=_ANGLE) + sorted(lower, key=_ANGLE)
 
 
-def _normals_positively_span(lines: list[tuple[int, int, int]]) -> bool:
-    """True iff every turn from one row's normal to the next, the last back to
-    the first included, is strictly counterclockwise; on rows in angular order,
-    one per normal direction, iff the region has no recession direction."""
-    return len(lines) >= 3 and all(_cross(lines[i - 1], lines[i]) > 0 for i in range(len(lines)))
-
-
 def _meet(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gcd-reduced cross product of two triples, read with the row (a1, a2, b) as
     the line a1*X + a2*Y = b*W.
@@ -188,26 +180,11 @@ def _meet(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, i
     return (x // g, y // g, w // g)
 
 
-def _edge_corners(lines: list[tuple[int, int, int]]) -> "VPolygon | None":
-    """The vertex polygon, its edges included, of rows in angular order that are
-    exactly a convex polygon's edges, else None: the pass of the module docstring."""
-    if not _normals_positively_span(lines):
-        return None
-    # corners[i] is where lines[i]'s edge starts, corners[i + 1] where it ends
-    corners = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]
-    for (a1, a2, _), (px, py, pw), (qx, qy, qw) in zip(lines, corners, corners[1:] + corners[:1]):
-        if (a1 * qy - a2 * qx) * pw <= (a1 * py - a2 * px) * qw:
-            return None
-    first = corners.index(min(corners, key=_LEX))
-    hull = object.__new__(VPolygon)
-    object.__setattr__(hull, "triples", tuple(corners[first:] + corners[:first]))
-    object.__setattr__(hull, "edges", tuple(lines[first:] + lines[:first]))
-    return hull
-
-
 def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
-    """Vertex polygon of canonical rows' region by the module docstring's peel, for
-    remove_redundant and to name a rejected system's fault; raises UnboundedOrEmpty."""
+    """Vertex polygon, its edge rows included, of canonical rows' region by the
+    module docstring's peel, O(m) after the angle sort; its edges are the rows
+    kept.  Raises UnboundedOrEmpty when the region is not a bounded,
+    full-dimensional polygon."""
     lines: list[tuple[int, int, int]] = []
     for r in _by_angle(rows):
         # of rows of one direction (x <= 1 and 2x <= 3), keep the smallest b / gcd(a1, a2)
@@ -217,48 +194,38 @@ def _hull_of_rows(rows: tuple[tuple[int, int, int], ...]) -> "VPolygon":
                 lines[-1] = r
         else:
             lines.append(r)
-    if not _normals_positively_span(lines):
-        raise UnboundedOrEmpty("row normals do not positively span the plane")
-    # the ring: lines[before[i]] and lines[after[i]] are live row i's neighbours
     n = len(lines)
+    if n < 3 or any(_cross(lines[i - 1], lines[i]) <= 0 for i in range(n)):
+        raise UnboundedOrEmpty("row normals do not positively span the plane")
+    # the ring: lines[before[i]] and lines[after[i]] are live row i's neighbours, and
+    # corner[i] is where row i meets lines[before[i]], the start of its edge
     before, after = [n - 1, *range(n - 1)], [*range(1, n), 0]
-    todo = list(range(n))
+    corner = [_meet(lines[i - 1], lines[i]) for i in range(n)]
+    todo = range(n)
     while todo:
-        i = todo.pop()
-        j, k = before[i], after[i]
-        if after[j] != i:
-            continue  # dropped since it was pushed
-        q, r, s = lines[j], lines[i], lines[k]
-        (a1, a2, _), (px, py, pw), (qx, qy, qw) = r, _meet(q, r), _meet(r, s)
-        if (a1 * qy - a2 * qx) * pw > (a1 * py - a2 * px) * qw:
-            continue
-        if _cross(q, s) <= 0:
-            raise UnboundedOrEmpty("feasible region is empty or not full-dimensional")
-        after[j], before[k] = k, j
-        todo += (j, k)
-    return _edge_corners([lines[i] for i in range(n) if after[before[i]] == i])
-
-
-def _from_lex_min(t: list) -> tuple:
-    """The cycle of triples t, rotated to start at its lexicographic minimum."""
-    first = t.index(min(t, key=_LEX))
-    return tuple(t[first:] + t[:first])
-
-
-def _hpolygon_of_cycle(v: "VPolygon", rows: tuple | None = None) -> "HPolygon":
-    """HPolygon of the vertex polygon v and its canonical edge rows, by default
-    in boundary order; raises ValueError when rows are not its edge rows.
-
-    With VPolygon's own check, this is the cycle check of the module docstring.
-    """
-    if rows is None:
-        rows = v.edges
-    elif len(rows) != len(v.edges) or set(rows) != set(v.edges):
-        raise ValueError("rows are not the edge rows of the vertex cycle")
-    h = object.__new__(_HPolygon)
-    object.__setattr__(h, "rows", rows)
-    object.__setattr__(h, "_hull", v)
-    return h
+        # the rows of todo whose edge, from their corner to the next, has no positive length
+        short = [i for i in todo for (a1, a2, _), (px, py, pw), (qx, qy, qw)
+                 in [(lines[i], corner[i], corner[after[i]])]
+                 if (a1 * qy - a2 * qx) * pw <= (a1 * py - a2 * px) * qw]
+        todo = set()
+        for i in short:
+            if i in todo:
+                continue  # a neighbour was dropped since the test: test it again
+            j, k = before[i], after[i]
+            if _cross(lines[j], lines[k]) <= 0:
+                raise UnboundedOrEmpty("feasible region is empty or not full-dimensional")
+            after[j], before[k] = k, j
+            corner[k] = _meet(lines[j], lines[k])
+            todo |= {j, k}
+    live = [i for i in range(n) if after[before[i]] == i]
+    # the lex-min vertex, the one (-1, -eps) points out of, starts the first edge
+    # whose normal points below the x axis
+    first = next(f for f, i in enumerate(live) if lines[i][1] < 0)
+    live = live[first:] + live[:first]
+    hull = object.__new__(VPolygon)
+    object.__setattr__(hull, "triples", tuple([corner[i] for i in live]))
+    object.__setattr__(hull, "edges", tuple([lines[i] for i in live]))
+    return hull
 
 
 def _inside(rows, state) -> bool:
@@ -274,9 +241,8 @@ class HPolygon:
     Rows are canonicalized on construction and validated: no duplicate
     halfplanes, no redundant rows, bounded and full-dimensional.  Feed raw row
     soup through remove_redundant instead when minimality is not known.  The
-    O(m) pass of the module docstring decides minimality and gives the vertex
-    polygon, its edge rows included; the peel runs only to name the fault of a
-    system the pass rejects.
+    peel of the module docstring gives the vertex polygon, its edge rows
+    included, or names the fault; a system it drops a row from is redundant.
     """
 
     rows: tuple[tuple[int, int, int], ...]
@@ -288,9 +254,8 @@ class HPolygon:
             raise UnboundedOrEmpty("a polygon needs at least three rows")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate halfplane rows")
-        hull = _edge_corners(_by_angle(rows))
-        if hull is None:
-            _hull_of_rows(rows)  # raises, unless a row is redundant
+        hull = _hull_of_rows(rows)
+        if len(hull.edges) != len(rows):
             raise ValueError("redundant row; use remove_redundant first")
         object.__setattr__(self, "_hull", hull)
 
@@ -399,8 +364,15 @@ def hull2d(points: list[Point2] | tuple[Point2, ...]) -> VPolygon:
 
 
 def v_to_h(v: VPolygon) -> HPolygon:
-    """Minimal halfplane system, one row per edge in boundary order."""
-    return _hpolygon_of_cycle(v)
+    """Minimal halfplane system, one row per edge in boundary order.
+
+    With VPolygon's own check, this is the module docstring's O(m) check of a
+    vertex cycle.
+    """
+    h = object.__new__(_HPolygon)
+    object.__setattr__(h, "rows", v.edges)
+    object.__setattr__(h, "_hull", v)
+    return h
 
 
 def h_to_v(h: HPolygon) -> VPolygon:
@@ -412,14 +384,15 @@ def remove_redundant(rows) -> HPolygon:
     """Minimal HPolygon from arbitrary rows of a bounded full-dim region, by
     the peel of the module docstring, O(m) after the angle sort.
 
-    Duplicate and redundant rows are dropped, and the rows kept are the edge
-    rows in boundary order; UnboundedOrEmpty is raised when the rows do not
+    Duplicate and redundant rows are dropped, and the rows the peel keeps are
+    the edge rows in boundary order, from the lex-min vertex, with the vertex
+    polygon read off its ring; UnboundedOrEmpty is raised when the rows do not
     bound a full-dimensional polygon.
     """
     canon = tuple(dict.fromkeys(canonical_row(*r) for r in rows))
     if len(canon) < 3:
         raise UnboundedOrEmpty("a polygon needs at least three rows")
-    return _hpolygon_of_cycle(_hull_of_rows(canon))
+    return v_to_h(_hull_of_rows(canon))
 
 
 def _affine_matrix(m: AffineMap2) -> tuple[int, ...]:
@@ -466,17 +439,10 @@ def transform_polygon(m: AffineMap2, h: HPolygon) -> HPolygon:
     """Image polygon {H x + t : x in h}; requires m invertible.
 
     m acts on homogeneous triples as one integer matrix M.  The rows, in
-    h.rows order, map through M's adjugate and the vertices through M; a map
-    that reverses orientation reverses the cycle.  Invertible maps preserve
-    edges, so the image rows are the image cycle's edge rows, as the cycle
-    check confirms.
+    h.rows order, map through M's adjugate, and HPolygon builds the image from
+    them.  Invertible maps preserve edges, so no image row is redundant.
     """
-    mat = _affine_matrix(m)
-    rows = _map_rows(mat, h.rows)
-    t = _map_triples(mat, h_to_v(h).triples)
-    if mat[0] * mat[4] < mat[1] * mat[3]:
-        t.reverse()
-    return _hpolygon_of_cycle(VPolygon(_from_lex_min(t)), tuple(rows))
+    return HPolygon(tuple(_map_rows(_affine_matrix(m), h.rows)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,13 @@ from circuitwalks.constructions import (
 )
 from circuitwalks.polytope import HPolygon, _hull_of_rows, h_to_v
 from circuitwalks.ratgeo import Direction2, Point2, rat
-from circuitwalks.search import is_valid_monotone_walk
+from circuitwalks.search import (
+    Found,
+    NotFoundWithinDepth,
+    SearchConfig,
+    is_valid_monotone_walk,
+    shortest_monotone_walk,
+)
 
 from conftest import (
     as_points,
@@ -112,8 +118,8 @@ class TestFamily:
             build_p_ell(0)
 
     def test_cycle_matches_sweep(self):
-        # rows and vertex cycle carried together equal the peel of the rows,
-        # and the polygon HPolygon reads from the rows alone
+        # the family, built by HPolygon from its rows, is the peel of those rows,
+        # equals a second read of them, and has the Fraction reference's vertices
         for ell in range(1, 13):
             art = build_p_ell(ell)
             peeled = _hull_of_rows(art.h.rows)
@@ -262,6 +268,31 @@ class TestThreeDM:
         )
         essr = reduce_three_dm(inst)
         assert all(x < y for x, y in zip(essr.a, essr.a[1:]))
+
+    def test_matchings_to_walk_distances_at_n2(self):
+        # the paper's chain on every instance of 2 elements with 2-5 triples: a
+        # matching gives an exact-sum vector whose witness walk has 2k steps, and the
+        # search finds a walk within 2k; no matching, and no walk exists within C*k
+        universe = list(itertools.product(range(2), repeat=3))
+        found = proved = 0
+        for size in range(2, 6):
+            for chosen in itertools.combinations(universe, size):
+                inst = ThreeDMInstance(n_elements=2, triples=chosen)
+                essr = reduce_three_dm(inst)
+                red = build_reduction(essr, 2)
+                k = essr.k
+                if three_dm_has_perfect_matching(inst):
+                    walk = reduction_witness_walk(red, brute_force_essr(essr, r_bound=2).r)
+                    assert walk.length == 2 * k and walk.end == red.t
+                    assert is_valid_monotone_walk(red.h, red.c, walk)
+                    search = shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(2 * k))
+                    assert isinstance(search, Found) and search.walk.length <= 2 * k
+                    found += 1
+                else:
+                    search = shortest_monotone_walk(red.h, red.s, red.c, SearchConfig(red.ck))
+                    assert search == NotFoundWithinDepth(red.ck)
+                    proved += 1
+        assert (found, proved) == (138, 72)
 
 
 class TestGapConstant:

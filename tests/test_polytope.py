@@ -17,7 +17,6 @@ from circuitwalks.polytope import (
     canonical_row,
     h_to_v,
     hull2d,
-    _hpolygon_of_cycle,
     product_with_simplex,
     remove_redundant,
     simplex_vertices,
@@ -297,6 +296,17 @@ def _intersections(rows):
 
 # the edge rows of the quadrilateral (0, 0), (2, 0), (2, 3), (0, 1), bottom row first
 QUAD_ROWS = [(0, -1, 0), (1, 0, 2), (-1, 1, 1), (-1, 0, 0)]
+# minimal system the triangle of rows 4, 2 and 3, which the peel reaches only
+# after its drops recheck row 0 across the ring's wrap
+WRAP_AROUND = [(-2, 1, 4), (1, -1, 2), (0, 1, -2), (-1, 0, 2), (1, -2, 3), (-1, 1, 3), (2, 2, 3),
+               (1, -1, 3)]
+
+
+def _loosened_4000_gon():
+    """A 4,000-gon of integer rows and, after them, a copy of each loosened by 7."""
+    rows = [(round(1e7 * math.cos(2 * math.pi * k / 4000)),
+             round(1e7 * math.sin(2 * math.pi * k / 4000)), 10**13) for k in range(4000)]
+    return tuple(rows + [(a1, a2, b + 7) for a1, a2, b in rows])
 
 
 class TestIntegerConstruction:
@@ -321,10 +331,7 @@ class TestIntegerConstruction:
     @example(QUAD_ROWS[1:])
     @example(QUAD_ROWS + [(1, -1, 2)])
     @example([r for r in QUAD_ROWS if r != (-1, 1, 1)])
-    # minimal system the triangle of rows 4, 2 and 3, which the peel reaches only
-    # after its drops recheck row 0 across the ring's wrap
-    @example([(-2, 1, 4), (1, -1, 2), (0, 1, -2), (-1, 0, 2), (1, -2, 3), (-1, 1, 3), (2, 2, 3),
-              (1, -1, 3)])
+    @example(WRAP_AROUND)
     def test_same_vertices_or_same_error(self, rows):
         assert _outcome(lambda r: h_to_v(HPolygon(r)).vertices, rows) == _outcome(
             reference_hpolygon, rows
@@ -352,93 +359,58 @@ class TestIntegerConstruction:
             )
 
 
-class TestMinimalSystemsSkipTheSweep:
-    """HPolygon decides a minimal system in one pass, which also gives its vertex
-    polygon and edge rows; the peel (_hull_of_rows) runs only to name the fault
-    of a system the pass rejects."""
-
-    def test_sweep_never_runs_on_a_minimal_system(self, monkeypatch):
-        rng = random.Random(32)
-        rings = [build_p_ell(ell).v for ell in range(1, 13)]
-        rings += [build_reduction(SubsetSumInstance(a=a, S=S, k=2), C).v
-                  for a, S, C in (((2, 3), 5, 2), ((2, 4), 5, 3), ((5, 8, 9), 16, 4))]
-        rings += [random_hull(rng) for _ in range(200)]
-
-        def peel(rows):
-            raise AssertionError("the peel ran")
-
-        monkeypatch.setattr(polytope, "_hull_of_rows", peel)
-        for ring in rings:
-            rows = list(ring.edges)
-            shuffled, k = rng.sample(rows, len(rows)), rng.randrange(len(rows))
-            for order in (shuffled, rows[::-1], rows[k:] + rows[:k]):
-                h = HPolygon(tuple(order))
-                assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
-                assert h_to_v(h).edges == ring.edges
-        with pytest.raises(AssertionError, match="the peel ran"):
-            HPolygon(tuple(SCALED_PARALLEL))
-
-
-def _cycle_check(t, rows):
-    """The cycle check on a vertex cycle and rows, raising what it raises."""
-    return _hpolygon_of_cycle(VPolygon(tuple(t)), tuple(rows))
-
-
 def _triple(p):
     return homogeneous((p.x, p.y))
 
 
-class TestCycleCheck:
-    """The O(m) check that a vertex cycle and a row set describe one polygon."""
+def _meets(monkeypatch, f, rows):
+    """The number of polytope._meet calls f(rows) makes, and what it returns or raises."""
+    calls = []
+    meet = polytope._meet
+    monkeypatch.setattr(polytope, "_meet", lambda u, v: calls.append(u) or meet(u, v))
+    try:
+        result = f(rows)
+    except ValueError as exc:
+        result = exc
+    monkeypatch.undo()
+    return len(calls), result
+
+
+class TestThePeelMeetsEachCornerOnce:
+    """The peel computes each corner of its ring once, and one more for each row
+    it drops: m _meet calls on a minimal system of m rows, and on a soup the rows
+    left after the parallel merge plus the rows dropped."""
 
     # a convex pentagon, counterclockwise from its lex-min vertex
     PENTAGON = (P(-1, 3), P(0, 0), P(4, 0), P(5, 3), P(2, 5))
-    EDGES = "rows are not the edge rows of the vertex cycle"
-    TURNS = "vertices not in strictly convex ccw order"
 
-    def parts(self):
-        ring = VPolygon.of_points(self.PENTAGON)
-        return list(ring.triples), list(v_to_h(ring).rows)
+    def test_minimal_systems_in_any_order(self, monkeypatch):
+        rng = random.Random(32)
+        rings = [build_p_ell(ell).v for ell in range(1, 13)]
+        rings += [build_reduction(SubsetSumInstance(a=a, S=S, k=2), C).v
+                  for a, S, C in (((2, 3), 5, 2), ((2, 4), 5, 3), ((5, 8, 9), 16, 4))]
+        rings += [VPolygon.of_points(self.PENTAGON)]
+        rings += [random_hull(rng) for _ in range(200)]
+        for ring in rings:
+            rows = list(ring.edges)
+            shuffled, k = rng.sample(rows, len(rows)), rng.randrange(len(rows))
+            for order in (shuffled, rows[::-1], rows[k:] + rows[:k]):
+                calls, h = _meets(monkeypatch, HPolygon, tuple(order))
+                assert calls == len(rows)
+                assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
+                assert h_to_v(h).edges == ring.edges and h_to_v(h).vertices == ring.vertices
 
-    def test_accepts_the_edge_rows_in_any_order(self):
-        t, rows = self.parts()
-        for order in (rows, rows[::-1], rows[2:] + rows[:2]):
-            h = _cycle_check(t, order)
-            assert h.rows == tuple(order) and h == HPolygon(order)
-            assert h_to_v(h).vertices == self.PENTAGON
-
-    def test_rejects_a_moved_triple(self):
-        t, rows = self.parts()
-        # the top vertex moved up: the cycle stays strictly convex
-        t[4] = _triple(P(2, 6))
-        with pytest.raises(ValueError, match=self.EDGES):
-            _cycle_check(t, rows)
-
-    def test_rejects_a_looser_parallel_row(self):
-        t, rows = self.parts()
-        for i, (a1, a2, b) in enumerate(rows):
-            looser = list(rows)
-            looser[i] = canonical_row(2 * a1, 2 * a2, 2 * b + 1)
-            with pytest.raises(ValueError, match=self.EDGES):
-                _cycle_check(t, looser)
-
-    def test_rejects_a_reversed_cycle(self):
-        t, rows = self.parts()
-        with pytest.raises(ValueError, match=self.TURNS):
-            _cycle_check(t[:1] + t[:0:-1], rows)
-
-    def test_rejects_a_doubly_wound_cycle(self):
-        t, rows = self.parts()
-        # pentagram order, from the lex-min: every consecutive triple turns left
-        with pytest.raises(ValueError, match=self.TURNS):
-            _cycle_check([t[i] for i in (0, 2, 4, 1, 3)], rows)
-
-    def test_rejects_a_duplicated_row(self):
-        t, rows = self.parts()
-        with pytest.raises(ValueError, match=self.EDGES):
-            _cycle_check(t, rows[:1] + rows[:1] + rows[2:])
-        with pytest.raises(ValueError, match=self.EDGES):
-            _cycle_check(t, rows + rows[:1])
+    def test_soups(self, monkeypatch):
+        for soup in (SCALED_PARALLEL, WRAP_AROUND, _loosened_4000_gon()):
+            canon = {canonical_row(*r) for r in soup}
+            merged = len({(a1 // math.gcd(a1, a2), a2 // math.gcd(a1, a2)) for a1, a2, _ in canon})
+            kept = remove_redundant(soup).rows
+            assert merged > len(kept) or len(canon) > merged
+            calls, h = _meets(monkeypatch, remove_redundant, soup)
+            assert calls == 2 * merged - len(kept) and h.rows == kept
+            calls, error = _meets(monkeypatch, HPolygon, tuple(soup))
+            assert calls == 2 * merged - len(kept)
+            assert str(error) == "redundant row; use remove_redundant first"
 
 
 def _random_map(rng, det_sign):
@@ -508,15 +480,13 @@ class TestLargePolygons:
         # drops the copies as parallel rows and keeps the 4,000 in one pass; the
         # sweep's scan of the dropped rows against every corner took about 5 s for
         # both calls on a 2-core x86 host
-        rows = [(round(1e7 * math.cos(2 * math.pi * k / 4000)),
-                 round(1e7 * math.sin(2 * math.pi * k / 4000)), 10**13) for k in range(4000)]
-        soup = tuple(rows + [(a1, a2, b + 7) for a1, a2, b in rows])
+        soup = _loosened_4000_gon()
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^redundant row; use remove_redundant first$"):
             HPolygon(soup)
         kept = remove_redundant(soup).rows
         assert time.perf_counter() - start < 1.0
-        assert len(kept) == 4000 and set(kept) == {canonical_row(*r) for r in rows}
+        assert len(kept) == 4000 and set(kept) == {canonical_row(*r) for r in soup[:4000]}
 
 
 def reference_contains(h, p):
