@@ -376,20 +376,32 @@ def _meets(monkeypatch, f, rows):
     return len(calls), result
 
 
-class TestThePeelMeetsEachCornerOnce:
-    """The peel computes each corner of its ring once, and one more for each row
-    it drops: m _meet calls on a minimal system of m rows, and on a soup the rows
-    left after the parallel merge plus the rows dropped."""
+class TestCycleCheck:
+    """A vertex cycle and its edge rows describe one polygon: HPolygon of the
+    cycle's edge rows, in any order, keeps that order and has that cycle."""
 
     # a convex pentagon, counterclockwise from its lex-min vertex
     PENTAGON = (P(-1, 3), P(0, 0), P(4, 0), P(5, 3), P(2, 5))
 
-    def test_minimal_systems_in_any_order(self, monkeypatch):
+    def test_accepts_the_edge_rows_in_any_order(self, monkeypatch):
+        ring = VPolygon.of_points(self.PENTAGON)
+        rows = list(ring.edges)
+        for order in (rows, rows[::-1], rows[2:] + rows[:2]):
+            calls, h = _meets(monkeypatch, HPolygon, tuple(order))
+            assert calls == len(rows)
+            assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
+            assert h_to_v(h).edges == ring.edges and h_to_v(h).vertices == self.PENTAGON
+
+
+class TestMinimalSystemsSkipTheSweep:
+    """On a minimal system the peel's first round over the ring finds no row to
+    drop, so no recheck sweep runs: m _meet calls for m rows, one per corner."""
+
+    def test_sweep_never_runs_on_a_minimal_system(self, monkeypatch):
         rng = random.Random(32)
         rings = [build_p_ell(ell).v for ell in range(1, 13)]
         rings += [build_reduction(SubsetSumInstance(a=a, S=S, k=2), C).v
                   for a, S, C in (((2, 3), 5, 2), ((2, 4), 5, 3), ((5, 8, 9), 16, 4))]
-        rings += [VPolygon.of_points(self.PENTAGON)]
         rings += [random_hull(rng) for _ in range(200)]
         for ring in rings:
             rows = list(ring.edges)
@@ -399,6 +411,12 @@ class TestThePeelMeetsEachCornerOnce:
                 assert calls == len(rows)
                 assert h.rows == tuple(order) and h_to_v(h).triples == ring.triples
                 assert h_to_v(h).edges == ring.edges and h_to_v(h).vertices == ring.vertices
+
+
+class TestThePeelMeetsEachCornerOnce:
+    """The peel computes each corner of its ring once, and one more for each row
+    it drops: on a soup, the rows left after the parallel merge plus the rows
+    dropped."""
 
     def test_soups(self, monkeypatch):
         for soup in (SCALED_PARALLEL, WRAP_AROUND, _loosened_4000_gon()):
