@@ -30,6 +30,7 @@ import itertools
 import os
 import stat
 import sys
+import warnings
 
 from .circuits import enumerate_circuits, enumerate_lifted_circuits, optimal_value
 from .constructions import (
@@ -548,16 +549,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, OSError, RuntimeError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    # a library warning, such as build_reduction's on a large C*k, is a CLI
+    # line on stderr, printed on every call rather than once per process
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ParseError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (ValueError, OSError, RuntimeError, ConstructionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -15,11 +15,15 @@ Four constructions live here:
 
 Every numeric claim the builders rely on is asserted at construction time;
 a violated assumption raises ConstructionError instead of producing a
-plausible-looking wrong polygon.
+plausible-looking wrong polygon.  The family polygon of a level and the part
+of the corner transform that depends on the level alone are built once per
+process and shared, as immutable values: their checks run on the first
+build, and an instance's own checks on every build.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -126,6 +130,7 @@ def family_step_map(level: int) -> AffineMap2:
     return AffineMap2(rat(1, 8 * level), 0, 0, rat(1, 2), 1, 0)
 
 
+@functools.cache
 def build_p_ell(ell: int) -> PellArtifact:
     """Recursive polygon family; distance to the rightmost vertex grows as ell.
 
@@ -135,6 +140,11 @@ def build_p_ell(ell: int) -> PellArtifact:
     rows.  The rows are carried on integers and HPolygon builds the polygon
     from them; its vertex cycle must run from w = (0, -1) to u = (0, 1), and
     w, t and u are read off it.  Row entries stay below (8*ell + 1)**ell.
+
+    Each level is built once per process and the artifact is shared by every
+    caller; it and its polygons are immutable values.  The checks here run on
+    a level's first build.  A build that raises is not kept, so a bad level
+    raises on every call.
     """
     if ell < 1:
         raise BadParameter("ell must be at least 1")
@@ -461,37 +471,44 @@ class CornerTransform:
     t_image: Point2
 
 
-def build_corner_transform(
-    pell: PellArtifact, inst: SubsetSumInstance, C: int
-) -> CornerTransform:
-    """Rational rotation and two squeezes placing pell's polygon beside (0, S).
+@dataclass(frozen=True)
+class _CornerFrame:
+    """The part of a corner transform that depends on the family polygon alone.
 
-    The x-scale alpha keeps the polygon strictly inside the triangle
-    conv((0,1), (0,-1), (1/4,0)), so after the sqrt(2)-scaled 135-degree
-    rotation [[-1,-1],[1,-1]] every edge except the old left wall has slope
-    strictly between 1/3 and 3, and after the y-squeeze beta = 1/(6*C*k)
-    strictly between 1/(18*C*k) and 1/(2*C*k).  The maps act on the family
-    polygon's vertex triples as integer matrices, and every claim is checked
-    on the image triples by cross-multiplication.
+    ring holds the images of the polygon's vertex cycle, from w's to u's,
+    under the squeeze by alpha and beta before gamma's scaling and the shift,
+    and t the image of t.  chain_slopes are the slopes of the ring's 2*ell
+    edges, sorted, s1 the least, and circuits their primitive directions,
+    sorted.
     """
-    if C < 1:
-        raise BadParameter("C must be positive")
-    ck = C * inst.k
-    if pell.ell != ck:
-        raise BadParameter(f"need the level-{ck} family polygon, got level {pell.ell}")
+
+    alpha: Fraction
+    beta: Fraction
+    ring: tuple[tuple[int, int, int], ...]
+    t: tuple[int, int, int]
+    chain_slopes: tuple[Fraction, ...]
+    s1: Fraction
+    circuits: tuple[Direction2, ...]
+
+
+@functools.cache
+def _corner_frame(pell: PellArtifact) -> _CornerFrame:
+    """pell's corner frame, built and checked once per process for each
+    artifact value, so an altered artifact gets a frame of its own."""
+    ck = pell.ell
     # pre has positive determinant, so it maps the counterclockwise vertex
     # cycle to the image's; the cycle runs from w to u, and its closing edge,
     # the old left wall, becomes the chord below the chain
     cycle = pell.v.triples
-    u, t = homogeneous((pell.u.x, pell.u.y)), homogeneous((pell.t.x, pell.t.y))
-    if (cycle[0], cycle[-1]) != (homogeneous((pell.w.x, pell.w.y)), u):
+    if (cycle[0], cycle[-1]) != (homogeneous((pell.w.x, pell.w.y)),
+                                 homogeneous((pell.u.x, pell.u.y))):
         raise ConstructionError("the family polygon's vertex cycle does not run from w to u")
     # (1 - |y|) / x at the vertices between w and u
     alpha = min(rat(w - abs(y), x) for x, y, w in cycle[1:-1]) / 4
     beta = rat(1, 6 * ck)
     # scaling(1, beta) after the rotation [[-1, -1], [1, -1]] after scaling(alpha, 1)
-    pre = AffineMap2(-alpha, -1, alpha * beta, -beta)
-    ring = _map_triples(_affine_matrix(pre), cycle)
+    pre = _affine_matrix(AffineMap2(-alpha, -1, alpha * beta, -beta))
+    ring = _map_triples(pre, cycle)
     slopes = []
     for (x0, y0, w0), (x1, y1, w1) in zip(ring, ring[1:]):
         dx = x1 * w0 - x0 * w1
@@ -504,19 +521,55 @@ def build_corner_transform(
         for s in slopes
     ):
         raise ConstructionError("image slopes left the open target interval")
-    s1 = min(slopes)
-    box = (s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
+    slopes.sort()
+    # the corner map only adds a uniform scaling and a translation to the
+    # squeeze that set the chain slopes, so its edges keep those slopes
+    circuits = sorted(primitive_direction(1, s) for s in slopes)
+    for g in circuits:
+        if not (g.dx > 0 and 0 < g.dy and 2 * ck * g.dy < g.dx):
+            raise ConstructionError("corner circuit slope outside (0, 1/(2*C*k))")
+    t = homogeneous((pell.t.x, pell.t.y))
+    return _CornerFrame(alpha=alpha, beta=beta, ring=tuple(ring), t=_map_triples(pre, [t])[0],
+                        chain_slopes=tuple(slopes), s1=slopes[0], circuits=tuple(circuits))
+
+
+def build_corner_transform(
+    pell: PellArtifact, inst: SubsetSumInstance, C: int
+) -> CornerTransform:
+    """Rational rotation and two squeezes placing pell's polygon beside (0, S).
+
+    The x-scale alpha keeps the polygon strictly inside the triangle
+    conv((0,1), (0,-1), (1/4,0)), so after the sqrt(2)-scaled 135-degree
+    rotation [[-1,-1],[1,-1]] every edge except the old left wall has slope
+    strictly between 1/3 and 3, and after the y-squeeze beta = 1/(6*C*k)
+    strictly between 1/(18*C*k) and 1/(2*C*k).  The maps act on the family
+    polygon's vertex triples as integer matrices, and every claim is checked
+    on the image triples by cross-multiplication.
+
+    The part that depends on pell alone (alpha, beta, the squeezed vertex
+    cycle, its slopes and corner circuits, and their checks) is built once
+    per process for each artifact value and shared; it is immutable.  box,
+    gamma, the shift to (0, S), the image and the checks on it are the
+    instance's and run on every call.
+    """
+    if C < 1:
+        raise BadParameter("C must be positive")
+    ck = C * inst.k
+    if pell.ell != ck:
+        raise BadParameter(f"need the level-{ck} family polygon, got level {pell.ell}")
+    frame = _corner_frame(pell)
+    alpha, beta = frame.alpha, frame.beta
+    box = (frame.s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
     gamma = box / 4
     # scaling(gamma, gamma) after pre, then the shift that puts u's image on
     # x = 0 and t's on y = S
-    scaled = AffineMap2(-gamma * alpha, -gamma, gamma * alpha * beta, -gamma * beta)
-    (ux, _, uw), (_, ty, tw) = _map_triples(_affine_matrix(scaled), [u, t])
-    full = AffineMap2(scaled.m00, scaled.m01, scaled.m10, scaled.m11,
-                      rat(-ux, uw), inst.S - rat(ty, tw))
+    (ux, _, uw), (_, ty, tw) = frame.ring[-1], frame.t
+    full = AffineMap2(-gamma * alpha, -gamma, gamma * alpha * beta, -gamma * beta,
+                      -gamma * rat(ux, uw), inst.S - gamma * rat(ty, tw))
     mat = _affine_matrix(full)
-    image = _map_triples(mat, cycle)
+    image = _map_triples(mat, pell.v.triples)
     (xw, yw, ww), (xu, yu, wu) = image[0], image[-1]
-    xt, yt, wt = _map_triples(mat, [t])[0]
+    xt, yt, wt = _map_triples(mat, [homogeneous((pell.t.x, pell.t.y))])[0]
     epsilon = rat(yw - inst.S * ww, ww)
     if not (0 < epsilon <= 2 * gamma * beta and epsilon < box / 2):
         raise ConstructionError("epsilon outside (0, box/2)")
@@ -531,18 +584,20 @@ def build_corner_transform(
             raise ConstructionError("u's image is not the unique lowest-leftmost point")
         if i and (x * ww >= xw * w or y * ww >= yw * w):
             raise ConstructionError("w's image is not the unique highest-rightmost point")
-    return CornerTransform(
+    corner = CornerTransform(
         map=full,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
         box=box,
-        s1=s1,
+        s1=frame.s1,
         epsilon=epsilon,
-        chain_slopes=tuple(sorted(slopes)),
+        chain_slopes=frame.chain_slopes,
         triples=tuple(image),
         t_image=Point2(rat(xt, wt), rat(yt, wt)),
     )
+    object.__setattr__(corner, "_frame", frame)  # classify_reduction_circuits reads its circuits
+    return corner
 
 
 # -- the reduction polygon -----------------------------------------------------
@@ -633,20 +688,15 @@ def classify_reduction_circuits(red: ReductionInstance):
     """Partition the circuits: frame axes, weight diagonals, corner slopes.
 
     Returns {"frame": .., "element": .., "corner": ..} with canonical
-    directions, after asserting the partition is exact and the corner slopes
-    sit strictly inside (0, 1/(2*C*k)).
+    directions, after asserting the partition is exact.  The corner
+    directions are the corner transform's, whose level part checked once that
+    their slopes sit strictly inside (0, 1/(2*C*k)).
     """
     inst = red.instance
     ck = red.ck
     frame = (Direction2(0, 1), Direction2(1, 0))
     element = tuple([Direction2(1, w) for w in inst.a])
-    # the corner map only adds a uniform scaling and a translation to the
-    # squeeze that set the chain slopes, so its edges keep those slopes
-    corner = sorted(primitive_direction(1, s) for s in red.corner.chain_slopes)
-    for g in corner:
-        if not (g.dx > 0 and 0 < g.dy and 2 * ck * g.dy < g.dx):
-            raise ConstructionError("corner circuit slope outside (0, 1/(2*C*k))")
-    groups = {"frame": frame, "element": element, "corner": tuple(corner)}
+    groups = {"frame": frame, "element": element, "corner": red.corner._frame.circuits}
     flat = [g for grp in groups.values() for g in grp]
     if len(flat) != 2 + inst.n + 2 * ck or len(set(flat)) != len(flat):
         raise ConstructionError("circuit classes overlap or miscount")

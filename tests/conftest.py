@@ -21,6 +21,7 @@ from circuitwalks.circuits import (
     maximal_moves,
     optimal_value,
 )
+from circuitwalks import constructions
 from circuitwalks.constructions import Feasible, Infeasible, PromiseViolated, build_slope_chain
 from circuitwalks.polytope import (
     DegenerateHull,
@@ -87,6 +88,12 @@ def rng():
 
 def random_hpolygon(rng: random.Random, max_points: int = 12, bound: int = 100):
     return v_to_h(random_hull(rng, max_points, bound))
+
+
+def clear_construction_caches() -> None:
+    """Forget the family levels and corner frames built so far; the next builds are cold."""
+    constructions.build_p_ell.cache_clear()
+    constructions._corner_frame.cache_clear()
 
 
 def as_points(triples) -> tuple[Point2, ...]:

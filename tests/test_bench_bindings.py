@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import clear_construction_caches
+
 TRACING = Path(__file__).resolve().parent.parent / "cwbench" / "tracing.py"
 
 
@@ -44,6 +46,7 @@ def test_package_runs_with_hpolygon_rebound_to_a_function():
     try:
         for module in modules:
             module.HPolygon = forwarding
+        clear_construction_caches()  # the builders below must run, not hit the level caches
         art = constructions.build_p_ell(4)
         image = polytope.transform_polygon(AffineMap2(rat(1, 2), rat(-1), rat(2), rat(1), rat(3), 0), art.h)
         assert image.m == art.h.m
@@ -56,3 +59,4 @@ def test_package_runs_with_hpolygon_rebound_to_a_function():
         for module in modules:
             module.HPolygon = cls
     assert calls  # read_instance builds its polygon through the stand-in
+    assert art.h.rows in [args[0] for args in calls]  # and so does build_p_ell

@@ -32,11 +32,14 @@ from circuitwalks.ratgeo import Direction2, Point2
 from circuitwalks.render import _H, _W, _fmt, lp_document, svg_document
 from circuitwalks.search import SearchConfig, Walk, is_valid_monotone_walk
 
-from conftest import random_hpolygon
+from conftest import clear_construction_caches, random_hpolygon
 
 
 def run(*argv):
     return main(list(argv))
+
+
+LARGE_CK = "C*k = {} blows up corner denominators; expect slow exact arithmetic"
 
 
 @pytest.fixture
@@ -269,20 +272,36 @@ class TestReductionCommands:
 
     def test_gen_reduction_auto_C(self, tmp_path, capsys):
         path = tmp_path / "red.cwi"
-        with pytest.warns(RuntimeWarning):  # C*k = 16 is beyond desk scale
-            code = run(
-                "gen-reduction", "--a", "2,3", "--S", "5", "--k", "2",
-                "--auto-C", "--eps-inv", "1", "-o", str(path),
-            )
+        code = run(
+            "gen-reduction", "--a", "2,3", "--S", "5", "--k", "2",
+            "--auto-C", "--eps-inv", "1", "-o", str(path),
+        )
         assert code == 0
-        assert "C = 8" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "C = 8" in out
+        assert err == f"warning: {LARGE_CK.format(16)}\n"  # C*k = 16 is beyond desk scale
 
     def test_auto_C_reads_eps_inv_2_by_default(self, tmp_path, capsys):
         path = tmp_path / "red.cwi"
-        with pytest.warns(RuntimeWarning):  # C*k = 64 is beyond desk scale
-            assert run("gen-reduction", "--a", "3", "--S", "3", "--k", "1", "--auto-C",
-                       "-o", str(path)) == 0
-        assert f"C = {compute_gap_C(2, 1, 1)}" in capsys.readouterr().out
+        C = compute_gap_C(2, 1, 1)
+        assert run("gen-reduction", "--a", "3", "--S", "3", "--k", "1", "--auto-C",
+                   "-o", str(path)) == 0
+        out, err = capsys.readouterr()
+        assert f"C = {C}" in out
+        assert err == f"warning: {LARGE_CK.format(C)}\n"  # C*k = 64 is beyond desk scale
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-reduction", "--a", "2,3", "--S", "5", "--k", "2", "--C", "5", "-o", "{out}"),
+        ("verify", "--suite", "reduction", "--C", "5"),
+    ], ids=["gen-reduction", "verify"])
+    def test_large_ck_warning_is_a_cli_line_on_every_call(self, tmp_path, capsys, argv):
+        # C*k = 10: one line as the CLI speaks, no source path, on each main() call
+        argv = [a.format(out=tmp_path / "red.cwi") for a in argv] + ["--quiet"]
+        for _ in range(2):
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("warning: ") and ".py:" not in err
+            assert err.splitlines().count(f"warning: {LARGE_CK.format(10)}") == 1
 
     def test_ignored_options_are_errors(self, tmp_path, capsys):
         # an option that the command would not read exits 1 and is named
@@ -529,7 +548,9 @@ class TestExports:
         assert "vertices" in h_to_v(ver.polygon).__dict__
 
     def test_builders_and_the_edge_walk_build_no_vertex_points(self, tmp_path):
-        # the constructions and the edge walk compute on triples; points are built for results only
+        # the constructions and the edge walk compute on triples; points are built for results
+        # only.  Build cold: an earlier test may have read the shared level-8 artifact's points
+        clear_construction_caches()
         assert "vertices" not in build_p_ell(8).v.__dict__
         assert "vertices" not in build_reduction(SubsetSumInstance((2, 4), 5, 2), 2).v.__dict__
         path = tmp_path / "i.cwi"

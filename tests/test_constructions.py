@@ -12,6 +12,7 @@ from circuitwalks.constructions import (
     BadCost,
     BadInstance,
     BadParameter,
+    ConstructionError,
     Feasible,
     Infeasible,
     PromiseViolated,
@@ -33,8 +34,9 @@ from circuitwalks.constructions import (
     sqrt_sum_leq,
     three_dm_has_perfect_matching,
 )
-from circuitwalks.polytope import HPolygon, _hull_of_rows, h_to_v
-from circuitwalks.ratgeo import Direction2, Point2, rat
+from circuitwalks.formats import InstanceFile, write_instance
+from circuitwalks.polytope import HPolygon, _hull_of_rows, h_to_v, transform_polygon
+from circuitwalks.ratgeo import AffineMap2, Direction2, Point2, rat
 from circuitwalks.search import (
     Found,
     NotFoundWithinDepth,
@@ -45,6 +47,7 @@ from circuitwalks.search import (
 
 from conftest import (
     as_points,
+    clear_construction_caches,
     corner_anchors,
     lifted_vertices,
     reference_corner_transform,
@@ -539,6 +542,50 @@ class TestVertexCycle:
             pell, image = build_p_ell(C * inst.k), as_points(ct.triples)
             assert image[0] == ct.map.apply(pell.w) and image[-1] == ct.map.apply(pell.u)
             assert image == tuple(ct.map.apply(p) for p in pell.v.vertices)
+
+
+
+class TestLevelCache:
+    """A family level and its corner frame are built once per process and shared."""
+
+    @pytest.mark.parametrize("ell", range(1, 11))
+    def test_one_artifact_per_level_equal_to_a_fresh_build(self, ell):
+        art = build_p_ell(ell)
+        assert build_p_ell(ell) is art
+        assert build_p_ell.__wrapped__(ell) == art
+
+    def test_bad_level_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(BadParameter):
+                build_p_ell(0)
+
+    @pytest.mark.parametrize("a", [(2, 3), (2, 3, 5)], ids=["n2", "n3"])
+    @pytest.mark.parametrize("k, C", [(1, 2), (2, 2), (2, 3), (2, 4)], ids=["ck2", "ck4", "ck6", "ck8"])
+    def test_warm_and_cold_reductions_write_the_same_text(self, a, k, C):
+        inst = SubsetSumInstance(a=a, S=7, k=k)
+
+        def text():
+            red = build_reduction(inst, C)
+            return write_instance(InstanceFile(polygon=red.h, cost=red.c, start=red.s, target=red.t))
+
+        clear_construction_caches()
+        cold = text()
+        assert text() == cold
+
+    def test_an_altered_artifact_gets_its_own_frame(self):
+        pell, inst = build_p_ell(4), SubsetSumInstance(a=(2, 3), S=5, k=2)
+        ct = build_corner_transform(pell, inst, 2)
+        # P_4 at twice its width: alpha halves, so the squeezed polygon is the same
+        m = AffineMap2(rat(2), 0, 0, rat(1))
+        h = transform_polygon(m, pell.h)
+        wide = dataclasses.replace(pell, h=h, v=h_to_v(h), t=m.apply(pell.t))
+        stretched = build_corner_transform(wide, inst, 2)
+        assert stretched.alpha == ct.alpha / 2 and stretched.map != ct.map
+        assert stretched.triples == ct.triples
+        # w and u swapped fail the level check that the true artifact passed
+        with pytest.raises(ConstructionError, match="does not run from w to u"):
+            build_corner_transform(dataclasses.replace(pell, u=pell.w, w=pell.u), inst, 2)
+        assert build_corner_transform(pell, inst, 2) == ct
 
 
 class TestLiftInstance:
