@@ -555,10 +555,11 @@ def _show_warning(message, *_) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a library warning, such as build_reduction's on a large C*k, is a CLI
-    # line on stderr, printed on every call rather than once per process
+    # a library warning, such as build_reduction's RuntimeWarning on a large
+    # C*k, is a CLI line on stderr, and that one is printed on every call
+    # rather than once per process
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", RuntimeWarning)
         warnings.showwarning = _show_warning
         try:
             return args.func(args)

@@ -122,6 +122,13 @@ class PellArtifact:
     t: Point2
     c0: Direction2
 
+    @functools.cached_property
+    def _corner_frame(self) -> _CornerFrame:
+        """The level part of a corner transform at this artifact, built and
+        checked on first read; an altered artifact is a new value with a
+        frame of its own."""
+        return _build_corner_frame(self)
+
 
 def family_step_map(level: int) -> AffineMap2:
     """Squeeze map (x, y) -> (x/(8*level) + 1, y/2) used by the recursion."""
@@ -457,6 +464,8 @@ class CornerTransform:
     the image of t sits at height exactly S.  epsilon is how far w's image
     pokes above S.  triples holds the canonical triples of the images of the
     family polygon's vertices, counterclockwise from w's image to u's image.
+    chain_slopes are the slopes of the 2*C*k edges between them, sorted, s1
+    the least, and circuits their primitive directions, sorted.
     """
 
     map: AffineMap2
@@ -467,6 +476,7 @@ class CornerTransform:
     s1: Fraction
     epsilon: Fraction
     chain_slopes: tuple[Fraction, ...]
+    circuits: tuple[Direction2, ...]
     triples: tuple[tuple[int, int, int], ...]
     t_image: Point2
 
@@ -475,26 +485,20 @@ class CornerTransform:
 class _CornerFrame:
     """The part of a corner transform that depends on the family polygon alone.
 
-    ring holds the images of the polygon's vertex cycle, from w's to u's,
-    under the squeeze by alpha and beta before gamma's scaling and the shift,
-    and t the image of t.  chain_slopes are the slopes of the ring's 2*ell
-    edges, sorted, s1 the least, and circuits their primitive directions,
-    sorted.
+    u and t are the images of u and t under the squeeze by alpha and
+    beta = 1/(6*ell), before gamma's scaling and the shift.  chain_slopes and
+    circuits are the corner transform's.
     """
 
     alpha: Fraction
-    beta: Fraction
-    ring: tuple[tuple[int, int, int], ...]
+    u: tuple[int, int, int]
     t: tuple[int, int, int]
     chain_slopes: tuple[Fraction, ...]
-    s1: Fraction
     circuits: tuple[Direction2, ...]
 
 
-@functools.cache
-def _corner_frame(pell: PellArtifact) -> _CornerFrame:
-    """pell's corner frame, built and checked once per process for each
-    artifact value, so an altered artifact gets a frame of its own."""
+def _build_corner_frame(pell: PellArtifact) -> _CornerFrame:
+    """pell's corner frame, with the checks that depend on pell alone."""
     ck = pell.ell
     # pre has positive determinant, so it maps the counterclockwise vertex
     # cycle to the image's; the cycle runs from w to u, and its closing edge,
@@ -529,8 +533,8 @@ def _corner_frame(pell: PellArtifact) -> _CornerFrame:
         if not (g.dx > 0 and 0 < g.dy and 2 * ck * g.dy < g.dx):
             raise ConstructionError("corner circuit slope outside (0, 1/(2*C*k))")
     t = homogeneous((pell.t.x, pell.t.y))
-    return _CornerFrame(alpha=alpha, beta=beta, ring=tuple(ring), t=_map_triples(pre, [t])[0],
-                        chain_slopes=tuple(slopes), s1=slopes[0], circuits=tuple(circuits))
+    return _CornerFrame(alpha=alpha, u=ring[-1], t=_map_triples(pre, [t])[0],
+                        chain_slopes=tuple(slopes), circuits=tuple(circuits))
 
 
 def build_corner_transform(
@@ -546,24 +550,25 @@ def build_corner_transform(
     polygon's vertex triples as integer matrices, and every claim is checked
     on the image triples by cross-multiplication.
 
-    The part that depends on pell alone (alpha, beta, the squeezed vertex
-    cycle, its slopes and corner circuits, and their checks) is built once
-    per process for each artifact value and shared; it is immutable.  box,
-    gamma, the shift to (0, S), the image and the checks on it are the
-    instance's and run on every call.
+    The part that depends on pell alone (alpha, the squeezed vertex cycle,
+    its slopes and corner circuits, and their checks) is built on the first
+    call with each artifact and kept on it, immutable; build_p_ell's shared
+    artifact thus builds it once per level and process.  box, gamma, the
+    shift to (0, S), the image and the checks on it are the instance's and
+    run on every call.
     """
     if C < 1:
         raise BadParameter("C must be positive")
     ck = C * inst.k
     if pell.ell != ck:
         raise BadParameter(f"need the level-{ck} family polygon, got level {pell.ell}")
-    frame = _corner_frame(pell)
-    alpha, beta = frame.alpha, frame.beta
-    box = (frame.s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
+    frame = pell._corner_frame
+    alpha, beta, s1 = frame.alpha, rat(1, 6 * ck), frame.chain_slopes[0]
+    box = (s1 / inst.a[-1]) ** ((ck + 1) // 2 + 1)
     gamma = box / 4
     # scaling(gamma, gamma) after pre, then the shift that puts u's image on
     # x = 0 and t's on y = S
-    (ux, _, uw), (_, ty, tw) = frame.ring[-1], frame.t
+    (ux, _, uw), (_, ty, tw) = frame.u, frame.t
     full = AffineMap2(-gamma * alpha, -gamma, gamma * alpha * beta, -gamma * beta,
                       -gamma * rat(ux, uw), inst.S - gamma * rat(ty, tw))
     mat = _affine_matrix(full)
@@ -584,20 +589,19 @@ def build_corner_transform(
             raise ConstructionError("u's image is not the unique lowest-leftmost point")
         if i and (x * ww >= xw * w or y * ww >= yw * w):
             raise ConstructionError("w's image is not the unique highest-rightmost point")
-    corner = CornerTransform(
+    return CornerTransform(
         map=full,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
         box=box,
-        s1=frame.s1,
+        s1=s1,
         epsilon=epsilon,
         chain_slopes=frame.chain_slopes,
+        circuits=frame.circuits,
         triples=tuple(image),
         t_image=Point2(rat(xt, wt), rat(yt, wt)),
     )
-    object.__setattr__(corner, "_frame", frame)  # classify_reduction_circuits reads its circuits
-    return corner
 
 
 # -- the reduction polygon -----------------------------------------------------
@@ -696,7 +700,7 @@ def classify_reduction_circuits(red: ReductionInstance):
     ck = red.ck
     frame = (Direction2(0, 1), Direction2(1, 0))
     element = tuple([Direction2(1, w) for w in inst.a])
-    groups = {"frame": frame, "element": element, "corner": red.corner._frame.circuits}
+    groups = {"frame": frame, "element": element, "corner": red.corner.circuits}
     flat = [g for grp in groups.values() for g in grp]
     if len(flat) != 2 + inst.n + 2 * ck or len(set(flat)) != len(flat):
         raise ConstructionError("circuit classes overlap or miscount")

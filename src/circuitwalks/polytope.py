@@ -24,7 +24,8 @@ convex polygon is the intersection of the halfplanes of its edges, so these
 rows describe P: bounded and full-dimensional, no row redundant (each carries
 an edge), none repeated (the edges of a cycle that winds once have distinct
 normal directions), and the hull is the cycle.  v_to_h builds its polygons
-this way.
+this way: HPolygon given the cycle checks only that its rows are the cycle's
+edge rows.
 
 Rows alone become a polygon by one algorithm, the peel, after sorting them by
 the angle of their normal, O(m log m) for m rows.  It drops rows and rechecks
@@ -71,7 +72,7 @@ polytope when a.x <= b*D for every row.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -243,11 +244,21 @@ class HPolygon:
     soup through remove_redundant instead when minimality is not known.  The
     peel of the module docstring gives the vertex polygon, its edge rows
     included, or names the fault; a system it drops a row from is redundant.
+    Given cycle, a checked vertex polygon, the rows must be its edge rows in
+    order and the cycle is the vertex polygon, with no peel (v_to_h).
     """
 
     rows: tuple[tuple[int, int, int], ...]
+    cycle: InitVar[VPolygon | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cycle) -> None:
+        if cycle is not None:
+            # rows that are the edge rows of a vertex cycle VPolygon has checked
+            # describe its polygon (module docstring), so the cycle is the hull
+            if self.rows != cycle.edges:
+                raise ValueError("rows are not the edge rows of the vertex cycle")
+            object.__setattr__(self, "_hull", cycle)
+            return
         rows = tuple([canonical_row(*r) for r in self.rows])
         object.__setattr__(self, "rows", rows)
         if len(rows) < 3:
@@ -276,10 +287,6 @@ class HPolygon:
     def point(self, coords) -> Point2:
         return Point2(*coords)
 
-
-# The benchmark's traced mode (cwbench/tracing.py) rebinds the name HPolygon in
-# this module and in constructions; the private constructors use the class.
-_HPolygon = HPolygon
 
 
 def _check_ccw(t: tuple[tuple[int, int, int], ...]) -> None:
@@ -369,10 +376,7 @@ def v_to_h(v: VPolygon) -> HPolygon:
     With VPolygon's own check, this is the module docstring's O(m) check of a
     vertex cycle.
     """
-    h = object.__new__(_HPolygon)
-    object.__setattr__(h, "rows", v.edges)
-    object.__setattr__(h, "_hull", v)
-    return h
+    return HPolygon(v.edges, v)
 
 
 def h_to_v(h: HPolygon) -> VPolygon:

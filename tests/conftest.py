@@ -91,9 +91,9 @@ def random_hpolygon(rng: random.Random, max_points: int = 12, bound: int = 100):
 
 
 def clear_construction_caches() -> None:
-    """Forget the family levels and corner frames built so far; the next builds are cold."""
+    """Forget the family levels built so far, and with them their corner
+    frames; the next builds are cold."""
     constructions.build_p_ell.cache_clear()
-    constructions._corner_frame.cache_clear()
 
 
 def as_points(triples) -> tuple[Point2, ...]:
@@ -495,8 +495,8 @@ def reference_corner_transform(pell, inst, C: int) -> dict:
     tuple of the image polygon.
 
     The image polygons come from reference_transform_polygon, and the slopes
-    from a walk around the squeezed polygon's vertices that skips the edge
-    joining u's and w's images.
+    and circuits from walks around the squeezed polygon's and the image
+    polygon's vertices that skip the edge joining u's and w's images.
     """
     ck = C * inst.k
     outer = {pell.u, pell.w}
@@ -515,10 +515,15 @@ def reference_corner_transform(pell, inst, C: int) -> dict:
     shift = AffineMap2.translation(-scaled.apply(pell.u).x, inst.S - scaled.apply(pell.t).y)
     full = shift.compose(scaled)
     w2 = full.apply(pell.w)
+    image = reference_transform_polygon(full, pell.h)[1]
+    circuits = _reference_ring_walk(
+        image, full.apply(pell.u), w2,
+        lambda p, q: primitive_direction(q.x - p.x, q.y - p.y).canonical(),
+    )
     return dict(
         map=full, alpha=alpha, beta=beta, gamma=gamma, box=box, s1=s1,
         epsilon=w2.y - inst.S, chain_slopes=tuple(sorted(slopes)),
-        image=reference_transform_polygon(full, pell.h)[1], u_image=full.apply(pell.u),
+        circuits=tuple(sorted(circuits)), image=image, u_image=full.apply(pell.u),
         w_image=w2, t_image=full.apply(pell.t),
     )
 
@@ -538,7 +543,7 @@ def reference_reduction_vertices(pell, corner: dict, inst):
 
     corner holds reference_corner_transform's fields for pell and inst.  The
     vertices are the hull of the intended points, which must all be vertices;
-    the corner circuits come from a walk around the corner's image polygon.
+    the corner circuits are the corner transform's.
     """
     chain = build_slope_chain(inst, pullback_cost(corner["map"], pell.c0))
     apex = Point2(rat(1), inst.S + corner["epsilon"])
@@ -546,11 +551,7 @@ def reference_reduction_vertices(pell, corner: dict, inst):
     expected |= {corner["map"].apply(p) for p in pell.v.vertices}
     v = hull2d(list(expected))
     assert set(v.vertices) == expected, "some intended vertex fell inside the hull"
-    directions = _reference_ring_walk(
-        corner["image"], corner["u_image"], corner["w_image"],
-        lambda p, q: primitive_direction(q.x - p.x, q.y - p.y).canonical(),
-    )
-    return v.vertices, tuple(sorted(directions))
+    return v.vertices, corner["circuits"]
 
 
 def reference_essr(inst, r_bound: int):

@@ -59,4 +59,6 @@ def test_package_runs_with_hpolygon_rebound_to_a_function():
         for module in modules:
             module.HPolygon = cls
     assert calls  # read_instance builds its polygon through the stand-in
-    assert art.h.rows in [args[0] for args in calls]  # and so does build_p_ell
+    built = [args[0] for args in calls]
+    assert art.h.rows in built  # and so does build_p_ell
+    assert red.h.rows in built and square.edges in built  # and v_to_h

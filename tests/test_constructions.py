@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitwalks import constructions
 from circuitwalks.circuits import optimal_value
 from circuitwalks.constructions import (
     BadCost,
@@ -571,6 +572,17 @@ class TestLevelCache:
         clear_construction_caches()
         cold = text()
         assert text() == cold
+
+    def test_a_level_frame_is_built_once(self, monkeypatch):
+        calls = []
+        build = constructions._build_corner_frame
+        monkeypatch.setattr(constructions, "_build_corner_frame",
+                            lambda pell: calls.append(pell) or build(pell))
+        clear_construction_caches()
+        first = build_reduction(SubsetSumInstance(a=(2, 3), S=5, k=2), 2)
+        second = build_reduction(SubsetSumInstance(a=(3, 4, 9), S=13, k=1), 4)
+        assert calls == [build_p_ell(4)]
+        assert first.corner.circuits is second.corner.circuits
 
     def test_an_altered_artifact_gets_its_own_frame(self):
         pell, inst = build_p_ell(4), SubsetSumInstance(a=(2, 3), S=5, k=2)

@@ -181,6 +181,18 @@ class TestHVConversion:
         assert h_to_v(swept).vertices == ring.vertices
         assert h_to_v(swept).triples == ring.triples
 
+    def test_a_cycle_is_taken_only_with_its_own_edge_rows(self):
+        # given the cycle, HPolygon keeps it as the hull, and only when the rows
+        # are its edge rows in order: canonical, none rotated, none loosened
+        ring = VPolygon.of_points(SQUARE)
+        h = HPolygon(ring.edges, ring)
+        assert h_to_v(h) is ring and h == HPolygon(ring.edges)
+        rows = ring.edges
+        for bad in (rows[1:] + rows[:1], (rows[0], rows[1], rows[2], (-1, 0, 1)),
+                    tuple((2 * a, 2 * b, 2 * c) for a, b, c in rows)):
+            with pytest.raises(ValueError, match="not the edge rows of the vertex cycle"):
+                HPolygon(bad, ring)
+
 
 class TestHPolygon:
     def test_rows_canonicalized_on_build(self):
